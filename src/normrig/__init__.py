@@ -8,7 +8,6 @@ by the sweeps in :mod:`normrig.experiments`; :mod:`normrig.globalrig`
 certifies globally rigid construction sequences.
 """
 
-from ._kernels import backend_name, numba_enabled
 from .graph import (
     Graph,
     GraphError,
@@ -82,7 +81,5 @@ __all__ = [
     "is_uv_tight",
     "is_uv_rigid_comb",
     "cover_rank_bound",
-    "backend_name",
-    "numba_enabled",
     "__version__",
 ]

@@ -1,165 +1,96 @@
-"""Low-level combinatorial kernels, optionally numba-compiled.
+"""Low-level combinatorial kernels.
 
-Every kernel is written once in a numba-compatible subset of Python
-(flat numpy arrays, explicit loops, no dicts).  At import time each is
-either handed to ``numba.njit`` or left as-is, so the compiled and the
-pure-Python paths execute the exact same source.
-
-Backend selection, via the ``NORMRIG_NUMBA`` environment variable:
-
-* unset      -> use numba when importable, else pure Python
-* 0/false/off/no -> force pure Python
-* 1/true/on/yes  -> require numba (ImportError if unavailable)
-
-Vertex sets are passed around as int64 bitmasks, so every kernel is
-limited to graphs on at most 63 vertices.  Callers relabel vertices to
-0..n-1 before dropping into this layer.
+Callers relabel vertices to 0..n-1 before dropping into this layer.
+The pebble game keeps the orientation as adjacency lists, so its cost
+follows the edges it searches and not n**2; the other two kernels are
+vectorised over numpy arrays of edge bitmasks.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    njit = None
-    _HAVE_NUMBA = False
-
-_ENV_VAR = "NORMRIG_NUMBA"
-_FALSY = {"0", "false", "off", "no"}
-_TRUTHY = {"1", "true", "on", "yes"}
-
-
-def numba_enabled() -> bool:
-    """Decide whether the compiled backend is in use."""
-    raw = os.environ.get(_ENV_VAR, "").strip().lower()
-    if raw in _FALSY:
-        return False
-    if raw in _TRUTHY:
-        if not _HAVE_NUMBA:
-            raise ImportError(
-                f"{_ENV_VAR}={raw!r} requires numba, which is not installed"
-            )
-        return True
-    if raw:
-        raise ValueError(f"unrecognised {_ENV_VAR} value: {raw!r}")
-    return _HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if _NUMBA_ACTIVE else "python"
-
 
 # ---------------------------------------------------------------------------
 # pebble game
 # ---------------------------------------------------------------------------
 
 
-def _pebble_game_impl(n, eu, ev, k, l):
+def pebble_game(n, eu, ev, k, l):
     """(k, l)-pebble game on a simple graph with vertices 0..n-1.
 
     Edges are offered in the order given by ``eu``/``ev``.  Returns
     ``(rank, accepted, witness)`` where ``accepted`` flags the edges
     that entered the spanning independent set and ``witness`` is the
-    vertex bitmask of the reach set at the first rejection (0 if every
-    edge was accepted).  The reach set U of a rejection always induces
-    more than k|U| - l edges.
-    """
-    m = eu.shape[0]
-    pebbles = np.full(n, k, np.int64)
-    orient = np.zeros((n, n), np.uint8)  # orient[x, y] = 1  <=>  edge x -> y
-    accepted = np.zeros(m, np.uint8)
-    visited = np.zeros(n, np.uint8)
-    parent = np.full(n, -1, np.int64)
-    stack = np.zeros(n, np.int64)
-    rank = 0
-    witness = np.int64(0)  # reach set of the first rejection, if any
+    set of vertices in the reach set at the first rejection (None if
+    every edge was accepted).  The reach set U of a rejection always
+    induces more than k|U| - l edges.
 
-    for e in range(m):
-        a = eu[e]
-        b = ev[e]
-        while pebbles[a] + pebbles[b] < l + 1:
-            # Try to pull one more pebble onto a, then onto b.  A search
-            # walks directed edges and may pass through the other
-            # endpoint but never takes its pebbles.
-            moved = False
-            for r0 in range(2):
-                root = a if r0 == 0 else b
-                other = b if r0 == 0 else a
-                for i in range(n):
-                    visited[i] = 0
-                    parent[i] = -1
-                visited[root] = 1
-                stack[0] = root
-                top = 1
-                found = np.int64(-1)
-                while top > 0 and found < 0:
-                    x = stack[top - 1]
-                    top -= 1
-                    for y in range(n):
-                        if orient[x, y] == 1 and visited[y] == 0:
-                            visited[y] = 1
-                            parent[y] = x
-                            if pebbles[y] > 0 and y != a and y != b:
-                                found = y
-                                break
-                            stack[top] = y
-                            top += 1
-                if found >= 0:
-                    # reverse the path root -> ... -> found
-                    cur = found
+    The result does not depend on the order in which searches scan
+    out-neighbours: the accepted edges are those that greedy insertion
+    into the (k, l)-count matroid keeps, and the reach set is the
+    smallest vertex set through both endpoints that spans exactly
+    k|U| - l accepted edges, which is unique.
+    """
+    pebbles = [k] * n
+    out = [[] for _ in range(n)]  # out[x]: heads of the edges x -> y
+    accepted = []
+    rank = 0
+    witness = None
+
+    def fetch(root, a, b):
+        """Pull one pebble onto root along a reversed path.  The search
+        may pass through the other endpoint but never takes its pebbles."""
+        parent = {root: root}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if pebbles[y] and y != a and y != b:
+                    cur = y
                     while cur != root:
                         prev = parent[cur]
-                        orient[prev, cur] = 0
-                        orient[cur, prev] = 1
+                        out[prev].remove(cur)
+                        out[cur].append(prev)
                         cur = prev
-                    pebbles[found] -= 1
+                    pebbles[y] -= 1
                     pebbles[root] += 1
-                    moved = True
-                    break
-            if not moved:
+                    return True
+                stack.append(y)
+        return False
+
+    for a, b in zip(map(int, eu), map(int, ev)):
+        while pebbles[a] + pebbles[b] <= l:
+            if not (fetch(a, a, b) or fetch(b, a, b)):
                 break
-        if pebbles[a] + pebbles[b] >= l + 1:
-            accepted[e] = 1
+        if pebbles[a] + pebbles[b] > l:
+            accepted.append(True)
             rank += 1
-            if pebbles[a] > 0:
+            if pebbles[a]:
                 pebbles[a] -= 1
-                orient[a, b] = 1
+                out[a].append(b)
             else:
                 pebbles[b] -= 1
-                orient[b, a] = 1
-        elif witness == 0:
+                out[b].append(a)
+            continue
+        accepted.append(False)
+        if witness is None:
             # Rejected: the edge is dependent and stays out, but later
             # edges are still offered.  Record the reach set of {a, b}
             # for the first rejection only: it is closed under
             # out-edges and every vertex in it except a, b has zero
             # pebbles, so together with the rejected edge it induces
             # more than k|U| - l edges.
-            for i in range(n):
-                visited[i] = 0
-            visited[a] = 1
-            visited[b] = 1
-            stack[0] = a
-            stack[1] = b
-            top = 2
-            while top > 0:
-                x = stack[top - 1]
-                top -= 1
-                for y in range(n):
-                    if orient[x, y] == 1 and visited[y] == 0:
-                        visited[y] = 1
-                        stack[top] = y
-                        top += 1
-            w = np.int64(0)
-            for i in range(n):
-                if visited[i] == 1:
-                    w |= np.int64(1) << np.int64(i)
-            witness = w
+            reach = {a, b}
+            stack = [a, b]
+            while stack:
+                for y in out[stack.pop()]:
+                    if y not in reach:
+                        reach.add(y)
+                        stack.append(y)
+            witness = frozenset(reach)
 
     return rank, accepted, witness
 
@@ -169,40 +100,15 @@ def _pebble_game_impl(n, eu, ev, k, l):
 # ---------------------------------------------------------------------------
 
 
-def _canonize_batch_impl(masks, bitmaps):
+def canonize_batch(masks, bitmaps):
     """Minimum relabelling of each edge bitmask.
 
     ``bitmaps[p, b]`` gives the image of edge-bit ``b`` under the p-th
     vertex permutation.  The canonical form of a mask is the smallest
     integer over all permutations; it is itself the edge mask of a
-    relabelled copy of the graph.
-    """
-    count = masks.shape[0]
-    nperm = bitmaps.shape[0]
-    nbits = bitmaps.shape[1]
-    out = np.empty(count, np.int64)
-    for i in range(count):
-        mask = masks[i]
-        best = mask
-        for p in range(nperm):
-            img = np.int64(0)
-            for b in range(nbits):
-                if (mask >> np.int64(b)) & np.int64(1):
-                    img |= np.int64(1) << bitmaps[p, b]
-            if img < best:
-                best = img
-        out[i] = best
-    return out
-
-
-def _canonize_batch_numpy(masks, bitmaps):
-    """Vectorised equivalent of :func:`_canonize_batch_impl`.
-
-    Expanding every mask into bits, each permutation becomes one
-    integer matvec; taking a running elementwise minimum keeps memory
-    at O(masks * bits).  This is the fallback when numba is off, since
-    per-mask Python loops would be hopeless at 2**15 masks x 720
-    permutations.
+    relabelled copy of the graph.  Expanding every mask into bits, each
+    permutation becomes one integer matvec; a running elementwise
+    minimum keeps memory at O(masks * bits).
     """
     nperm, nbits = bitmaps.shape
     bits = (masks[:, None] >> np.arange(nbits, dtype=np.int64)[None, :]) & np.int64(1)
@@ -218,71 +124,26 @@ def _canonize_batch_numpy(masks, bitmaps):
 # ---------------------------------------------------------------------------
 
 
-def _family_best_impl(edge_masks, val_terms):
+def family_best(edge_masks, val_terms):
     """Search every nonempty family of candidate vertex sets.
 
     ``edge_masks[i]`` is the bitmask of graph edges induced by the i-th
     candidate set, ``val_terms[i]`` its value contribution.  A family S
     scores popcount(union of masks) - 2 - sum(terms); the maximum and
-    an argmax subset (as a candidate bitmask) come back.  Memory grows
-    as 2**len(edge_masks): callers keep the candidate count <= 20.
+    the smallest maximising subset (as a candidate bitmask) come back.
+    The table of all 2**c families is built by doubling: the families
+    that contain candidate i are those without it, plus i.  Memory
+    grows as 2**len(edge_masks): callers keep the candidate count <= 20.
     """
-    c = edge_masks.shape[0]
-    total = np.int64(1) << np.int64(c)
-    unions = np.zeros(total, np.int64)
-    sums = np.zeros(total, np.int64)
-    best = np.int64(-(1 << 60))
-    best_set = np.int64(0)
-    for s in range(1, total):
-        sv = np.int64(s)
-        low = sv & (-sv)
-        idx = 0
-        t = low
-        while t > 1:
-            t >>= 1
-            idx += 1
-        rest = sv & (sv - 1)
-        u = unions[rest] | edge_masks[idx]
-        unions[sv] = u
-        sums[sv] = sums[rest] + val_terms[idx]
-        # popcount(u)
-        pc = 0
-        while u:
-            u &= u - 1
-            pc += 1
-        score = pc - 2 - sums[sv]
-        if score > best:
-            best = score
-            best_set = sv
-    return best, best_set
-
-
-# ---------------------------------------------------------------------------
-# backend binding
-# ---------------------------------------------------------------------------
-
-_NUMBA_ACTIVE = numba_enabled()
-
-# Uncompiled references, always available (used directly by the
-# backend-equivalence tests and the benchmark).
-pebble_game_py = _pebble_game_impl
-canonize_batch_py = _canonize_batch_numpy
-family_best_py = _family_best_impl
-
-if _HAVE_NUMBA:
-    pebble_game_nb = njit(cache=True)(_pebble_game_impl)
-    canonize_batch_nb = njit(cache=True)(_canonize_batch_impl)
-    family_best_nb = njit(cache=True)(_family_best_impl)
-else:  # pragma: no cover
-    pebble_game_nb = None
-    canonize_batch_nb = None
-    family_best_nb = None
-
-if _NUMBA_ACTIVE:
-    pebble_game = pebble_game_nb
-    canonize_batch = canonize_batch_nb
-    family_best = family_best_nb
-else:
-    pebble_game = pebble_game_py
-    canonize_batch = canonize_batch_py
-    family_best = family_best_py
+    c = len(edge_masks)
+    unions = np.zeros(1 << c, np.int64)
+    sums = np.zeros(1 << c, np.int64)
+    h = 1
+    for mask, term in zip(map(int, edge_masks), map(int, val_terms)):
+        np.bitwise_or(unions[:h], mask, out=unions[h : 2 * h])
+        np.add(sums[:h], term, out=sums[h : 2 * h])
+        h *= 2
+    # score + 2, in place over sums; index 0 is the empty family
+    scores = np.subtract(np.bitwise_count(unions), sums, out=sums)
+    best_set = int(np.argmax(scores[1:])) + 1  # first maximum = smallest mask
+    return int(scores[best_set]) - 2, best_set

@@ -17,7 +17,6 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from ._kernels import backend_name
 from .experiments import (
     conjecture_probe,
     cover_bound_sweep,
@@ -486,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--version",
         action="version",
-        version=f"normrig {__version__} (backend: {backend_name()})",
+        version=f"normrig {__version__}",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

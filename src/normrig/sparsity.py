@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import _kernels
 from .graph import Graph, contract_pair, delete_edge, induced_edge_count
 
@@ -112,20 +110,17 @@ def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     """
     if k < 1 or l < 0 or l >= 2 * k:
         raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
-    if g.n > 63:
-        raise SparsityError("pebble game limited to 63 vertices")
-    index = {x: i for i, x in enumerate(g.vertices)}
+    verts = g.vertices
+    index = {x: i for i, x in enumerate(verts)}
     edges = g.sorted_edges()
-    eu = np.array([index[a] for a, b in edges], dtype=np.int64)
-    ev = np.array([index[b] for a, b in edges], dtype=np.int64)
-    rank, accepted, wmask = _kernels.pebble_game(g.n, eu, ev, k, l)
-    witness = None
-    if wmask:
-        witness = frozenset(x for x, i in index.items() if (int(wmask) >> i) & 1)
+    eu = [index[a] for a, b in edges]
+    ev = [index[b] for a, b in edges]
+    rank, accepted, wset = _kernels.pebble_game(g.n, eu, ev, k, l)
+    witness = None if wset is None else frozenset(verts[i] for i in wset)
     return PebbleResult(
         k,
         l,
-        int(rank),
+        rank,
         tuple(e for e, a in zip(edges, accepted) if a),
         witness,
     )
@@ -233,10 +228,7 @@ def is_uv_sparse_bruteforce(g: Graph, max_n: int = 7) -> UvSparseVerdict:
     fam_def, fam_sets = 0, None
     if parts:
         if len(parts) <= 20:
-            best, chosen = _kernels.family_best(
-                np.array(masks, dtype=np.int64), np.array(terms, dtype=np.int64)
-            )
-            best, chosen = int(best), int(chosen)
+            best, chosen = _kernels.family_best(masks, terms)
         else:
             best, chosen = _family_branch_bound(masks, terms)
         if best > fam_def:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from normrig import __version__
 from normrig.cli import main
 from normrig.graph import format_graph, parse_graph
 
@@ -217,13 +218,34 @@ def test_seed_env_var(files, capsys, monkeypatch):
     assert out_env == out_explicit
 
 
-def test_version_names_backend(capsys):
+def test_version_line(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["--version"])
     assert ei.value.code == 0
-    out = capsys.readouterr().out
-    assert out.startswith("normrig ")
-    assert "backend:" in out
+    assert capsys.readouterr().out == f"normrig {__version__}\n"
+
+
+def _chain_text(n, extra=()):
+    """TWO_K4 grown by 0-extensions to n vertices: (2,2)-tight."""
+    edges = [tuple(map(int, ln.split())) for ln in TWO_K4.splitlines()[1:]]
+    edges += [e for z in range(7, n) for e in ((z - 7, z), (z - 1, z))]
+    edges += list(extra)
+    return f"{n} {len(edges)} 0 1\n" + "".join(f"{a} {b}\n" for a, b in edges)
+
+
+def test_pebble_queries_beyond_63_vertices(tmp_path, capsys):
+    tight = tmp_path / "chain.graph"
+    tight.write_text(_chain_text(100))
+    rc, out, _ = run(capsys, "check-sparse", str(tight))
+    assert (rc, out) == (0, "sparse: yes\n")
+    rc, out, _ = run(capsys, "uv-rigid-comb", str(tight))
+    assert (rc, out) == (0, "uv-rigid-comb: yes\nrigid-minus-pair: yes\nrigid-contracted: yes\n")
+
+    over = tmp_path / "over.graph"
+    over.write_text(_chain_text(100, [(0, 99)]))
+    rc, out, _ = run(capsys, "check-sparse", str(over))
+    whole = ",".join(map(str, range(100)))
+    assert (rc, out) == (0, f"sparse: no\nwitness: {{{whole}}} edges 199 > 198\n")
 
 
 def test_graph_format_round_trip_via_cli(files, capsys):

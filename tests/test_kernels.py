@@ -1,4 +1,5 @@
-"""Backend parity: the compiled kernels must match the pure-numpy ones bit for bit."""
+"""Kernel oracles: the pebble game against greedy insertion with brute-force
+counts, and the family search against a plain subset scan."""
 from __future__ import annotations
 
 import itertools
@@ -7,110 +8,65 @@ import numpy as np
 import pytest
 
 from normrig import _kernels
-from normrig.enumeration import _perm_bitmaps, edge_slots, random_graph
-
-needs_numba = pytest.mark.skipif(
-    _kernels.pebble_game_nb is None, reason="numba not installed"
-)
+from normrig.enumeration import enumerate_graphs
 
 
-def _edge_arrays(g):
-    edges = sorted(g.edges)
-    eu = np.array([a for a, _ in edges], dtype=np.int64)
-    ev = np.array([b for _, b in edges], dtype=np.int64)
-    return eu, ev
+def _greedy_oracle(n, edges, k, l):
+    """Greedy insertion into the (k, l)-count matroid, by brute-force
+    counts.  The kept set is sparse, so an edge ab breaks a count iff some
+    vertex set U through a and b is tight (spans k|U| - l kept edges).
+    The tight sets through a and b are closed under intersection, so the
+    smallest one is unique: the pebble game's reach set.  Returns the kept
+    edges and that set at the first rejection (None if there is none)."""
+    kept, witness = [], None
+    for a, b in edges:
+        rest = [x for x in range(n) if x not in (a, b)]
+        tight = [
+            s
+            for r in range(len(rest) + 1)
+            for extra in itertools.combinations(rest, r)
+            for s in [frozenset((a, b, *extra))]
+            if sum(1 for x, y in kept if x in s and y in s) == k * len(s) - l
+        ]
+        if not tight:
+            kept.append((a, b))
+        elif witness is None:
+            witness = min(tight, key=len)
+            assert all(witness <= s for s in tight)
+    return kept, witness
 
 
-@needs_numba
-@pytest.mark.parametrize("kl", [(2, 2), (2, 3)])
-def test_pebble_backends_agree(kl):
+@pytest.mark.parametrize("kl", [(2, 2), (2, 3), (1, 1)])
+def test_pebble_game_equals_greedy_oracle(kl):
     k, l = kl
-    rng = np.random.default_rng(31)
-    for _ in range(60):
-        g = random_graph(rng, int(rng.integers(2, 8)))
-        eu, ev = _edge_arrays(g)
-        r_py, acc_py, wit_py = _kernels.pebble_game_py(g.n, eu, ev, k, l)
-        r_nb, acc_nb, wit_nb = _kernels.pebble_game_nb(g.n, eu, ev, k, l)
-        assert r_py == r_nb
-        assert np.array_equal(acc_py, acc_nb)
-        assert wit_py == wit_nb
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            edges = g.sorted_edges()
+            eu = [a for a, _ in edges]
+            ev = [b for _, b in edges]
+            rank, accepted, witness = _kernels.pebble_game(n, eu, ev, k, l)
+            kept = [e for e, a in zip(edges, accepted) if a]
+            assert (kept, witness) == _greedy_oracle(n, edges, k, l), (n, edges)
+            assert rank == len(kept)
 
 
-@needs_numba
-def test_canonize_backends_agree():
-    rng = np.random.default_rng(17)
-    for n in (3, 4, 5):
-        nbits = len(edge_slots(n))
-        masks = rng.integers(0, 1 << nbits, size=200, dtype=np.int64)
-        for fix_pair in (False, True):
-            bitmaps = _perm_bitmaps(n, fix_pair)
-            out_py = _kernels.canonize_batch_py(masks, bitmaps)
-            out_nb = _kernels.canonize_batch_nb(masks, bitmaps)
-            assert np.array_equal(out_py, out_nb)
-
-
-@needs_numba
-def test_family_backends_agree():
-    rng = np.random.default_rng(43)
-    for _ in range(40):
-        c = int(rng.integers(1, 10))
-        edge_masks = rng.integers(0, 1 << 12, size=c, dtype=np.int64)
-        val_terms = rng.integers(0, 8, size=c, dtype=np.int64)
-        assert _kernels.family_best_py(edge_masks, val_terms) == _kernels.family_best_nb(
-            edge_masks, val_terms
-        )
+def _score(edge_masks, val_terms, s):
+    chosen = [i for i in range(len(edge_masks)) if (s >> i) & 1]
+    union = 0
+    for i in chosen:
+        union |= int(edge_masks[i])
+    return union.bit_count() - 2 - sum(int(val_terms[i]) for i in chosen)
 
 
 def test_family_best_matches_subset_scan():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        c = int(rng.integers(1, 8))
-        edge_masks = rng.integers(0, 1 << 10, size=c, dtype=np.int64)
+    for trial in range(60):
+        c = int(rng.integers(1, 13))
+        # narrow masks and terms make ties common
+        width = 4 if trial % 2 else 12
+        edge_masks = rng.integers(0, 1 << width, size=c, dtype=np.int64)
         val_terms = rng.integers(0, 6, size=c, dtype=np.int64)
-        best, best_set = _kernels.family_best(edge_masks, val_terms)
-        expect = max(
-            bin(int(np.bitwise_or.reduce(edge_masks[list(s)]))).count("1")
-            - 2
-            - int(val_terms[list(s)].sum())
-            for r in range(1, c + 1)
-            for s in itertools.combinations(range(c), r)
-        )
-        assert best == expect
-        chosen = [i for i in range(c) if (int(best_set) >> i) & 1]
-        assert chosen, "argmax family must be nonempty"
-        got = (
-            bin(int(np.bitwise_or.reduce(edge_masks[chosen]))).count("1")
-            - 2
-            - int(val_terms[chosen].sum())
-        )
-        assert got == expect
-
-
-def test_canonize_fallback_matches_loop_reference():
-    # the vectorised fallback and the loop the compiler sees are the same map
-    rng = np.random.default_rng(29)
-    nbits = len(edge_slots(4))
-    masks = rng.integers(0, 1 << nbits, size=64, dtype=np.int64)
-    bitmaps = _perm_bitmaps(4, False)
-    assert np.array_equal(
-        _kernels.canonize_batch_py(masks, bitmaps),
-        _kernels._canonize_batch_impl(masks, bitmaps),
-    )
-
-
-def test_env_flag_parsing(monkeypatch):
-    for raw in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv("NORMRIG_NUMBA", raw)
-        assert _kernels.numba_enabled() is False
-    monkeypatch.setenv("NORMRIG_NUMBA", "banana")
-    with pytest.raises(ValueError):
-        _kernels.numba_enabled()
-    monkeypatch.delenv("NORMRIG_NUMBA", raising=False)
-    assert _kernels.numba_enabled() == (_kernels.pebble_game_nb is not None)
-    if _kernels.pebble_game_nb is not None:
-        monkeypatch.setenv("NORMRIG_NUMBA", "1")
-        assert _kernels.numba_enabled() is True
-
-
-def test_backend_name_values():
-    assert _kernels.backend_name() in {"numba", "python"}
+        scores = [(_score(edge_masks, val_terms, s), s) for s in range(1, 1 << c)]
+        expect = max(sc for sc, _ in scores)
+        smallest = min(s for sc, s in scores if sc == expect)
+        assert _kernels.family_best(edge_masks, val_terms) == (expect, smallest)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from normrig.enumeration import enumerate_graphs, random_graph
-from normrig.graph import Graph
+from normrig.graph import Graph, delete_edge, zero_extension
 from normrig.sparsity import (
     CoverBound,
     SparsityError,
@@ -147,6 +147,19 @@ def test_rigid_comb_pinned(two_k4):
     assert not is_rigid_comb(Graph.complete(2))
     assert is_rigid_comb(Graph.from_edges([0], []))
     assert pebble_rank(Graph.complete(4)) == 6
+
+
+def test_rigid_comb_on_200_vertex_chain(two_k4):
+    # 0-extensions keep the uv-tight two-K4 graph (2,2)-tight at any size
+    g = two_k4
+    for z in range(7, 200):
+        g = zero_extension(g, z - 1, z - 7, z)
+    assert g.n == 200 and g.m == 2 * g.n - 2
+    assert is_rigid_comb(g)
+    assert is_uv_rigid_comb(g)
+    res = pebble_game(g)
+    assert res.rank == g.m and res.witness is None
+    assert not is_rigid_comb(delete_edge(g, 198, 199))
 
 
 # ------------------------------------------------------- coincident checker
