@@ -10,6 +10,8 @@ motions away from the Euclidean plane).
 Generic ranks are estimated by sampling several random placements and
 keeping the best rank seen; coincident variants place the designated
 pair at one common point and work on the graph minus the pair edge.
+The trials are batched: placements, matrices and singular values of
+many trials come out of single numpy calls, in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ from typing import Mapping
 import numpy as np
 
 from .graph import Graph, delete_edge
-from .norms import LpPlane, PlaneNorm, random_coincident_placement, random_placement
+from .norms import LpPlane, PlaneNorm
 
 DEFAULT_SEED = 1729
 _SEED_ENV = "NORMRIG_SEED"
+
+# Most matrix entries one batched SVD holds (512 KiB of float64); larger
+# trial counts run in chunks, so memory does not grow with --trials.
+_BATCH_ENTRIES = 1 << 16
 
 
 class RigidityError(ValueError):
@@ -50,7 +56,11 @@ class TolerancePolicy:
 
     rel: float = 1e-9
 
-    def threshold(self, sigma_max: float, rows: int, cols: int) -> float:
+    def __post_init__(self):
+        if not (np.isfinite(self.rel) and self.rel >= 0):
+            raise RigidityError(f"tolerance must be finite and non-negative, got {self.rel}")
+
+    def threshold(self, sigma_max, rows: int, cols: int):
         return self.rel * sigma_max * max(rows, cols)
 
 
@@ -84,28 +94,41 @@ class RigidityMatrix:
     vertex_order: tuple[int, ...]
 
 
+def _endpoints(g: Graph):
+    """Sorted edges and the vertex positions of their two ends."""
+    edges = tuple(g.sorted_edges())
+    index = {v: i for i, v in enumerate(g.vertices)}
+    a_idx = np.array([index[a] for a, _ in edges], dtype=np.intp)
+    b_idx = np.array([index[b] for _, b in edges], dtype=np.intp)
+    return edges, a_idx, b_idx
+
+
+def _matrix_stack(plane: PlaneNorm, pts: np.ndarray, edges, a_idx, b_idx) -> np.ndarray:
+    """Rigidity matrices (T, m, 2n) of T placements (T, n, 2) of one edge list."""
+    trials, n = pts.shape[:2]
+    m = len(edges)
+    mat = np.zeros((trials, m, n, 2))
+    if m:
+        diffs = (pts[:, a_idx] - pts[:, b_idx]).reshape(-1, 2)
+        lengths = plane.norm_batch(diffs).reshape(trials, m)
+        zero = lengths == 0.0
+        if zero.any():
+            t = int(np.argmax(zero.any(axis=1)))
+            a, b = edges[int(np.argmin(lengths[t]))]
+            raise RigidityError(f"edge {a}-{b} joins two coincident points")
+        phis = plane.support_batch(diffs).reshape(trials, m, 2)
+        rows = np.arange(m)
+        mat[:, rows, a_idx] = phis
+        mat[:, rows, b_idx] = -phis
+    return mat.reshape(trials, m, 2 * n)
+
+
 def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     g = fw.graph
-    edges = tuple(g.sorted_edges())
-    verts = g.vertices
-    col = {v: 2 * i for i, v in enumerate(verts)}
-    if edges:
-        diffs = np.array(
-            [np.asarray(fw.placement[a]) - np.asarray(fw.placement[b]) for a, b in edges],
-            dtype=np.float64,
-        )
-        lengths = fw.plane.norm_batch(diffs)
-        if np.any(lengths == 0.0):
-            a, b = edges[int(np.argmin(lengths))]
-            raise RigidityError(f"edge {a}-{b} joins two coincident points")
-        phis = fw.plane.support_batch(diffs)
-    else:
-        phis = np.zeros((0, 2))
-    mat = np.zeros((len(edges), 2 * len(verts)))
-    for i, (a, b) in enumerate(edges):
-        mat[i, col[a] : col[a] + 2] = phis[i]
-        mat[i, col[b] : col[b] + 2] = -phis[i]
-    return RigidityMatrix(mat, edges, verts)
+    edges, a_idx, b_idx = _endpoints(g)
+    pts = np.array([fw.placement[v] for v in g.vertices], dtype=np.float64)
+    mat = _matrix_stack(fw.plane, pts.reshape(1, g.n, 2), edges, a_idx, b_idx)
+    return RigidityMatrix(mat[0], edges, g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +137,23 @@ def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of a matrix or a stack of them."""
     if a.size == 0:
-        return np.zeros(0)
+        return np.zeros(a.shape[:-2] + (0,))
     return np.linalg.svd(a, compute_uv=False)
+
+
+def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows: int, cols: int):
+    """Rank, threshold and near-threshold flag of each row of singular values."""
+    count, k = sigmas.shape
+    if k == 0:
+        return np.zeros(count, dtype=int), np.zeros(count), np.zeros(count, dtype=bool)
+    tau = tol.threshold(sigmas[:, 0], rows, cols)
+    rank = np.sum(sigmas > tau[:, None], axis=1)
+    # A kept singular value within a decade of the cutoff means the
+    # verdict leans on the tolerance; callers surface this.
+    kept = sigmas[np.arange(count), np.maximum(rank - 1, 0)]
+    return rank, tau, (rank > 0) & (kept < 10.0 * tau)
 
 
 def numerical_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
@@ -129,14 +166,10 @@ def numerical_rank_detail(
 ) -> tuple[int, dict]:
     """Rank plus the numbers behind it, for threshold diagnostics."""
     sigmas = _singular_values(a)
-    if sigmas.size == 0 or sigmas[0] == 0.0:
-        return 0, {"sigmas": sigmas, "threshold": 0.0, "near_threshold": False}
-    tau = tol.threshold(float(sigmas[0]), *a.shape)
-    rank = int(np.sum(sigmas > tau))
-    # A kept singular value within a decade of the cutoff means the
-    # verdict leans on the tolerance; callers surface this.
-    near = bool(rank > 0 and sigmas[rank - 1] < 10.0 * tau)
-    return rank, {"sigmas": sigmas, "threshold": tau, "near_threshold": near}
+    rank, tau, near = _ranks(sigmas[None], tol, *a.shape)
+    return int(rank[0]), {
+        "sigmas": sigmas, "threshold": float(tau[0]), "near_threshold": bool(near[0])
+    }
 
 
 def kernel_basis(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
@@ -144,9 +177,8 @@ def kernel_basis(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarra
     if a.size == 0:
         return np.eye(a.shape[1])
     u, s, vh = np.linalg.svd(a)
-    tau = tol.threshold(float(s[0]), *a.shape) if s.size and s[0] > 0 else 0.0
-    rank = int(np.sum(s > tau))
-    return vh[rank:].T
+    rank, _, _ = _ranks(s[None], tol, *a.shape)
+    return vh[int(rank[0]):].T
 
 
 # ---------------------------------------------------------------------------
@@ -176,46 +208,71 @@ class RankReport:
     notes: tuple[str, ...] = field(default=())
 
 
-def _affine_span_full(points: np.ndarray) -> bool:
-    if points.shape[0] < 3:
-        return False
-    centered = points - points.mean(axis=0)
+def _affine_span_full(points: np.ndarray) -> np.ndarray:
+    """Whether each point set of a (T, n, 2) stack affinely spans the plane."""
+    if points.shape[1] < 3:
+        return np.zeros(points.shape[0], dtype=bool)
+    centered = points - points.mean(axis=1, keepdims=True)
     return np.linalg.matrix_rank(centered) == 2
 
 
-def _rank_trials(
-    graph: Graph,
-    plane: PlaneNorm,
-    trials: int,
-    seed: int,
-    box_radius: float,
-    tol: TolerancePolicy,
-    coincident: bool,
-):
+def _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident) -> RankReport:
+    """The rank report of both kinds, with every trial batched.
+
+    Trial t places the vertices by default_rng([seed, t]) alone, so its
+    rank does not depend on the other trials or on the chunking.
+    """
+    plane = plane or LpPlane(4.0)
+    seed = resolve_seed(seed)
+    if trials < 1:
+        raise RigidityError("need at least one trial")
+    had_pair_edge = coincident and graph.has_edge(*graph.require_pair())
+    work = delete_edge(graph, *graph.designated_pair) if had_pair_edge else graph
+    edges, a_idx, b_idx = _endpoints(work)
+    cols = 2 * work.n
+    if coincident:
+        u, v = (work.vertices.index(x) for x in work.designated_pair)
+    step = max(1, _BATCH_ENTRIES // max(1, len(edges) * cols))
     ranks, affine, notes = [], [], []
-    near_any = False
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        place = (
-            random_coincident_placement(graph, rng, box_radius)
-            if coincident
-            else random_placement(graph, rng, box_radius)
-        )
-        fw = Framework(graph, place, plane, coincident=coincident)
-        mat = build_rigidity_matrix(fw)
-        rank, detail = numerical_rank_detail(mat.array, tol)
-        ranks.append(rank)
-        affine.append(_affine_span_full(np.array([place[v] for v in graph.vertices])))
-        if detail["near_threshold"]:
-            near_any = True
-            sig = detail["sigmas"][rank - 1]
-            notes.append(
-                f"trial {t}: smallest kept singular value {sig:.3e} "
-                f"within 10x of threshold {detail['threshold']:.3e}"
-            )
-    best = max(ranks) if ranks else 0
+    for start in range(0, trials, step):
+        ts = range(start, min(trials, start + step))
+        pts = np.stack([
+            np.random.default_rng([seed, t]).uniform(-box_radius, box_radius, size=(work.n, 2))
+            for t in ts
+        ])
+        if coincident:
+            pts[:, v] = pts[:, u]
+        sigmas = _singular_values(_matrix_stack(plane, pts, edges, a_idx, b_idx))
+        rank, tau, near = _ranks(sigmas, tol, len(edges), cols)
+        ranks += rank.tolist()
+        affine += _affine_span_full(pts).tolist()
+        notes += [
+            f"trial {ts[i]}: smallest kept singular value {sigmas[i, rank[i] - 1]:.3e} "
+            f"within 10x of threshold {tau[i]:.3e}"
+            for i in np.flatnonzero(near)
+        ]
+    best = max(ranks)
     affine_ok = any(a for r, a in zip(ranks, affine) if r == best)
-    return best, tuple(ranks), affine_ok, near_any, tuple(notes)
+    return RankReport(
+        kind="coincident" if coincident else "plain",
+        n_vertices=graph.n,
+        total_edges=graph.m,
+        rows=work.m,
+        rank=best,
+        independent=not had_pair_edge and best == work.m,
+        rigid=graph.n <= 1 or (best == 2 * graph.n - 2 and affine_ok),
+        per_trial_ranks=tuple(ranks),
+        affine_span_full=affine_ok,
+        pair=graph.designated_pair,
+        pair_edge_removed=had_pair_edge,
+        trials=trials,
+        seed=seed,
+        box_radius=box_radius,
+        tol_rel=tol.rel,
+        norm_spec=plane.spec_string(),
+        near_threshold=bool(notes),
+        notes=tuple(notes),
+    )
 
 
 def generic_rank(
@@ -234,35 +291,7 @@ def generic_rank(
     forces |V| >= 3; graphs on at most one vertex are rigid by
     convention.
     """
-    plane = plane or LpPlane(4.0)
-    seed = resolve_seed(seed)
-    if trials < 1:
-        raise RigidityError("need at least one trial")
-    best, ranks, affine_ok, near, notes = _rank_trials(
-        graph, plane, trials, seed, box_radius, tol, coincident=False
-    )
-    target = 2 * graph.n - 2
-    rigid = True if graph.n <= 1 else (best == target and affine_ok)
-    return RankReport(
-        kind="plain",
-        n_vertices=graph.n,
-        total_edges=graph.m,
-        rows=graph.m,
-        rank=best,
-        independent=best == graph.m,
-        rigid=rigid,
-        per_trial_ranks=ranks,
-        affine_span_full=affine_ok,
-        pair=graph.designated_pair,
-        pair_edge_removed=False,
-        trials=trials,
-        seed=seed,
-        box_radius=box_radius,
-        tol_rel=tol.rel,
-        norm_spec=plane.spec_string(),
-        near_threshold=near,
-        notes=notes,
-    )
+    return _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident=False)
 
 
 def uv_generic_rank(
@@ -280,34 +309,4 @@ def uv_generic_rank(
     the pair edge to be absent from G in the first place; uv-rigidity
     is rank 2|V| - 2 with full affine span.
     """
-    plane = plane or LpPlane(4.0)
-    seed = resolve_seed(seed)
-    if trials < 1:
-        raise RigidityError("need at least one trial")
-    u, v = graph.require_pair()
-    had_pair_edge = graph.has_edge(u, v)
-    work = delete_edge(graph, u, v) if had_pair_edge else graph
-    best, ranks, affine_ok, near, notes = _rank_trials(
-        work, plane, trials, seed, box_radius, tol, coincident=True
-    )
-    target = 2 * graph.n - 2
-    return RankReport(
-        kind="coincident",
-        n_vertices=graph.n,
-        total_edges=graph.m,
-        rows=work.m,
-        rank=best,
-        independent=(not had_pair_edge) and best == work.m,
-        rigid=best == target and affine_ok,
-        per_trial_ranks=ranks,
-        affine_span_full=affine_ok,
-        pair=(u, v),
-        pair_edge_removed=had_pair_edge,
-        trials=trials,
-        seed=seed,
-        box_radius=box_radius,
-        tol_rel=tol.rel,
-        norm_spec=plane.spec_string(),
-        near_threshold=near,
-        notes=notes,
-    )
+    return _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident=True)

@@ -89,6 +89,14 @@ def test_rigid_and_rank(files, capsys):
     assert "rank: 6" in out and "independent: yes" in out
 
 
+@pytest.mark.parametrize("cmd", ["rank", "uv-rigid"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tolerance_exit_1(files, capsys, cmd, tol):
+    rc, out, err = run(capsys, cmd, files["k23.graph"], "--tol", tol)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: tolerance must be finite and non-negative")
+
+
 def test_parallel_edge_exit_1(files, capsys):
     rc, _, err = run(capsys, "check-uv-sparse", files["dup.graph"])
     assert rc == 1

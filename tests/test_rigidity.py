@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from normrig.graph import Graph
+from normrig import rigidity
+from normrig.enumeration import enumerate_graphs
+from normrig.graph import Graph, delete_edge
 from normrig.norms import LpPlane, random_coincident_placement, random_placement
 from normrig.rigidity import (
     DEFAULT_SEED,
+    DEFAULT_TOL,
     Framework,
     RigidityError,
     TolerancePolicy,
@@ -14,6 +19,7 @@ from normrig.rigidity import (
     generic_rank,
     kernel_basis,
     numerical_rank,
+    RankReport,
     resolve_seed,
     uv_generic_rank,
 )
@@ -124,3 +130,133 @@ def test_affine_span_guard(plane4):
     g = Graph.from_edges(range(3), [(0, 1), (1, 2)])
     rep = generic_rank(g, plane4)
     assert not rep.rigid and rep.rank == 2
+
+
+@pytest.mark.parametrize("rel", [float("nan"), float("inf"), -1.0, -1e-12])
+def test_bad_tolerance_rejected(rel):
+    with pytest.raises(RigidityError):
+        TolerancePolicy(rel=rel)
+
+
+def test_zero_tolerance_allowed():
+    assert numerical_rank(np.diag([1.0, 1e-300]), TolerancePolicy(rel=0.0)) == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched trials against a one-trial-at-a-time reference
+# ---------------------------------------------------------------------------
+
+
+def reference_report(graph, plane, trials, seed, tol, coincident):
+    """generic_rank / uv_generic_rank computed trial by trial, row by row."""
+    had_pair_edge = coincident and graph.has_edge(*graph.designated_pair)
+    work = delete_edge(graph, *graph.designated_pair) if had_pair_edge else graph
+    edges = work.sorted_edges()
+    col = {v: 2 * i for i, v in enumerate(work.vertices)}
+    ranks, affine, notes = [], [], []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        draw = random_coincident_placement if coincident else random_placement
+        place = draw(work, rng)
+        mat = np.zeros((len(edges), 2 * work.n))
+        phis = plane.support_batch(np.array([place[a] - place[b] for a, b in edges]).reshape(-1, 2))
+        for i, (a, b) in enumerate(edges):
+            mat[i, col[a] : col[a] + 2] = phis[i]
+            mat[i, col[b] : col[b] + 2] = -phis[i]
+        fw = rigidity.Framework(work, place, plane, coincident=coincident)
+        assert np.array_equal(build_rigidity_matrix(fw).array, mat)
+        sig = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+        rank = 0
+        if sig.size and sig[0] > 0:
+            tau = tol.rel * sig[0] * max(mat.shape)
+            rank = int(np.sum(sig > tau))
+            if rank and sig[rank - 1] < 10.0 * tau:
+                notes.append(
+                    f"trial {t}: smallest kept singular value {sig[rank - 1]:.3e} "
+                    f"within 10x of threshold {tau:.3e}"
+                )
+        ranks.append(rank)
+        pts = np.array([place[v] for v in work.vertices])
+        affine.append(work.n >= 3 and np.linalg.matrix_rank(pts - pts.mean(axis=0)) == 2)
+    best = max(ranks)
+    affine_ok = any(a for r, a in zip(ranks, affine) if r == best)
+    return RankReport(
+        kind="coincident" if coincident else "plain",
+        n_vertices=graph.n,
+        total_edges=graph.m,
+        rows=work.m,
+        rank=best,
+        independent=not had_pair_edge and best == work.m,
+        rigid=graph.n <= 1 or (best == 2 * graph.n - 2 and affine_ok),
+        per_trial_ranks=tuple(ranks),
+        affine_span_full=affine_ok,
+        pair=graph.designated_pair,
+        pair_edge_removed=had_pair_edge,
+        trials=trials,
+        seed=seed,
+        box_radius=1.0,
+        tol_rel=tol.rel,
+        norm_spec=plane.spec_string(),
+        near_threshold=bool(notes),
+        notes=tuple(notes),
+    )
+
+
+def _check_against_reference(graphs, plane, trials, seed, tol=DEFAULT_TOL):
+    for g in graphs:
+        for coincident, fn in ((False, generic_rank), (True, uv_generic_rank)):
+            if coincident and g.designated_pair is None:
+                continue
+            got = fn(g, plane, trials=trials, seed=seed, tol=tol)
+            assert got == reference_report(g, plane, trials, seed, tol, coincident), g
+
+
+PAIR_CLASSES = [g for n in range(2, 6) for g in enumerate_graphs(n, pair=True)]
+
+
+@pytest.mark.parametrize("p", [4.0, 1.5])
+@pytest.mark.parametrize("trials", [1, 10])
+def test_batched_ranks_match_reference(p, trials):
+    _check_against_reference(PAIR_CLASSES, LpPlane(p), trials, seed=41)
+
+
+def test_batched_ranks_match_reference_edge_cases(k23, two_k4):
+    small = [
+        Graph.from_edges([]),
+        Graph.from_edges([0]),
+        Graph.from_edges([0, 1]),
+        Graph.from_edges(range(4), pair=(0, 3)),  # edgeless
+        Graph.complete(4, pair=(0, 1)),  # the pair edge is present
+        Graph.complete(5),
+    ]
+    _check_against_reference(small, LpPlane(4.0), 10, seed=3)
+    loose = TolerancePolicy(rel=3e-2)
+    single_edge = Graph.from_edges([0, 1], [(0, 1)])  # rank 1, yet near the cutoff
+    _check_against_reference([k23, two_k4, single_edge], LpPlane(1.5), 6, seed=5, tol=loose)
+    assert generic_rank(k23, LpPlane(1.5), trials=6, seed=5, tol=loose).notes
+
+
+def test_trials_are_independent_of_batching(monkeypatch, k23):
+    plane, loose = LpPlane(1.5), TolerancePolicy(rel=3e-2)  # ranks vary, notes on every trial
+    full = uv_generic_rank(k23, plane, trials=25, seed=8, tol=loose)
+    assert len(set(full.per_trial_ranks)) > 1 and len(full.notes) == 25
+    monkeypatch.setattr(rigidity, "_BATCH_ENTRIES", 130)  # two trials of 6 x 10 a chunk
+    assert uv_generic_rank(k23, plane, trials=25, seed=8, tol=loose) == full
+    for trials in (1, 6, 7):
+        prefix = uv_generic_rank(k23, plane, trials=trials, seed=8, tol=loose)
+        assert prefix.per_trial_ranks == full.per_trial_ranks[:trials]
+        assert prefix.notes == full.notes[:trials]
+    _check_against_reference([k23], plane, 25, seed=8, tol=loose)
+
+
+def test_batch_memory_is_bounded(plane4):
+    g = Graph.from_edges(range(100), [(i, (i + 1) % 100) for i in range(100)])
+    # 200 trials in one unchunked stack would take 200*100*200*8 B = 32 MB
+    tracemalloc.start()
+    try:
+        rep = generic_rank(g, plane4, trials=200, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.rank == g.m
+    assert peak < 4 * 2**20
