@@ -2,8 +2,10 @@
 
 Callers relabel vertices to 0..n-1 before dropping into this layer.
 The pebble game keeps the orientation as adjacency lists, so its cost
-follows the edges it searches and not n**2; the other two kernels are
-vectorised over numpy arrays of edge bitmasks.
+follows the edges it searches and not n**2.  The canonizer is
+vectorised over numpy arrays of edge bitmasks.  The family search is a
+branch and bound over Python-int bitmasks; its cost follows the
+families it cannot rule out, not the 2**c families there are.
 """
 
 from __future__ import annotations
@@ -120,30 +122,44 @@ def canonize_batch(masks, bitmaps):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive family search
+# family search
 # ---------------------------------------------------------------------------
 
 
 def family_best(edge_masks, val_terms):
-    """Search every nonempty family of candidate vertex sets.
+    """Best nonempty family of candidate vertex sets, by branch and bound.
 
     ``edge_masks[i]`` is the bitmask of graph edges induced by the i-th
     candidate set, ``val_terms[i]`` its value contribution.  A family S
     scores popcount(union of masks) - 2 - sum(terms); the maximum and
     the smallest maximising subset (as a candidate bitmask) come back.
-    The table of all 2**c families is built by doubling: the families
-    that contain candidate i are those without it, plus i.  Memory
-    grows as 2**len(edge_masks): callers keep the candidate count <= 20.
+
+    Each search node is a family whose lowest candidate is i; its
+    children add one more candidate j < i, in increasing j.  Every
+    family is met once, in increasing mask order, so the first strict
+    maximum is the smallest maximising mask.  A subtree is cut when its
+    ceiling (each candidate below i adds its fresh edges minus its term,
+    where that is positive) does not exceed the best score: anything it
+    could only tie has a larger mask.
     """
-    c = len(edge_masks)
-    unions = np.zeros(1 << c, np.int64)
-    sums = np.zeros(1 << c, np.int64)
-    h = 1
-    for mask, term in zip(map(int, edge_masks), map(int, val_terms)):
-        np.bitwise_or(unions[:h], mask, out=unions[h : 2 * h])
-        np.add(sums[:h], term, out=sums[h : 2 * h])
-        h *= 2
-    # score + 2, in place over sums; index 0 is the empty family
-    scores = np.subtract(np.bitwise_count(unions), sums, out=sums)
-    best_set = int(np.argmax(scores[1:])) + 1  # first maximum = smallest mask
-    return int(scores[best_set]) - 2, best_set
+    cands = [(int(m), int(t)) for m, t in zip(edge_masks, val_terms)]
+    best, best_mask = -(1 << 60), 0
+
+    def rec(i, union, tsum, chosen):
+        nonlocal best, best_mask
+        score = union.bit_count() - 2 - tsum
+        if chosen and score > best:
+            best, best_mask = score, chosen
+        ceiling = score if chosen else -2
+        for m, t in cands[:i]:
+            extra = (m & ~union).bit_count() - t
+            if extra > 0:
+                ceiling += extra
+        if ceiling <= best:
+            return
+        for j in range(i):
+            m, t = cands[j]
+            rec(j, union | m, tsum + t, chosen | 1 << j)
+
+    rec(len(cands), 0, 0, 0)
+    return best, best_mask

@@ -17,6 +17,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
+from . import __version__
 from .experiments import (
     conjecture_probe,
     cover_bound_sweep,
@@ -70,14 +71,6 @@ from .sparsity import (
     cover_rank_bound,
     pebble_game,
 )
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("normrig")
-except Exception:  # pragma: no cover - not installed
-    __version__ = "0.1.0"
-
 
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"

@@ -5,8 +5,8 @@ vertex-pair slots in lexicographic order.  Isomorphism deduplication
 takes the minimum mask over all vertex permutations (optionally only
 permutations preserving the designated pair {0, 1} setwise), which is
 itself the edge mask of a relabelled copy, so every canonical form is
-a concrete representative.  Exhaustive enumeration is intended for
-n <= 6; beyond that, use random sampling.
+a concrete representative.  Exhaustive enumeration stops at
+EXHAUSTIVE_MAX_N = 6 vertices; beyond that, use random sampling.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 
 from . import _kernels
 from .graph import Graph, GraphError
+
+# 2**15 edge masks times 720 relabellings; n = 7 would be 2**21 * 5040.
+EXHAUSTIVE_MAX_N = 6
 
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
@@ -89,7 +92,6 @@ def enumerate_graphs(
     n: int,
     connected: bool | None = None,
     pair: bool = False,
-    max_exhaustive_n: int = 6,
 ) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (one representative each).
 
@@ -99,10 +101,8 @@ def enumerate_graphs(
     """
     if n < 1:
         raise GraphError("enumeration needs at least one vertex")
-    if n > max_exhaustive_n:
-        raise GraphError(
-            f"exhaustive enumeration capped at {max_exhaustive_n} vertices"
-        )
+    if n > EXHAUSTIVE_MAX_N:
+        raise GraphError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices")
     if pair and n < 2:
         raise GraphError("designated pair needs two vertices")
     nbits = n * (n - 1) // 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enumeration import enumerate_graphs, random_graph
+from .enumeration import EXHAUSTIVE_MAX_N, enumerate_graphs, random_graph
 from .graph import (
     Graph,
     delete_edge,
@@ -29,7 +29,7 @@ from .graph import (
     vertex_to_h,
     zero_extension,
 )
-from .norms import DEFAULT_PLANE, PlaneNorm, parse_norm
+from .norms import DEFAULT_PLANE, LpPlane, parse_norm
 from .rigidity import generic_rank, resolve_seed, uv_generic_rank
 from .sparsity import (
     cover_rank_bound,
@@ -72,7 +72,7 @@ class SweepReport:
         return not self.disagreements
 
 
-def _plane(desc: PlaneNorm | str | None) -> PlaneNorm:
+def _plane(desc: LpPlane | str | None) -> LpPlane:
     if desc is None:
         return DEFAULT_PLANE
     if isinstance(desc, str):
@@ -144,17 +144,17 @@ def _run(name, config, items, comb_fn, numeric_fn, seed, note_fn=None):
 
 
 def _pair_instances(max_n: int, samples_per_large_n: int, seed: int):
-    for n in range(2, min(max_n, 6) + 1):
+    for n in range(2, min(max_n, EXHAUSTIVE_MAX_N) + 1):
         yield from enumerate_graphs(n, pair=True)
     rng = np.random.default_rng([seed, 0xE0])
-    for n in range(7, max_n + 1):
+    for n in range(EXHAUSTIVE_MAX_N + 1, max_n + 1):
         for _ in range(samples_per_large_n):
             yield random_graph(rng, n, pair=True)
 
 
 def equivalence_sweep(
     max_n: int,
-    desc: PlaneNorm | str | None = None,
+    desc: LpPlane | str | None = None,
     trials: int = 10,
     seed: int | None = None,
     samples_per_large_n: int = 100,
@@ -190,7 +190,7 @@ def equivalence_sweep(
 def delete_contract_sweep(
     samples: int,
     n_range: tuple[int, int] = (4, 8),
-    desc: PlaneNorm | str | None = None,
+    desc: LpPlane | str | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -226,7 +226,7 @@ def delete_contract_sweep(
 
 def rigidity_sweep(
     max_n: int = 6,
-    desc: PlaneNorm | str | None = None,
+    desc: LpPlane | str | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -254,7 +254,7 @@ def rigidity_sweep(
 
 def cover_bound_sweep(
     max_n: int = 5,
-    desc: PlaneNorm | str | None = None,
+    desc: LpPlane | str | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -420,7 +420,7 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
 
 def operation_preservation_suite(
     samples: int = 100,
-    desc: PlaneNorm | str | None = None,
+    desc: LpPlane | str | None = None,
     seed: int | None = None,
     trials: int = 10,
 ) -> SweepReport:

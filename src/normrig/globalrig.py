@@ -40,7 +40,7 @@ from .graph import (
     apply_step,
     delete_edge,
 )
-from .norms import PlaneNorm
+from .norms import LpPlane
 from .sparsity import is_rigid_comb
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
@@ -140,7 +140,7 @@ class CertificateReport:
 def certify_sequence(
     seq: ConstructionSequence,
     numeric: bool = False,
-    plane: PlaneNorm | None = None,
+    plane: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> CertificateReport:

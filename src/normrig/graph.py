@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 
 class GraphError(ValueError):
@@ -411,53 +411,7 @@ class GeneralizedVertexSplit:
     v: int
 
 
-@dataclass(frozen=True)
-class ZeroExtension:
-    a: int
-    b: int
-    z: int
-
-
-@dataclass(frozen=True)
-class OneExtension:
-    a: int
-    b: int
-    c: int
-    z: int
-
-
-@dataclass(frozen=True)
-class VertexToFourCycle:
-    w: int
-    w_new: int
-    x1: int
-    x2: int
-    reassign: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class VertexToH:
-    w: int
-    h: Graph
-    attach: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class ContractPair:
-    u: int | None = None
-    v: int | None = None
-
-
-ConstructionStep = Union[
-    AddEdge,
-    AddVertexWithNeighbors,
-    GeneralizedVertexSplit,
-    ZeroExtension,
-    OneExtension,
-    VertexToFourCycle,
-    VertexToH,
-    ContractPair,
-]
+ConstructionStep = Union[AddEdge, AddVertexWithNeighbors, GeneralizedVertexSplit]
 
 
 def apply_step(g: Graph, step: ConstructionStep) -> Graph:
@@ -469,18 +423,6 @@ def apply_step(g: Graph, step: ConstructionStep) -> Graph:
         return generalized_vertex_split(
             g, step.z, step.n_u, step.n_v, step.w, step.u, step.v
         )
-    if isinstance(step, ZeroExtension):
-        return zero_extension(g, step.a, step.b, step.z)
-    if isinstance(step, OneExtension):
-        return one_extension(g, step.a, step.b, step.c, step.z)
-    if isinstance(step, VertexToFourCycle):
-        return vertex_to_four_cycle(
-            g, step.w, step.w_new, step.x1, step.x2, dict(step.reassign)
-        )
-    if isinstance(step, VertexToH):
-        return vertex_to_h(g, step.w, step.h, dict(step.attach))
-    if isinstance(step, ContractPair):
-        return contract_pair(g, step.u, step.v)
     raise GraphError(f"unknown construction step {step!r}")
 
 

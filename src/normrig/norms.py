@@ -16,33 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
-
-PlanePoint = np.ndarray  # shape (2,), float64
-Covector = np.ndarray  # shape (2,), float64; acts by dot product
 
 
 class NormError(ValueError):
     """Invalid norm parameter or vector."""
-
-
-@runtime_checkable
-class PlaneNorm(Protocol):
-    """What the rigidity machinery needs from a norm on the plane."""
-
-    trivial_flex_dim: int
-
-    def norm(self, z) -> float: ...
-
-    def support_functional(self, z) -> Covector: ...
-
-    def norm_batch(self, zs: np.ndarray) -> np.ndarray: ...
-
-    def support_batch(self, zs: np.ndarray) -> np.ndarray: ...
-
-    def spec_string(self) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -50,10 +29,6 @@ class LpPlane:
     """The plane under ||z||_p = (|z1|^p + |z2|^p)^(1/p), 1 < p < oo, p != 2."""
 
     exponent: float
-
-    # Translations are the only trivial flexes; there are no rotations
-    # to quotient out away from the Euclidean case.
-    trivial_flex_dim: int = 2
 
     def __post_init__(self):
         p = self.exponent
@@ -86,7 +61,7 @@ class LpPlane:
         )
         return out
 
-    def support_functional(self, z) -> Covector:
+    def support_functional(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
         phi = self.support_batch(z.reshape(1, 2))[0]
         return phi

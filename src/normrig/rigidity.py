@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import Graph, delete_edge
-from .norms import LpPlane, PlaneNorm
+from .norms import LpPlane
 
 DEFAULT_SEED = 1729
 _SEED_ENV = "NORMRIG_SEED"
@@ -71,7 +71,7 @@ DEFAULT_TOL = TolerancePolicy()
 class Framework:
     graph: Graph
     placement: Mapping[int, np.ndarray]
-    plane: PlaneNorm
+    plane: LpPlane
     coincident: bool = False
 
     def __post_init__(self):
@@ -103,7 +103,7 @@ def _endpoints(g: Graph):
     return edges, a_idx, b_idx
 
 
-def _matrix_stack(plane: PlaneNorm, pts: np.ndarray, edges, a_idx, b_idx) -> np.ndarray:
+def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, a_idx, b_idx) -> np.ndarray:
     """Rigidity matrices (T, m, 2n) of T placements (T, n, 2) of one edge list."""
     trials, n = pts.shape[:2]
     m = len(edges)
@@ -277,7 +277,7 @@ def _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident) -> Ra
 
 def generic_rank(
     graph: Graph,
-    plane: PlaneNorm | None = None,
+    plane: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
     box_radius: float = 1.0,
@@ -296,7 +296,7 @@ def generic_rank(
 
 def uv_generic_rank(
     graph: Graph,
-    plane: PlaneNorm | None = None,
+    plane: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
     box_radius: float = 1.0,

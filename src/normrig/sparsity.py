@@ -35,6 +35,10 @@ from . import _kernels
 from .graph import Graph, contract_pair, delete_edge, induced_edge_count
 
 
+# Largest graph the brute-force uv-sparsity checker accepts.
+BRUTEFORCE_MAX_N = 7
+
+
 class SparsityError(ValueError):
     """Invalid counting query."""
 
@@ -50,7 +54,7 @@ def val_set(U: Iterable[int], u: int, v: int) -> int:
         raise SparsityError("val is undefined for the empty set")
     if u == v:
         raise SparsityError("u and v must be distinct")
-    if s == {u, v}:
+    if len(s) == 2 and u in s and v in s:
         t = 4
     elif len(s) in (2, 3):
         t = 3
@@ -203,21 +207,21 @@ def _candidate_arrays(g: Graph, u: int, v: int):
                 emask |= 1 << j
         parts.append(tuple(c))
         masks.append(emask)
-        # val(X) - 2  with t = 3 for |X| = 3, else 2
-        terms.append(2 * len(x) - (3 if len(x) == 3 else 2) - 2)
+        terms.append(val_set(x, u, v) - 2)
     return parts, masks, terms
 
 
-def is_uv_sparse_bruteforce(g: Graph, max_n: int = 7) -> UvSparseVerdict:
+def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     """Check uv-sparsity straight from the definition.
 
-    Every subset and every family over all candidate sets is examined,
-    so the cost is doubly exponential in spirit (2**(2**(n-2)) families
-    are folded into a subset-sum scan); the guard keeps n small.
+    Every subset is scanned, and the family search covers all
+    2**(2**(n-2) - 1) families of candidate sets, so the guard keeps
+    n <= BRUTEFORCE_MAX_N.  A family witness is the smallest maximising
+    family in candidate order (ascending masks over V - {u, v}).
     """
     u, v = g.require_pair()
-    if g.n > max_n:
-        raise SparsityError(f"brute force limited to {max_n} vertices")
+    if g.n > BRUTEFORCE_MAX_N:
+        raise SparsityError(f"brute force limited to {BRUTEFORCE_MAX_N} vertices")
     if g.has_edge(u, v):
         w = UvWitness("pair-edge", (frozenset((u, v)),), 1, 0)
         return UvSparseVerdict(False, w)
@@ -227,10 +231,7 @@ def is_uv_sparse_bruteforce(g: Graph, max_n: int = 7) -> UvSparseVerdict:
     parts, masks, terms = _candidate_arrays(g, u, v)
     fam_def, fam_sets = 0, None
     if parts:
-        if len(parts) <= 20:
-            best, chosen = _kernels.family_best(masks, terms)
-        else:
-            best, chosen = _family_branch_bound(masks, terms)
+        best, chosen = _kernels.family_best(masks, terms)
         if best > fam_def:
             fam_def = best
             fam_sets = tuple(
@@ -256,44 +257,6 @@ def is_uv_sparse_bruteforce(g: Graph, max_n: int = 7) -> UvSparseVerdict:
         )
         return UvSparseVerdict(False, w)
     return UvSparseVerdict(True, None)
-
-
-def _family_branch_bound(masks: list[int], terms: list[int]) -> tuple[int, int]:
-    """Exact max of popcount(union) - 2 - sum(terms) over nonempty families.
-
-    Depth-first over candidates with an optimistic bound: a remaining
-    candidate can add at most its uncovered edge count minus its term.
-    """
-    order = sorted(range(len(masks)), key=lambda i: -(masks[i].bit_count() - terms[i]))
-    best = -(1 << 60)
-    best_chosen = 0
-
-    def gains(idx: int, union: int) -> int:
-        # Optimistic: each remaining candidate contributes its fresh
-        # edges minus its term, independently.
-        total = 0
-        for i in order[idx:]:
-            extra = (masks[i] & ~union).bit_count() - terms[i]
-            if extra > 0:
-                total += extra
-        return total
-
-    def rec(idx: int, union: int, tsum: int, chosen: int):
-        nonlocal best, best_chosen
-        score = union.bit_count() - 2 - tsum
-        if chosen and score > best:
-            best, best_chosen = score, chosen
-        if idx == len(order):
-            return
-        ceiling = (score if chosen else -2) + gains(idx, union)
-        if ceiling <= best:
-            return
-        i = order[idx]
-        rec(idx + 1, union | masks[i], tsum + terms[i], chosen | (1 << i))
-        rec(idx + 1, union, tsum, chosen)
-
-    rec(0, 0, 0, 0)
-    return best, best_chosen
 
 
 def _connected_subsets(g: Graph, verts: Sequence[int]) -> list[frozenset[int]]:
@@ -378,8 +341,7 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     cands: list[tuple[frozenset[int], int]] = []
     for c in _connected_subsets(g, others):
         x = c | {u, v}
-        term = 2 * len(x) - (3 if len(x) == 3 else 2) - 2
-        gain = induced_edge_count(g, x) - term
+        gain = induced_edge_count(g, x) - (val_set(x, u, v) - 2)
         if gain > 0:
             cands.append((c, gain))
     total, parts = _max_disjoint_packing(cands)

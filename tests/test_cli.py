@@ -63,6 +63,14 @@ def test_check_uv_sparse_bruteforce_agrees(files, capsys):
     assert out.startswith("uv-sparse: no\n")
 
 
+def test_check_uv_sparse_bruteforce_size_limit(tmp_path, capsys):
+    path = tmp_path / "path8.graph"
+    path.write_text("8 7 0 1\n" + "".join(f"{i} {i + 1}\n" for i in range(7)))
+    rc, out, err = run(capsys, "check-uv-sparse", str(path), "--bruteforce")
+    assert (rc, out) == (1, "")
+    assert err == "error: brute force limited to 7 vertices\n"
+
+
 def test_check_sparse(files, capsys):
     rc, out, _ = run(capsys, "check-sparse", files["k4.graph"])
     assert rc == 0

@@ -15,7 +15,7 @@ from normrig.enumeration import (
     mask_to_graph,
     random_graph,
 )
-from normrig.graph import Graph
+from normrig.graph import Graph, GraphError
 
 # unlabelled simple graphs on n vertices (OEIS A000088), connected A001349
 PLAIN_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -36,6 +36,11 @@ def test_class_counts(n):
 def test_pair_class_counts(n):
     assert len(enumerate_graphs(n, pair=True)) == PAIR_COUNTS[n]
     assert len(enumerate_graphs(n, connected=True, pair=True)) == PAIR_CONNECTED_COUNTS[n]
+
+
+def test_enumeration_size_cap():
+    with pytest.raises(GraphError, match="capped at 6 vertices"):
+        enumerate_graphs(7)
 
 
 def test_pair_classes_distinct_small():

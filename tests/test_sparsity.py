@@ -14,6 +14,7 @@ import pytest
 from normrig.enumeration import enumerate_graphs, random_graph
 from normrig.graph import Graph, delete_edge, zero_extension
 from normrig.sparsity import (
+    BRUTEFORCE_MAX_N,
     CoverBound,
     SparsityError,
     check_family,
@@ -202,6 +203,45 @@ def test_reduced_matches_bruteforce_small():
             assert a.sparse == b.sparse, g.edges
 
 
+def _check_witness(g: Graph, verdict) -> str:
+    """Recompute a negative verdict's counts from the graph; return its kind."""
+    w = verdict.witness
+    u, v = g.designated_pair
+    if w.kind == "pair-edge":
+        assert g.has_edge(u, v)
+    elif w.kind == "subset":
+        (U,) = w.sets
+        assert w.covered == _induced_edges(g, U)
+        assert w.covered > w.value == val_set(U, u, v)
+    else:
+        assert w.kind == "family"
+        assert w.covered == covered_edge_count(g, w.sets)
+        assert w.covered > w.value == val_family(w.sets, u, v)
+    return w.kind
+
+
+def test_bruteforce_on_seven_vertices():
+    # n = 7 gives 31 candidate sets, past every exhaustive test above;
+    # dropping the pair edge makes every graph reach the family search
+    rng = np.random.default_rng(77)
+    kinds = []
+    for _ in range(120):
+        g = random_graph(rng, 7, pair=True)
+        if g.has_edge(0, 1):
+            g = delete_edge(g, 0, 1)
+        brute, reduced = is_uv_sparse_bruteforce(g), is_uv_sparse(g)
+        assert brute.sparse == reduced.sparse, g.edges
+        if not brute.sparse:
+            kinds.append(_check_witness(g, brute))
+    assert "family" in kinds and "subset" in kinds
+
+
+def test_bruteforce_size_guard():
+    g = random_graph(np.random.default_rng(1), BRUTEFORCE_MAX_N + 1, pair=True)
+    with pytest.raises(SparsityError, match="brute force limited to 7 vertices"):
+        is_uv_sparse_bruteforce(g)
+
+
 def test_negative_witnesses_check_out():
     rng = np.random.default_rng(23)
     seen_kinds = set()
@@ -211,19 +251,7 @@ def test_negative_witnesses_check_out():
         if verdict.sparse:
             assert verdict.witness is None
             continue
-        w = verdict.witness
-        seen_kinds.add(w.kind)
-        u, v = g.designated_pair
-        if w.kind == "pair-edge":
-            assert g.has_edge(u, v)
-        elif w.kind == "subset":
-            (U,) = w.sets
-            assert w.covered == _induced_edges(g, U)
-            assert w.covered > w.value == val_set(U, u, v)
-        else:
-            assert w.kind == "family"
-            assert w.covered == covered_edge_count(g, w.sets)
-            assert w.covered > w.value == val_family(w.sets, u, v)
+        seen_kinds.add(_check_witness(g, verdict))
     assert "family" in seen_kinds or "subset" in seen_kinds
 
 
