@@ -129,64 +129,33 @@ def _emit(args, lines: list[str], record: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+# command: (coincident placement, printed fields, --verbose per-trial line);
+# a "uv-" field prints the report's value of the field without the prefix.
+_RANK_COMMANDS = {
+    "rank": (False, "rank rows edges independent rigid", True),
+    "uv-rank": (True, "rank rows edges pair-edge-removed uv-independent uv-rigid", True),
+    "rigid": (False, "rigid rank target", False),
+    "uv-rigid": (True, "uv-rigid rank target", False),
+}
+
+
 def _cmd_rank(args) -> int:
+    coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
-    rep = generic_rank(
-        g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args)
-    )
-    lines = [
-        f"rank: {rep.rank}",
-        f"rows: {rep.rows}",
-        f"edges: {g.m}",
-        f"independent: {_yesno(rep.independent)}",
-        f"rigid: {_yesno(rep.rigid)}",
-    ]
-    if args.verbose:
+    rank = uv_generic_rank if coincident else generic_rank
+    rep = rank(g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args))
+    values = {
+        "rank": rep.rank,
+        "rows": rep.rows,
+        "edges": g.m,
+        "target": max(2 * g.n - 2, 0),
+        "pair-edge-removed": _yesno(rep.pair_edge_removed),
+        "independent": _yesno(rep.independent),
+        "rigid": _yesno(rep.rigid),
+    }
+    lines = [f"{key}: {values[key.removeprefix('uv-')]}" for key in shown.split()]
+    if args.verbose and per_trial:
         print(f"per-trial ranks: {list(rep.per_trial_ranks)}", file=sys.stderr)
-    return _emit(args, lines, {"result": rep})
-
-
-def _cmd_uv_rank(args) -> int:
-    g = _load_graph(args.graph)
-    rep = uv_generic_rank(
-        g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args)
-    )
-    lines = [
-        f"rank: {rep.rank}",
-        f"rows: {rep.rows}",
-        f"edges: {g.m}",
-        f"pair-edge-removed: {_yesno(rep.pair_edge_removed)}",
-        f"uv-independent: {_yesno(rep.independent)}",
-        f"uv-rigid: {_yesno(rep.rigid)}",
-    ]
-    if args.verbose:
-        print(f"per-trial ranks: {list(rep.per_trial_ranks)}", file=sys.stderr)
-    return _emit(args, lines, {"result": rep})
-
-
-def _cmd_rigid(args) -> int:
-    g = _load_graph(args.graph)
-    rep = generic_rank(
-        g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args)
-    )
-    lines = [
-        f"rigid: {_yesno(rep.rigid)}",
-        f"rank: {rep.rank}",
-        f"target: {max(2 * g.n - 2, 0)}",
-    ]
-    return _emit(args, lines, {"result": rep})
-
-
-def _cmd_uv_rigid(args) -> int:
-    g = _load_graph(args.graph)
-    rep = uv_generic_rank(
-        g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args)
-    )
-    lines = [
-        f"uv-rigid: {_yesno(rep.rigid)}",
-        f"rank: {rep.rank}",
-        f"target: {max(2 * g.n - 2, 0)}",
-    ]
     return _emit(args, lines, {"result": rep})
 
 
@@ -268,6 +237,28 @@ def _pairs(tokens: list[str], what: str) -> dict[int, int]:
     return out
 
 
+def _operands(line: str, toks: list[str]) -> list[int]:
+    """The integer operands of an `op apply` line."""
+    try:
+        return [int(t) for t in toks]
+    except ValueError:
+        raise GraphError(f"non-integer token in {line!r}") from None
+
+
+# op kind: (operand counts, usage, the operation on the graph and operands);
+# the lambdas resolve each operation by name when called, so a wrapper later
+# bound to that name (a tracer's, a test's) is the one that runs.
+_FIXED_OPS = {
+    "deledge": ((2,), "deledge takes exactly two vertices", lambda g, *x: delete_edge(g, *x)),
+    "delvertex": ((1,), "delvertex takes one vertex", lambda g, *x: delete_vertex(g, *x)),
+    "zeroext": ((3,), "zeroext takes 'a b z'", lambda g, *x: zero_extension(g, *x)),
+    "oneext": ((4,), "oneext takes 'a b c z'", lambda g, *x: one_extension(g, *x)),
+    "contractpair": (
+        (0, 2), "contractpair takes no or two vertices", lambda g, *x: contract_pair(g, *x)
+    ),
+}
+
+
 def _apply_op_line(g: Graph, line: str) -> Graph:
     """Extended step grammar for `op apply` (superset of sequence steps)."""
     body = line.strip()
@@ -275,43 +266,21 @@ def _apply_op_line(g: Graph, line: str) -> Graph:
     toks = rest.split()
     if kind in ("addedge", "addvertex", "split"):
         return apply_step(g, parse_step(body))
-    if kind == "deledge":
-        if len(toks) != 2:
-            raise GraphError("deledge takes exactly two vertices")
-        return delete_edge(g, int(toks[0]), int(toks[1]))
-    if kind == "delvertex":
-        if len(toks) != 1:
-            raise GraphError("delvertex takes one vertex")
-        return delete_vertex(g, int(toks[0]))
-    if kind == "zeroext":
-        if len(toks) != 3:
-            raise GraphError("zeroext takes 'a b z'")
-        a, b, z = (int(t) for t in toks)
-        return zero_extension(g, a, b, z)
-    if kind == "oneext":
-        if len(toks) != 4:
-            raise GraphError("oneext takes 'a b c z'")
-        a, b, c, z = (int(t) for t in toks)
-        return one_extension(g, a, b, c, z)
+    if kind in _FIXED_OPS:
+        counts, usage, op = _FIXED_OPS[kind]
+        if len(toks) not in counts:
+            raise GraphError(usage)
+        return op(g, *_operands(body, toks))
     if kind == "fourcycle":
         if len(toks) < 4:
             raise GraphError("fourcycle takes 'w wnew x1 x2 [y>t ...]'")
-        w, w_new, x1, x2 = (int(t) for t in toks[:4])
-        return vertex_to_four_cycle(
-            g, w, w_new, x1, x2, _pairs(toks[4:], "reassignment")
-        )
+        corners = _operands(body, toks[:4])
+        return vertex_to_four_cycle(g, *corners, _pairs(toks[4:], "reassignment"))
     if kind == "vertex2h":
         if len(toks) < 2:
             raise GraphError("vertex2h takes 'w H-file [y>t ...]'")
-        w = int(toks[0])
-        h = _load_graph(toks[1])
-        return vertex_to_h(g, w, h, _pairs(toks[2:], "attachment"))
-    if kind == "contractpair":
-        if toks:
-            if len(toks) != 2:
-                raise GraphError("contractpair takes no or two vertices")
-            return contract_pair(g, int(toks[0]), int(toks[1]))
-        return contract_pair(g)
+        (w,) = _operands(body, toks[:1])
+        return vertex_to_h(g, w, _load_graph(toks[1]), _pairs(toks[2:], "attachment"))
     raise GraphError(f"unknown operation {kind!r}")
 
 
@@ -387,54 +356,39 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-_EXPERIMENTS = (
-    "equivalence",
-    "delete-contract",
-    "rigidity",
-    "cover-bound",
-    "operations",
-    "conjecture",
-)
+def _given(value, default):
+    """An option's value, or its default when it was not given."""
+    return default if value is None else value
+
+
+# experiment name: the sweep it runs, with its --max-n/--samples defaults.
+_EXPERIMENT_RUNS = {
+    "equivalence": lambda a: equivalence_sweep(
+        _given(a.max_n, 8), _single_norm(a), trials=a.trials, seed=a.seed,
+        samples_per_large_n=_given(a.samples, 100),
+    ),
+    "delete-contract": lambda a: delete_contract_sweep(
+        _given(a.samples, 500), (4, _given(a.max_n, 8)), _single_norm(a),
+        trials=a.trials, seed=a.seed,
+    ),
+    "rigidity": lambda a: rigidity_sweep(
+        _given(a.max_n, 6), _single_norm(a), trials=a.trials, seed=a.seed
+    ),
+    "cover-bound": lambda a: cover_bound_sweep(
+        _given(a.max_n, 5), _single_norm(a), trials=a.trials, seed=a.seed
+    ),
+    "operations": lambda a: operation_preservation_suite(
+        _given(a.samples, 100), _single_norm(a), trials=a.trials, seed=a.seed
+    ),
+    "conjecture": lambda a: conjecture_probe(
+        a.norm or ["lp:1.2", "lp:1.5", "lp:3", "lp:7"], samples=_given(a.samples, 100),
+        max_n=_given(a.max_n, 5), trials=a.trials, seed=a.seed,
+    ),
+}
 
 
 def _cmd_experiment(args) -> int:
-    name = args.name
-    trials, seed = args.trials, args.seed
-    if name == "equivalence":
-        rep = equivalence_sweep(
-            args.max_n or 8, _single_norm(args), trials=trials, seed=seed
-        )
-    elif name == "delete-contract":
-        rep = delete_contract_sweep(
-            args.samples or 500,
-            (4, args.max_n or 8),
-            _single_norm(args),
-            trials=trials,
-            seed=seed,
-        )
-    elif name == "rigidity":
-        rep = rigidity_sweep(
-            args.max_n or 6, _single_norm(args), trials=trials, seed=seed
-        )
-    elif name == "cover-bound":
-        rep = cover_bound_sweep(
-            args.max_n or 5, _single_norm(args), trials=trials, seed=seed
-        )
-    elif name == "operations":
-        rep = operation_preservation_suite(
-            args.samples or 100, _single_norm(args), seed=seed, trials=trials
-        )
-    elif name == "conjecture":
-        norms = args.norm or ["lp:1.2", "lp:1.5", "lp:3", "lp:7"]
-        rep = conjecture_probe(
-            norms,
-            samples=args.samples or 100,
-            seed=seed,
-            max_n=args.max_n or 5,
-            trials=trials,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise NormError(f"unknown experiment {name!r}")
+    rep = _EXPERIMENT_RUNS[args.name](args)
     text = format_report(rep, verbose=args.verbose)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -489,9 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     graph_cmd("rank", _cmd_rank, "generic rigidity-matrix rank")
-    graph_cmd("uv-rank", _cmd_uv_rank, "rank with the designated pair placed coincidently")
-    graph_cmd("rigid", _cmd_rigid, "numerical rigidity verdict")
-    graph_cmd("uv-rigid", _cmd_uv_rigid, "numerical coincident-pair rigidity verdict")
+    graph_cmd("uv-rank", _cmd_rank, "rank with the designated pair placed coincidently")
+    graph_cmd("rigid", _cmd_rank, "numerical rigidity verdict")
+    graph_cmd("uv-rigid", _cmd_rank, "numerical coincident-pair rigidity verdict")
     sp = graph_cmd("check-sparse", _cmd_check_sparse, "(k,l)-sparsity via pebble game")
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--l", type=int, default=2)
@@ -534,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_generate)
 
     sp = sub.add_parser("experiment", parents=[common], help="cross-validation sweeps")
-    sp.add_argument("name", choices=list(_EXPERIMENTS))
+    sp.add_argument("name", choices=list(_EXPERIMENT_RUNS))
     sp.add_argument("--max-n", type=int, default=None, help="largest vertex count")
     sp.add_argument("--samples", type=int, default=None, help="random instances (where applicable)")
     sp.add_argument("--out", help="also write the report to this file")
@@ -548,10 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         status = args.fn(args)
-    except (GraphError, SequenceError, NormError, SparsityError, RigidityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraphError, SequenceError, NormError, SparsityError, RigidityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.verbose:

@@ -22,6 +22,7 @@ import numpy as np
 from .enumeration import EXHAUSTIVE_MAX_N, enumerate_graphs, random_graph
 from .graph import (
     Graph,
+    GraphError,
     delete_edge,
     format_graph,
     one_extension,
@@ -198,6 +199,8 @@ def delete_contract_sweep(
     plane = _plane(desc)
     seed = resolve_seed(seed)
     lo, hi = n_range
+    if lo > hi:
+        raise GraphError(f"empty vertex-count range {lo}..{hi}")
     rng = np.random.default_rng([seed, 0xDC])
     items = [
         random_graph(rng, int(rng.integers(lo, hi + 1)), pair=True)

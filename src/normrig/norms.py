@@ -45,10 +45,6 @@ class LpPlane:
         p = self.exponent
         return p == int(p) and int(p) % 2 == 0
 
-    def norm(self, z) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        return float(self.norm_batch(z.reshape(1, 2))[0])
-
     def norm_batch(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.float64)
         a = np.abs(zs)
@@ -60,11 +56,6 @@ class LpPlane:
             1.0 / self.exponent
         )
         return out
-
-    def support_functional(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        phi = self.support_batch(z.reshape(1, 2))[0]
-        return phi
 
     def support_batch(self, zs: np.ndarray) -> np.ndarray:
         """Row-wise support functionals; the zero vector maps to zero."""

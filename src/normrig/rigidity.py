@@ -38,16 +38,22 @@ class RigidityError(ValueError):
 
 
 def resolve_seed(seed: int | None) -> int:
-    """Explicit seed, else NORMRIG_SEED from the environment, else 1729."""
-    if seed is not None:
-        return int(seed)
-    raw = os.environ.get(_SEED_ENV, "").strip()
-    if raw:
+    """Explicit seed, else NORMRIG_SEED from the environment, else 1729.
+
+    numpy's generators take no negative seed, so one is an input error.
+    """
+    name = "seed"
+    if seed is None:
+        raw = os.environ.get(_SEED_ENV, "").strip()
+        if not raw:
+            return DEFAULT_SEED
         try:
-            return int(raw)
+            name, seed = _SEED_ENV, int(raw)
         except ValueError:
             raise RigidityError(f"{_SEED_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_SEED
+    if int(seed) < 0:
+        raise RigidityError(f"{name} must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,20 @@ def test_op_split_supersedes_pair(files, capsys):
     assert g.n == 8 and g.designated_pair is not None
 
 
+@pytest.mark.parametrize("line", [
+    "deledge 0 x",
+    "delvertex y",
+    "zeroext 0 1 q",
+    "oneext 0 2 3 z",
+    "fourcycle 2 6 0 x 3>2",
+    "vertex2h w k4.graph 0>1",
+    "contractpair a b",
+])
+def test_op_non_integer_operand_exit_1(files, capsys, line):
+    rc, out, err = run(capsys, "op", "apply", files["k23.graph"], line)
+    assert (rc, out, err) == (1, "", f"error: non-integer token in {line!r}\n")
+
+
 def test_op_precondition_exit_1(files, capsys):
     rc, _, err = run(capsys, "op", "apply", files["k4.graph"], "zeroext 0 0 4")
     assert rc == 1 and "error:" in err
@@ -210,6 +224,26 @@ def test_experiment_rerun_identical(capsys):
     assert "disagreements: 0" in out1
 
 
+@pytest.mark.parametrize("argv,config,instances", [
+    pytest.param(["rigidity", "--max-n", "0"], "max_n=0 ", 0, id="rigidity-max-n-0"),
+    pytest.param(["delete-contract", "--samples", "0"], "samples=0 ", 0,
+                 id="delete-contract-samples-0"),
+    # n <= 6 is exhaustive (1328 classes), then --samples graphs per larger n
+    pytest.param(["equivalence", "--max-n", "7", "--samples", "1", "--trials", "1"],
+                 "samples_per_large_n=1 ", 1329, id="equivalence-samples-1"),
+])
+def test_experiment_explicit_sizes_honoured(capsys, argv, config, instances):
+    rc, out, _ = run(capsys, "experiment", *argv)
+    assert rc == 0
+    assert config in out.splitlines()[1] + " "
+    assert f"instances: {instances}\n" in out
+
+
+def test_experiment_empty_range_exit_1(capsys):
+    rc, out, err = run(capsys, "experiment", "delete-contract", "--max-n", "3")
+    assert (rc, out, err) == (1, "", "error: empty vertex-count range 4..3\n")
+
+
 def test_experiment_json_drops_runtime(capsys):
     rc, out, _ = run(capsys, "experiment", "cover-bound", "--max-n", "3", "--json")
     rec = json.loads(out)
@@ -232,6 +266,23 @@ def test_seed_env_var(files, capsys, monkeypatch):
     monkeypatch.delenv("NORMRIG_SEED")
     _, out_explicit, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--seed", "77")
     assert out_env == out_explicit
+
+
+@pytest.mark.parametrize("argv,env,message", [
+    pytest.param(["rank", "k23.graph", "--seed", "-1"], None,
+                 "seed must be a non-negative integer, got -1", id="flag"),
+    pytest.param(["generate-global", "--size", "8", "--seed", "-3"], None,
+                 "seed must be a non-negative integer, got -3", id="generate-global"),
+    pytest.param(["uv-rank", "k23.graph"], "-4",
+                 "NORMRIG_SEED must be a non-negative integer, got -4", id="env"),
+])
+def test_negative_seed_exit_1(files, capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("NORMRIG_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NORMRIG_SEED", env)
+    argv = [files.get(a, a) for a in argv]
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_version_line(capsys):

@@ -18,7 +18,7 @@ from normrig.experiments import (
     operation_preservation_suite,
     rigidity_sweep,
 )
-from normrig.graph import Graph, vertex_to_four_cycle
+from normrig.graph import Graph, GraphError, vertex_to_four_cycle
 from normrig.rigidity import uv_generic_rank
 from normrig.sparsity import is_uv_sparse, is_uv_tight
 
@@ -52,6 +52,11 @@ def test_cover_bound_small_clean():
 def test_delete_contract_small_clean():
     rep = delete_contract_sweep(40, n_range=(4, 6), seed=6)
     assert rep.ok and rep.instances == 40
+
+
+def test_delete_contract_empty_range():
+    with pytest.raises(GraphError, match="empty vertex-count range 4..3"):
+        delete_contract_sweep(5, n_range=(4, 3), seed=6)
 
 
 def test_operation_suite_small_clean():
