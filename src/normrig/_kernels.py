@@ -21,28 +21,33 @@ def pebble_game(n, eu, ev, k, l):
     """(k, l)-pebble game on a simple graph with vertices 0..n-1.
 
     Edges are offered in the order given by ``eu``/``ev``.  Returns
-    ``(rank, accepted, witness)`` where ``accepted`` flags the edges
-    that entered the spanning independent set and ``witness`` is the
-    set of vertices in the reach set at the first rejection (None if
-    every edge was accepted).  The reach set U of a rejection always
-    induces more than k|U| - l edges.
+    ``(rank, accepted, reaches)`` where ``accepted`` flags the edges
+    that entered the spanning independent set and ``reaches`` holds,
+    for each rejected edge in order, the reach set of its endpoints at
+    its rejection (the first one is the non-sparsity witness).  The
+    reach set U of a rejection always induces more than k|U| - l edges.
 
     The result does not depend on the order in which searches scan
     out-neighbours: the accepted edges are those that greedy insertion
     into the (k, l)-count matroid keeps, and the reach set is the
     smallest vertex set through both endpoints that spans exactly
-    k|U| - l accepted edges, which is unique.
+    k|U| - l accepted edges, which is unique.  U's accepted edges and
+    the rejected edge form its fundamental circuit: they break the count
+    on U, and any circuit through the rejected edge spans a tight set
+    through both endpoints, which contains U.
     """
     pebbles = [k] * n
     out = [[] for _ in range(n)]  # out[x]: heads of the edges x -> y
     accepted = []
+    reaches = []
     rank = 0
-    witness = None
 
-    def fetch(root, a, b):
+    def fetch(root, a, b, parent):
         """Pull one pebble onto root along a reversed path.  The search
-        may pass through the other endpoint but never takes its pebbles."""
-        parent = {root: root}
+        may pass through the other endpoint but never takes its pebbles,
+        and skips the vertices already in parent (found pebble-free); on
+        failure parent holds every vertex it reached."""
+        parent[root] = root
         stack = [root]
         while stack:
             x = stack.pop()
@@ -65,7 +70,8 @@ def pebble_game(n, eu, ev, k, l):
 
     for a, b in zip(map(int, eu), map(int, ev)):
         while pebbles[a] + pebbles[b] <= l:
-            if not (fetch(a, a, b) or fetch(b, a, b)):
+            seen = {}
+            if not (fetch(a, a, b, seen) or fetch(b, a, b, seen)):
                 break
         if pebbles[a] + pebbles[b] > l:
             accepted.append(True)
@@ -77,24 +83,15 @@ def pebble_game(n, eu, ev, k, l):
                 pebbles[b] -= 1
                 out[b].append(a)
             continue
+        # Rejected: the edge is dependent and stays out, but later edges
+        # are still offered.  Both failed searches together visited the
+        # reach set of {a, b}: it is closed under out-edges and every
+        # vertex in it except a, b has zero pebbles, so with the
+        # rejected edge it induces more than k|U| - l edges.
         accepted.append(False)
-        if witness is None:
-            # Rejected: the edge is dependent and stays out, but later
-            # edges are still offered.  Record the reach set of {a, b}
-            # for the first rejection only: it is closed under
-            # out-edges and every vertex in it except a, b has zero
-            # pebbles, so together with the rejected edge it induces
-            # more than k|U| - l edges.
-            reach = {a, b}
-            stack = [a, b]
-            while stack:
-                for y in out[stack.pop()]:
-                    if y not in reach:
-                        reach.add(y)
-                        stack.append(y)
-            witness = frozenset(reach)
+        reaches.append(frozenset(seen))
 
-    return rank, accepted, witness
+    return rank, accepted, reaches
 
 
 # ---------------------------------------------------------------------------

@@ -502,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         status = args.fn(args)
-    except (GraphError, SequenceError, NormError, SparsityError, RigidityError, OSError) as exc:
+    except (GraphError, SequenceError, NormError, SparsityError, RigidityError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.verbose:

@@ -13,8 +13,11 @@ certified for every split:
   single edge), a stronger condition convenient for whole sequences.
 
 Redundant rigidity of G' implies the minus-pair condition, since uv is
-an edge of G'.  Global rigidity itself is not decided here — only the
-side conditions of each construction step are checked.
+an edge of G'.  It is decided by one pebble game per split, not one per
+edge: an edge can be deleted without losing rigidity exactly when it
+lies in a circuit, and the game's rejections expose those circuits.
+Global rigidity itself is not decided here — only the side conditions
+of each construction step are checked.
 
 Sequence files are line oriented::
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .graph import (
     AddEdge,
     AddVertexWithNeighbors,
@@ -41,7 +45,7 @@ from .graph import (
     delete_edge,
 )
 from .norms import LpPlane
-from .sparsity import is_rigid_comb
+from .sparsity import SparsityError, is_rigid_comb
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -82,10 +86,26 @@ def base_graph(tag: str) -> Graph:
 
 
 def is_redundantly_rigid_comb(g: Graph) -> bool:
-    """Rigid, and still rigid after deleting any single edge."""
-    if not is_rigid_comb(g):
+    """Rigid, and still rigid after deleting any single edge.
+
+    One (2,2) pebble game decides it: G must be rigid and no accepted
+    edge a coloop, i.e. each lies in the fundamental circuit of some
+    rejected edge f, which is f plus the accepted edges that f's reach
+    set induces.  One vertex is rigid by convention, as in is_rigid_comb.
+    """
+    if g.n < 1:
+        raise SparsityError("rigidity needs at least one vertex")
+    index = {x: i for i, x in enumerate(g.vertices)}
+    edges = [(index[a], index[b]) for a, b in g.sorted_edges()]
+    rank, accepted, reaches = _kernels.pebble_game(
+        g.n, [a for a, _ in edges], [b for _, b in edges], 2, 2
+    )
+    if rank < 2 * g.n - 2:
         return False
-    return all(is_rigid_comb(delete_edge(g, a, b)) for a, b in g.sorted_edges())
+    loose = [e for e, kept in zip(edges, accepted) if kept]
+    for reach in reaches:
+        loose = [(a, b) for a, b in loose if a not in reach or b not in reach]
+    return not loose
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,8 @@ def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     edges = g.sorted_edges()
     eu = [index[a] for a, b in edges]
     ev = [index[b] for a, b in edges]
-    rank, accepted, wset = _kernels.pebble_game(g.n, eu, ev, k, l)
-    witness = None if wset is None else frozenset(verts[i] for i in wset)
+    rank, accepted, reaches = _kernels.pebble_game(g.n, eu, ev, k, l)
+    witness = frozenset(verts[i] for i in reaches[0]) if reaches else None
     return PebbleResult(
         k,
         l,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from normrig.enumeration import enumerate_graphs
 from normrig.graph import Graph
 from normrig.norms import LpPlane
 
@@ -15,6 +16,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def small_graphs():
+    """Every graph on 1 to 6 vertices up to isomorphism, enumerated once."""
+    return [g for n in range(1, 7) for g in enumerate_graphs(n)]
 
 
 @pytest.fixture

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,29 @@ def test_parallel_edge_exit_1(files, capsys):
 def test_missing_file_exit_1(capsys, tmp_path):
     rc, _, err = run(capsys, "rank", str(tmp_path / "nope.graph"))
     assert rc == 1 and "error:" in err
+
+
+def test_non_ascii_graph_exit_1(capsys, tmp_path):
+    path = tmp_path / "u.graph"
+    path.write_text("# café\n" + K4, encoding="utf-8")
+    rc, out, err = run(capsys, "rank", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_ascii_sequence_exit_1(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rc, out, err = run(capsys, "certify-global", str(readme))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_python_dash_m(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["normrig", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("normrig", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"normrig {__version__}\n"
 
 
 def test_euclidean_norm_rejected(files, capsys):

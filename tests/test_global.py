@@ -7,6 +7,8 @@ sequences must certify under both and end at 7 vertices, 13 edges.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,15 @@ from normrig.globalrig import (
     parse_step,
     random_certified_graph,
 )
-from normrig.graph import AddEdge, AddVertexWithNeighbors, GeneralizedVertexSplit, Graph
-from normrig.sparsity import is_rigid_comb
+from normrig.graph import (
+    AddEdge,
+    AddVertexWithNeighbors,
+    GeneralizedVertexSplit,
+    Graph,
+    apply_step,
+    delete_edge,
+)
+from normrig.sparsity import SparsityError, is_rigid_comb
 
 SEQ_SPLIT = """base H_GRAPH
 split 2 | 0 1 | 3 4 5 | 3 -> 6 7
@@ -54,6 +63,73 @@ def test_redundant_rigidity_pinned():
     assert not is_redundantly_rigid_comb(Graph.complete(4))  # tight, no slack
     assert is_redundantly_rigid_comb(Graph.complete(5))
     assert not is_redundantly_rigid_comb(Graph.complete(3))
+    assert is_redundantly_rigid_comb(Graph.from_edges([0], []))  # as is_rigid_comb
+    with pytest.raises(SparsityError):
+        is_redundantly_rigid_comb(Graph.from_edges([], []))
+
+
+def redundant_oracle(g: Graph) -> bool:
+    """Redundant rigidity by its definition: one rigidity test on G and
+    one on G - e for every edge e."""
+    return is_rigid_comb(g) and all(
+        is_rigid_comb(delete_edge(g, a, b)) for a, b in g.sorted_edges()
+    )
+
+
+def sequence_graphs(size: int, seed: int, deletions: int) -> list[Graph]:
+    """Every prefix of a seeded random sequence, then `deletions`
+    single-edge deletions of its final graph."""
+    _, seq, _ = random_certified_graph(size, seed)
+    g = base_graph(seq.base)
+    graphs = [g]
+    for step in seq.steps:
+        g = apply_step(g, step)
+        graphs.append(g)
+    edges = g.sorted_edges()
+    picks = np.random.default_rng(seed).choice(len(edges), deletions, replace=False)
+    return graphs + [delete_edge(g, *edges[i]) for i in picks]
+
+
+def _pairs(vs, skip=()):
+    """Every edge between the vertices vs, less those in skip."""
+    return [e for e in itertools.combinations(vs, 2) if e not in skip]
+
+
+# Graphs where the rejections' reach sets cover only part of the graph
+# (or, for the first, where there is no rejection at all).
+PARTIAL_REACH = {
+    # K4 with a pendant triangle on its edge 2-3: rigid, but every edge
+    # is a coloop.
+    "k4_pendant_triangle": (_pairs(range(4)) + [(2, 4), (3, 4)], False),
+    # Vertex 0 on two vertices of a K5: rigid, but its two edges are coloops.
+    "k5_pendant_vertex": ([(0, 1), (0, 2)] + _pairs(range(1, 6)), False),
+    # Two K5 - e blocks through the cut {0, 1}, the missing edge of both.
+    "two_blocks_2_cut": (
+        _pairs((0, 1, 2, 3, 4), [(0, 1)]) + _pairs((0, 1, 5, 6, 7), [(0, 1)]), True
+    ),
+    # The same cut with two vertices on four edges as the second block:
+    # no slack there, so those four edges are coloops.
+    "block_and_tight_2_cut": (
+        _pairs((0, 1, 2, 3, 4), [(0, 1)]) + [(0, 5), (1, 5), (0, 6), (5, 6)], False
+    ),
+    "k5": (_pairs(range(5)), True),
+}
+
+
+@pytest.mark.parametrize("name", PARTIAL_REACH)
+def test_redundant_partial_reach_pinned(name):
+    edges, expect = PARTIAL_REACH[name]
+    g = Graph.from_edges(sorted({x for e in edges for x in e}), edges)
+    assert is_redundantly_rigid_comb(g) is expect
+    assert redundant_oracle(g) is expect
+
+
+def test_redundant_equals_deletion_oracle(small_graphs):
+    graphs = list(small_graphs)
+    for seed in (7, 1729):
+        graphs += sequence_graphs(16, seed, 10)
+    for g in graphs:
+        assert is_redundantly_rigid_comb(g) == redundant_oracle(g), sorted(g.edges)
 
 
 @pytest.mark.parametrize("text", [SEQ_SPLIT, SEQ_ONE_EXT])
@@ -183,3 +259,16 @@ def test_generation_error_carries_partial():
                                retries_per_step=0)
     assert ei.value.partial is not None
     assert ei.value.graph.n >= 5
+
+
+if __name__ == "__main__":
+    # The full oracle set, too slow for tier-1: every prefix of 20 seeded
+    # 40-vertex sequences plus 30 single-edge deletions of each final graph.
+    # Run as `PYTHONPATH=src python3 tests/test_global.py`.
+    graphs = [g for seed in range(20) for g in sequence_graphs(40, seed, 30)]
+    verdicts = [(is_redundantly_rigid_comb(g), redundant_oracle(g)) for g in graphs]
+    print(
+        f"graphs {len(graphs)} "
+        f"mismatches {sum(fast != slow for fast, slow in verdicts)} "
+        f"non-redundant {sum(not slow for _, slow in verdicts)}"
+    )

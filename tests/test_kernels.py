@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from normrig import _kernels
-from normrig.enumeration import enumerate_graphs
+from normrig.sparsity import pebble_game
 
 
 def _greedy_oracle(n, edges, k, l):
@@ -17,8 +17,8 @@ def _greedy_oracle(n, edges, k, l):
     vertex set U through a and b is tight (spans k|U| - l kept edges).
     The tight sets through a and b are closed under intersection, so the
     smallest one is unique: the pebble game's reach set.  Returns the kept
-    edges and that set at the first rejection (None if there is none)."""
-    kept, witness = [], None
+    edges and that set at every rejection, in order."""
+    kept, smallest = [], []
     for a, b in edges:
         rest = [x for x in range(n) if x not in (a, b)]
         tight = [
@@ -30,24 +30,26 @@ def _greedy_oracle(n, edges, k, l):
         ]
         if not tight:
             kept.append((a, b))
-        elif witness is None:
-            witness = min(tight, key=len)
-            assert all(witness <= s for s in tight)
-    return kept, witness
+        else:
+            smallest.append(min(tight, key=len))
+            assert all(smallest[-1] <= s for s in tight)
+    return kept, smallest
 
 
 @pytest.mark.parametrize("kl", [(2, 2), (2, 3), (1, 1)])
-def test_pebble_game_equals_greedy_oracle(kl):
+def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     k, l = kl
-    for n in range(2, 7):
-        for g in enumerate_graphs(n):
-            edges = g.sorted_edges()
-            eu = [a for a, _ in edges]
-            ev = [b for _, b in edges]
-            rank, accepted, witness = _kernels.pebble_game(n, eu, ev, k, l)
-            kept = [e for e, a in zip(edges, accepted) if a]
-            assert (kept, witness) == _greedy_oracle(n, edges, k, l), (n, edges)
-            assert rank == len(kept)
+    for g in small_graphs:
+        edges = g.sorted_edges()
+        eu = [a for a, _ in edges]
+        ev = [b for _, b in edges]
+        rank, accepted, reaches = _kernels.pebble_game(g.n, eu, ev, k, l)
+        kept = [e for e, a in zip(edges, accepted) if a]
+        expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
+        assert (kept, reaches) == (expect_kept, expect_reaches), (g.n, edges)
+        assert rank == len(kept)
+        witness = pebble_game(g, k, l).witness
+        assert witness == (expect_reaches[0] if expect_reaches else None)
 
 
 def _score(edge_masks, val_terms, s):
