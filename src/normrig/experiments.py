@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enumeration import EXHAUSTIVE_MAX_N, enumerate_graphs, random_graph
+from .enumeration import enumerate_graphs, random_graph
 from .graph import (
     Graph,
     GraphError,
@@ -41,6 +41,7 @@ from .sparsity import (
 )
 
 MAX_RETRIES = 3
+_PAIR_EXHAUSTIVE_MAX_N = 6  # n = 7 has 13128 pair classes, ten times those below
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,10 @@ def _run(name, config, items, comb_fn, numeric_fn, seed, note_fn=None):
 
 
 def _pair_instances(max_n: int, samples_per_large_n: int, seed: int):
-    for n in range(2, min(max_n, EXHAUSTIVE_MAX_N) + 1):
+    for n in range(2, min(max_n, _PAIR_EXHAUSTIVE_MAX_N) + 1):
         yield from enumerate_graphs(n, pair=True)
     rng = np.random.default_rng([seed, 0xE0])
-    for n in range(EXHAUSTIVE_MAX_N + 1, max_n + 1):
+    for n in range(_PAIR_EXHAUSTIVE_MAX_N + 1, max_n + 1):
         for _ in range(samples_per_large_n):
             yield random_graph(rng, n, pair=True)
 

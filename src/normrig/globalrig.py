@@ -327,14 +327,15 @@ def random_certified_graph(
         return [top + i for i in range(k)]
 
     while g.n < target_size:
-        absent = [
-            (a, b)
-            for i, a in enumerate(g.vertices)
-            for b in g.vertices[i + 1 :]
-            if not g.has_edge(a, b)
-        ]
-        if absent and rng.random() < edge_prob:
-            a, b = absent[int(rng.integers(len(absent)))]
+        n_absent = g.n * (g.n - 1) // 2 - g.m
+        if n_absent and rng.random() < edge_prob:
+            absent = [
+                (a, b)
+                for i, a in enumerate(g.vertices)
+                for b in g.vertices[i + 1 :]
+                if not g.has_edge(a, b)
+            ]
+            a, b = absent[int(rng.integers(n_absent))]
             step: ConstructionStep = AddEdge(a, b)
             g = apply_step(g, step)
             steps.append(step)

@@ -24,6 +24,12 @@ def small_graphs():
     return [g for n in range(1, 7) for g in enumerate_graphs(n)]
 
 
+@pytest.fixture(scope="session")
+def pair_classes_7():
+    """Every graph on 7 vertices with pair {0, 1}, up to isomorphism."""
+    return enumerate_graphs(7, pair=True)
+
+
 @pytest.fixture
 def plane4():
     return LpPlane(4.0)

@@ -152,17 +152,19 @@ def test_criterion_07_operation_suite():
     assert ok, rep
 
 
-def test_criterion_08_bruteforce_vs_reduced():
+def test_criterion_08_bruteforce_vs_reduced(pair_classes_7):
+    # every pair class on 2 to 6 vertices and every 13th on 7; the full
+    # seven-vertex run is in __main__ below
     t0 = time.perf_counter()
     bad = 0
     total = 0
-    for n in range(2, 7):
-        for g in enumerate_graphs(n, pair=True):
-            total += 1
-            if is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse:
-                bad += 1
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n, pair=True)]
+    for g in graphs + pair_classes_7[::13]:
+        total += 1
+        if is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse:
+            bad += 1
     elapsed = time.perf_counter() - t0
-    ok = bad == 0 and total == 2 + 6 + 28 + 148 + 1144 and elapsed < 600
+    ok = bad == 0 and total == 2 + 6 + 28 + 148 + 1144 + 1010 and elapsed < 600
     report(8, "bruteforce-vs-reduced-checker", ok)
     assert ok, (bad, total)
 
@@ -208,3 +210,31 @@ def test_criterion_10_support_identities():
     ok = violations == 0
     report(10, "support-functional-identities", ok)
     assert ok, violations
+
+
+if __name__ == "__main__":
+    # The full seven-vertex runs, too slow for tier-1: criterion 08 and
+    # counting against numerical uv-independence (the equivalence sweep's
+    # retry policy) on every pair class on 7 vertices.
+    # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
+    from normrig.experiments import _verdict_with_retry
+    from normrig.rigidity import uv_generic_rank
+
+    def numeric(g, s):
+        rep = uv_generic_rank(g, trials=10, seed=s)
+        return rep.independent, rep.rank, rep.rows
+
+    classes = enumerate_graphs(7, pair=True)
+    t0 = time.perf_counter()
+    bad = sum(is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse for g in classes)
+    print(f"bruteforce vs reduced: graphs {len(classes)} mismatches {bad} "
+          f"time {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
+    bad = retried = 0
+    for idx, g in enumerate(classes):
+        comb = is_uv_sparse(g).sparse
+        verdict, _, _, seeds = _verdict_with_retry(comb, lambda s: numeric(g, s), SEED, idx)
+        bad += verdict != comb
+        retried += len(seeds) > 1
+    print(f"counting vs numerical: graphs {len(classes)} mismatches {bad} "
+          f"retried {retried} time {time.perf_counter() - t0:.1f} s")

@@ -1,6 +1,7 @@
 """End-to-end command line checks: exact stdout, exit codes, JSON records."""
 from __future__ import annotations
 
+import hashlib
 import json
 import runpy
 import sys
@@ -240,6 +241,25 @@ def test_generate_global_deterministic(capsys, tmp_path):
         "--graph-out", str(gfile))
     g = parse_graph(gfile.read_text())
     assert g.n == 8 and g.m >= 2 * 8 - 1
+
+
+# sha256 of generate-global stdout; each output adds edges, so the rng
+# stream through the edge draws of the growth loop is pinned
+GENERATE_GLOBAL_SHA256 = {
+    (7, 16): "ee4a58f8332fe43baf18064bcad24c44133d8c92e788288a261032431272f5a1",
+    (7, 60): "9a27d551256d88312fb38b804959b9aa95fa0ee4a47cd0fac5aedfb10f73b4b7",
+    (7, 100): "730d85825bc35e7b3c2763a5d3d45b753c522d6ce6063143bd5d023cf794e05e",
+    (1729, 16): "b60fbff632c4bc20dc5e5b633902da13fdf32ea2167b7f4f663a627e188838c4",
+    (1729, 60): "4661d47f73233244f554cc86d32c7294c22c4e0e4e4889df443ff1cf22e63f8f",
+    (1729, 100): "2cb5f93ba978439e4cdb893a03720678b111303d7632d2ab7fcd6f51ec7764b9",
+}
+
+
+@pytest.mark.parametrize("seed,size", sorted(GENERATE_GLOBAL_SHA256))
+def test_generate_global_stdout_pinned(capsys, seed, size):
+    rc, out, _ = run(capsys, "generate-global", "--size", str(size), "--seed", str(seed))
+    assert rc == 0 and "addedge" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_GLOBAL_SHA256[seed, size]
 
 
 def test_experiment_rerun_identical(capsys):

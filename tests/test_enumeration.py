@@ -1,12 +1,17 @@
 """Graph enumeration up to isomorphism, canonical masks, random instances."""
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normrig._kernels import canonize_batch
 from normrig.enumeration import (
+    _class_masks,
+    _perm_bitmaps,
     canonical_mask,
     edge_slots,
     enumerate_graphs,
@@ -21,7 +26,8 @@ from normrig.graph import Graph, GraphError
 PLAIN_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 # with a marked pair {0,1}: classes under pair-preserving relabelling,
-# validated for n <= 4 by exhaustive pairwise isomorphism checks
+# validated for n <= 4 by exhaustive pairwise isomorphism checks and
+# for every n by test_class_counts_match_burnside
 PAIR_COUNTS = {2: 2, 3: 6, 4: 28, 5: 148, 6: 1144}
 PAIR_CONNECTED_COUNTS = {2: 1, 3: 3, 4: 16, 5: 98, 6: 879}
 
@@ -39,8 +45,55 @@ def test_pair_class_counts(n):
 
 
 def test_enumeration_size_cap():
-    with pytest.raises(GraphError, match="capped at 6 vertices"):
-        enumerate_graphs(7)
+    with pytest.raises(GraphError, match="capped at 7 vertices"):
+        enumerate_graphs(8)
+
+
+def full_mask_classes(n, pair):
+    """Oracle: canonize every one of the 2**C(n, 2) edge masks."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    return np.unique(canonize_batch(masks, _perm_bitmaps(n, pair)))
+
+
+@pytest.mark.parametrize(
+    "n,pair", [(n, p) for n in range(1, 7) for p in (False, True) if n > p]
+)
+def test_extension_equals_full_mask_oracle(n, pair):
+    oracle = full_mask_classes(n, pair)
+    assert np.array_equal(_class_masks(n, pair), oracle)
+    reps = [mask_to_graph(n, int(x), (0, 1) if pair else None) for x in oracle]
+    for c in (None, True, False):
+        assert enumerate_graphs(n, connected=c, pair=pair) == [
+            g for g in reps if c is None or g.is_connected() == c
+        ]
+
+
+def burnside_count(n, pair):
+    """Classes = mean over the relabelling group of 2**(cycles on edge slots)."""
+    slots = list(combinations(range(n), 2))
+    total = group = 0
+    for sigma in permutations(range(n)):
+        if pair and {sigma[0], sigma[1]} != {0, 1}:
+            continue
+        image = {(i, j): tuple(sorted((sigma[i], sigma[j]))) for i, j in slots}
+        seen, cycles = set(), 0
+        for e in slots:
+            if e not in seen:
+                cycles += 1
+                while e not in seen:
+                    seen.add(e)
+                    e = image[e]
+        total += 1 << cycles
+        group += 1
+    return total // group
+
+
+def test_class_counts_match_burnside(pair_classes_7):
+    for n in range(2, 7):
+        assert burnside_count(n, False) == PLAIN_COUNTS[n]
+        assert burnside_count(n, True) == PAIR_COUNTS[n]
+    assert len(pair_classes_7) == burnside_count(7, True) == 13128
+    assert len(enumerate_graphs(7)) == burnside_count(7, False) == 1044
 
 
 def test_pair_classes_distinct_small():
