@@ -20,13 +20,10 @@ from .graph import (
 from .norms import DEFAULT_PLANE, LpPlane, NormError, parse_norm
 from .rigidity import (
     DEFAULT_SEED,
-    Framework,
     RankReport,
     RigidityError,
     TolerancePolicy,
-    build_rigidity_matrix,
     generic_rank,
-    numerical_rank,
     uv_generic_rank,
 )
 from .sparsity import (
@@ -59,13 +56,10 @@ __all__ = [
     "DEFAULT_PLANE",
     "NormError",
     "parse_norm",
-    "Framework",
     "RankReport",
     "RigidityError",
     "TolerancePolicy",
     "DEFAULT_SEED",
-    "build_rigidity_matrix",
-    "numerical_rank",
     "generic_rank",
     "uv_generic_rank",
     "PebbleResult",

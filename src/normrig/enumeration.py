@@ -92,6 +92,12 @@ def is_isomorphic(g: Graph, h: Graph, respect_pair: bool = True) -> bool:
     return canonical_mask(g, respect_pair) == canonical_mask(h, respect_pair)
 
 
+def check_exhaustive(n: int) -> None:
+    """Raise GraphError when n is past the exhaustive enumeration cap."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise GraphError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices")
+
+
 def enumerate_graphs(
     n: int,
     connected: bool | None = None,
@@ -105,8 +111,7 @@ def enumerate_graphs(
     """
     if n < 1:
         raise GraphError("enumeration needs at least one vertex")
-    if n > EXHAUSTIVE_MAX_N:
-        raise GraphError(f"exhaustive enumeration capped at {EXHAUSTIVE_MAX_N} vertices")
+    check_exhaustive(n)
     if pair and n < 2:
         raise GraphError("designated pair needs two vertices")
     out = []
@@ -135,30 +140,19 @@ def _class_masks(n: int, pair: bool) -> np.ndarray:
     return np.unique(_kernels.canonize_batch(cands, _perm_bitmaps(n, pair)))
 
 
-def random_graph(
-    rng: np.random.Generator,
-    n: int,
-    pair: bool = False,
-    m: int | None = None,
-    near_tight_bias: float = 0.5,
-) -> Graph:
+def random_graph(rng: np.random.Generator, n: int, pair: bool = False) -> Graph:
     """Uniform random graph; edge count drawn near 2n - 2 half the time.
 
     Rigidity questions are only interesting close to the 2|V| - 2
-    threshold, so by default half the draws concentrate there and the
-    rest use the full range.
+    threshold, so half the draws concentrate there and the rest use the
+    full range.
     """
     slots = edge_slots(n)
     cap = len(slots)
-    if m is None:
-        if cap and rng.random() < near_tight_bias:
-            lo = max(0, 2 * n - 5)
-            hi = min(cap, 2 * n + 2)
-            m = int(rng.integers(lo, hi + 1))
-        else:
-            m = int(rng.integers(0, cap + 1))
-    if not 0 <= m <= cap:
-        raise GraphError(f"edge count {m} out of range")
+    if cap and rng.random() < 0.5:
+        m = int(rng.integers(max(0, 2 * n - 5), min(cap, 2 * n + 2) + 1))
+    else:
+        m = int(rng.integers(0, cap + 1))
     chosen = rng.choice(cap, size=m, replace=False) if m else []
     return Graph.from_edges(
         range(n), [slots[i] for i in chosen], (0, 1) if pair else None

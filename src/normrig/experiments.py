@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enumeration import enumerate_graphs, random_graph
+from .enumeration import check_exhaustive, enumerate_graphs, random_graph
 from .graph import (
     Graph,
     GraphError,
@@ -235,6 +235,7 @@ def rigidity_sweep(
     seed: int | None = None,
 ) -> SweepReport:
     """Tight-spanning-subgraph rigidity vs numerical rank on connected graphs."""
+    check_exhaustive(max_n)
     plane = _plane(desc)
     seed = resolve_seed(seed)
 
@@ -263,6 +264,7 @@ def cover_bound_sweep(
     seed: int | None = None,
 ) -> SweepReport:
     """Cover upper bound vs generic rank: equality for every small graph."""
+    check_exhaustive(max_n)
     plane = _plane(desc)
     seed = resolve_seed(seed)
 

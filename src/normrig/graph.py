@@ -115,9 +115,6 @@ class Graph:
     def with_pair(self, u: int, v: int) -> "Graph":
         return Graph.from_edges(self.vertices, self.edges, (u, v))
 
-    def without_pair(self) -> "Graph":
-        return Graph(self.vertices, self.edges, None)
-
     def require_pair(self) -> tuple[int, int]:
         if self.designated_pair is None:
             raise GraphError("graph has no designated pair")
@@ -134,23 +131,6 @@ class Graph:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == self.n
-
-    def connected_components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for y in self.neighbors(stack.pop()):
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
 
     def relabel(self, mapping: Mapping[int, int]) -> "Graph":
         """Apply an injective vertex relabelling."""
@@ -214,21 +194,6 @@ def delete_vertex(g: Graph, z: int) -> Graph:
     return Graph(
         tuple(v for v in g.vertices if v != z),
         frozenset(e for e in g.edges if z not in e),
-        pair,
-    )
-
-
-def induced_subgraph(g: Graph, vs: Iterable[int]) -> Graph:
-    keep = set(vs)
-    unknown = keep - set(g.vertices)
-    if unknown:
-        raise GraphError(f"vertices {sorted(unknown)} not in graph")
-    pair = g.designated_pair
-    if pair is not None and not (pair[0] in keep and pair[1] in keep):
-        pair = None
-    return Graph(
-        tuple(sorted(keep)),
-        frozenset(e for e in g.edges if e[0] in keep and e[1] in keep),
         pair,
     )
 

@@ -40,11 +40,6 @@ class LpPlane:
             raise NormError("p = 2 is the Euclidean plane, which is excluded")
         object.__setattr__(self, "exponent", float(p))
 
-    @property
-    def is_analytic(self) -> bool:
-        p = self.exponent
-        return p == int(p) and int(p) % 2 == 0
-
     def norm_batch(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.float64)
         a = np.abs(zs)
@@ -92,24 +87,3 @@ def parse_norm(text: str) -> LpPlane:
 
 
 DEFAULT_PLANE = LpPlane(4.0)
-
-
-# ---------------------------------------------------------------------------
-# random placements
-# ---------------------------------------------------------------------------
-
-
-def random_placement(graph, rng: np.random.Generator, box_radius: float = 1.0):
-    """Independent uniform points in the centred box, one per vertex."""
-    pts = rng.uniform(-box_radius, box_radius, size=(graph.n, 2))
-    return {v: pts[i] for i, v in enumerate(graph.vertices)}
-
-
-def random_coincident_placement(
-    graph, rng: np.random.Generator, box_radius: float = 1.0
-):
-    """Like random_placement, but the designated pair shares one point."""
-    u, v = graph.require_pair()
-    placement = random_placement(graph, rng, box_radius)
-    placement[v] = placement[u].copy()
-    return placement

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -73,33 +72,6 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-@dataclass(frozen=True)
-class Framework:
-    graph: Graph
-    placement: Mapping[int, np.ndarray]
-    plane: LpPlane
-    coincident: bool = False
-
-    def __post_init__(self):
-        for v in self.graph.vertices:
-            if v not in self.placement:
-                raise RigidityError(f"vertex {v} has no position")
-            pt = np.asarray(self.placement[v], dtype=np.float64)
-            if pt.shape != (2,) or not np.all(np.isfinite(pt)):
-                raise RigidityError(f"bad position for vertex {v}: {pt!r}")
-        if self.coincident:
-            u, v = self.graph.require_pair()
-            if not np.array_equal(self.placement[u], self.placement[v]):
-                raise RigidityError("coincident framework must place the pair together")
-
-
-@dataclass(frozen=True)
-class RigidityMatrix:
-    array: np.ndarray
-    edge_order: tuple[tuple[int, int], ...]
-    vertex_order: tuple[int, ...]
-
-
 def _endpoints(g: Graph):
     """Sorted edges and the vertex positions of their two ends."""
     edges = tuple(g.sorted_edges())
@@ -129,14 +101,6 @@ def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, a_idx, b_idx) -> np.nd
     return mat.reshape(trials, m, 2 * n)
 
 
-def build_rigidity_matrix(fw: Framework) -> RigidityMatrix:
-    g = fw.graph
-    edges, a_idx, b_idx = _endpoints(g)
-    pts = np.array([fw.placement[v] for v in g.vertices], dtype=np.float64)
-    mat = _matrix_stack(fw.plane, pts.reshape(1, g.n, 2), edges, a_idx, b_idx)
-    return RigidityMatrix(mat[0], edges, g.vertices)
-
-
 # ---------------------------------------------------------------------------
 # numerical rank
 # ---------------------------------------------------------------------------
@@ -160,31 +124,6 @@ def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows: int, cols: int):
     # verdict leans on the tolerance; callers surface this.
     kept = sigmas[np.arange(count), np.maximum(rank - 1, 0)]
     return rank, tau, (rank > 0) & (kept < 10.0 * tau)
-
-
-def numerical_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    rank, _ = numerical_rank_detail(a, tol)
-    return rank
-
-
-def numerical_rank_detail(
-    a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[int, dict]:
-    """Rank plus the numbers behind it, for threshold diagnostics."""
-    sigmas = _singular_values(a)
-    rank, tau, near = _ranks(sigmas[None], tol, *a.shape)
-    return int(rank[0]), {
-        "sigmas": sigmas, "threshold": float(tau[0]), "near_threshold": bool(near[0])
-    }
-
-
-def kernel_basis(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space."""
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    u, s, vh = np.linalg.svd(a)
-    rank, _, _ = _ranks(s[None], tol, *a.shape)
-    return vh[int(rank[0]):].T
 
 
 # ---------------------------------------------------------------------------

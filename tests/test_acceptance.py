@@ -215,8 +215,10 @@ def test_criterion_10_support_identities():
 if __name__ == "__main__":
     # The full seven-vertex runs, too slow for tier-1: criterion 08 and
     # counting against numerical uv-independence (the equivalence sweep's
-    # retry policy) on every pair class on 7 vertices.
-    # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
+    # retry policy) on every pair class on 7 vertices.  Exits 1 on any
+    # mismatch.  Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
+    import sys
+
     from normrig.experiments import _verdict_with_retry
     from normrig.rigidity import uv_generic_rank
 
@@ -226,8 +228,8 @@ if __name__ == "__main__":
 
     classes = enumerate_graphs(7, pair=True)
     t0 = time.perf_counter()
-    bad = sum(is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse for g in classes)
-    print(f"bruteforce vs reduced: graphs {len(classes)} mismatches {bad} "
+    brute_bad = sum(is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse for g in classes)
+    print(f"bruteforce vs reduced: graphs {len(classes)} mismatches {brute_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     bad = retried = 0
@@ -238,3 +240,4 @@ if __name__ == "__main__":
         retried += len(seeds) > 1
     print(f"counting vs numerical: graphs {len(classes)} mismatches {bad} "
           f"retried {retried} time {time.perf_counter() - t0:.1f} s")
+    sys.exit(1 if brute_bad or bad else 0)

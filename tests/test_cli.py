@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import normrig
 from normrig import __version__
 from normrig.cli import main
 from normrig.graph import format_graph, parse_graph
@@ -290,6 +291,12 @@ def test_experiment_empty_range_exit_1(capsys):
     assert (rc, out, err) == (1, "", "error: empty vertex-count range 4..3\n")
 
 
+@pytest.mark.parametrize("name", ["rigidity", "cover-bound"])
+def test_experiment_over_cap_exit_1(capsys, name):
+    rc, out, err = run(capsys, "experiment", name, "--max-n", "8", "--seed", "9")
+    assert (rc, out, err) == (1, "", "error: exhaustive enumeration capped at 7 vertices\n")
+
+
 def test_experiment_json_drops_runtime(capsys):
     rc, out, _ = run(capsys, "experiment", "cover-bound", "--max-n", "3", "--json")
     rec = json.loads(out)
@@ -336,6 +343,24 @@ def test_version_line(capsys):
         main(["--version"])
     assert ei.value.code == 0
     assert capsys.readouterr().out == f"normrig {__version__}\n"
+
+
+PUBLIC_NAMES = [
+    "CoverBound", "DEFAULT_PLANE", "DEFAULT_SEED", "Graph", "GraphError",
+    "GraphFormatError", "LpPlane", "NormError", "PebbleResult", "RankReport",
+    "RigidityError", "SparsityError", "TolerancePolicy", "UvSparseVerdict",
+    "__version__", "cover_rank_bound", "format_graph", "generic_rank",
+    "graph_from_json", "graph_to_json", "is_kl_sparse", "is_kl_tight",
+    "is_rigid_comb", "is_uv_rigid_comb", "is_uv_sparse", "is_uv_sparse_bruteforce",
+    "is_uv_tight", "parse_graph", "parse_norm", "pebble_game", "uv_generic_rank",
+]
+
+
+def test_public_names():
+    assert sorted(normrig.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from normrig import *", namespace)
+    assert [name for name in PUBLIC_NAMES if name not in namespace] == []
 
 
 def _chain_text(n, extra=()):

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from normrig import experiments
 from normrig.experiments import (
     OP_VARIANTS,
     SWEEPS,
@@ -21,6 +22,16 @@ from normrig.experiments import (
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
 from normrig.rigidity import uv_generic_rank
 from normrig.sparsity import is_uv_sparse, is_uv_tight
+
+
+@pytest.mark.parametrize("sweep,sizes", [(rigidity_sweep, 5), (cover_bound_sweep, 7)])
+def test_over_cap_max_n_fails_before_enumerating(monkeypatch, sweep, sizes):
+    calls = []
+    monkeypatch.setattr(experiments, "enumerate_graphs", lambda n, **kw: calls.append(n) or [])
+    with pytest.raises(GraphError, match="exhaustive enumeration capped at 7 vertices"):
+        sweep(max_n=8, seed=9)
+    assert calls == []
+    assert sweep(max_n=7, seed=9).instances == 0 and len(calls) == sizes  # the cap itself runs
 
 
 def test_equivalence_small_clean():

@@ -51,12 +51,6 @@ def test_parse_norm():
     assert DEFAULT_PLANE.spec_string() == "lp:4"
 
 
-def test_is_analytic():
-    assert LpPlane(4.0).is_analytic
-    assert not LpPlane(3.0).is_analytic
-    assert not LpPlane(1.5).is_analytic
-
-
 @given(nonzero_vec, exponents)
 def test_support_evaluates_to_norm_squared(z, p):
     plane = LpPlane(p)
