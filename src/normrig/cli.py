@@ -54,7 +54,7 @@ from .graph import (
     vertex_to_h,
     zero_extension,
 )
-from .norms import NormError, parse_norm
+from .norms import DEFAULT_PLANE, NormError, parse_norm
 from .rigidity import (
     DEFAULT_TOL,
     RigidityError,
@@ -86,7 +86,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _single_norm(args):
-    norms = args.norm or ["lp:4"]
+    norms = args.norm or [DEFAULT_PLANE.spec_string()]
     if len(norms) > 1:
         raise NormError("--norm: this command accepts a single norm")
     return parse_norm(norms[0])

@@ -2,10 +2,13 @@
 
 Each sweep walks a stream of instances (exhaustive up to isomorphism
 where feasible, random beyond), computes a combinatorial verdict and a
-randomized numerical one, and reports disagreements.  A numerical
-verdict that contradicts the combinatorial side is retried with fresh
-placement seeds up to three times before it counts as a disagreement —
-unlucky placements can sit below generic rank, never above it.
+randomized numerical one, and reports disagreements.  All of them run
+through one loop, ``_run``, and one retry policy: a numerical verdict
+that contradicts the combinatorial side is retried up to MAX_RETRIES
+= 3 times, each attempt with a placement seed derived from (seed,
+instance index, attempt), before it counts as a disagreement; the
+disagreement lists every seed tried.  Unlucky placements can sit below
+generic rank, never above it.
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
@@ -15,7 +18,7 @@ from comparisons).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,54 +93,45 @@ def _derive_seed(seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 
-def _verdict_with_retry(comb, numeric_fn, seed: int, idx: int):
-    """numeric_fn(seed) -> (verdict, rank, rows); retry on mismatch."""
+def _verdict_with_retry(comb, rank_fn, attr: str, seed: int, idx: int):
+    """The retry policy: rank_fn(seed) -> RankReport, retried while its
+    field attr differs from comb.  Returns the last report and every seed tried."""
     seeds: list[int] = []
     for attempt in range(MAX_RETRIES + 1):
-        s = _derive_seed(seed, idx, attempt)
-        seeds.append(s)
-        verdict, rank, rows = numeric_fn(s)
-        if verdict == comb:
+        seeds.append(_derive_seed(seed, idx, attempt))
+        rep = rank_fn(seeds[-1])
+        if getattr(rep, attr) == comb:
             break
-    return verdict, rank, rows, tuple(seeds)
+    return rep, tuple(seeds)
 
 
-def _run(name, config, items, comb_fn, numeric_fn, seed, note_fn=None):
-    """Shared sweep loop: items yields graphs (or richer instances)."""
+def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepReport:
+    """The sweep loop: items(seed) yields (note, graph) pairs, and each
+    comb_fn(graph) is checked against the field attr of the graph's
+    plain or coincident RankReport (kind).  keys join norm, trials and
+    seed in the report's config."""
     t0 = time.perf_counter()
+    plane = _plane(desc)
+    seed = resolve_seed(seed)
+    # looked up per call, so rebinding the module's rank functions applies
+    rank_fn = uv_generic_rank if kind == "coincident" else generic_rank
     agreements = 0
     disagreements: list[Disagreement] = []
-    count = 0
-    for idx, inst in enumerate(items):
-        count += 1
-        comb = comb_fn(inst)
-        verdict, rank, rows, seeds = _verdict_with_retry(
-            comb, lambda s: numeric_fn(inst, s), seed, idx
+    for idx, (note, g) in enumerate(items(seed)):
+        comb = comb_fn(g)
+        rep, seeds = _verdict_with_retry(
+            comb, lambda s: rank_fn(g, plane, trials=trials, seed=s), attr, seed, idx
         )
+        verdict = getattr(rep, attr)
         if verdict == comb:
             agreements += 1
         else:
-            g = inst if isinstance(inst, Graph) else inst[1]
-            disagreements.append(
-                Disagreement(
-                    idx,
-                    format_graph(g),
-                    comb,
-                    verdict,
-                    rank,
-                    rows,
-                    seeds,
-                    note_fn(inst) if note_fn else "",
-                )
-            )
-    return SweepReport(
-        name,
-        config,
-        count,
-        agreements,
-        tuple(disagreements),
-        runtime=time.perf_counter() - t0,
-    )
+            disagreements.append(Disagreement(
+                idx, format_graph(g), comb, verdict, rep.rank, rep.rows, seeds, note
+            ))
+    config = _config(norm=plane.spec_string(), trials=trials, seed=seed, **keys)
+    return SweepReport(name, config, agreements + len(disagreements), agreements,
+                       tuple(disagreements), runtime=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +141,11 @@ def _run(name, config, items, comb_fn, numeric_fn, seed, note_fn=None):
 
 def _pair_instances(max_n: int, samples_per_large_n: int, seed: int):
     for n in range(2, min(max_n, _PAIR_EXHAUSTIVE_MAX_N) + 1):
-        yield from enumerate_graphs(n, pair=True)
+        yield from (("", g) for g in enumerate_graphs(n, pair=True))
     rng = np.random.default_rng([seed, 0xE0])
     for n in range(_PAIR_EXHAUSTIVE_MAX_N + 1, max_n + 1):
         for _ in range(samples_per_large_n):
-            yield random_graph(rng, n, pair=True)
+            yield "", random_graph(rng, n, pair=True)
 
 
 def equivalence_sweep(
@@ -166,26 +160,12 @@ def equivalence_sweep(
     Exhaustive over pair-preserving isomorphism classes for n <= 6,
     randomly sampled for 7 <= n <= max_n.
     """
-    plane = _plane(desc)
-    seed = resolve_seed(seed)
-
-    def numeric(g: Graph, s: int):
-        rep = uv_generic_rank(g, plane, trials=trials, seed=s)
-        return rep.independent, rep.rank, rep.rows
-
     return _run(
         "equivalence",
-        _config(
-            max_n=max_n,
-            norm=plane.spec_string(),
-            trials=trials,
-            seed=seed,
-            samples_per_large_n=samples_per_large_n,
-        ),
-        _pair_instances(max_n, samples_per_large_n, seed),
+        lambda s: _pair_instances(max_n, samples_per_large_n, s),
         lambda g: is_uv_sparse(g).sparse,
-        numeric,
-        seed,
+        "coincident", "independent", desc, trials, seed,
+        max_n=max_n, samples_per_large_n=samples_per_large_n,
     )
 
 
@@ -197,34 +177,18 @@ def delete_contract_sweep(
     seed: int | None = None,
 ) -> SweepReport:
     """Delete-contract uv-rigidity vs numerical rank 2|V|-2 on random graphs."""
-    plane = _plane(desc)
-    seed = resolve_seed(seed)
     lo, hi = n_range
-    if lo > hi:
-        raise GraphError(f"empty vertex-count range {lo}..{hi}")
-    rng = np.random.default_rng([seed, 0xDC])
-    items = [
-        random_graph(rng, int(rng.integers(lo, hi + 1)), pair=True)
-        for _ in range(samples)
-    ]
 
-    def numeric(g: Graph, s: int):
-        rep = uv_generic_rank(g, plane, trials=trials, seed=s)
-        return rep.rigid, rep.rank, rep.rows
+    def items(seed: int):
+        if lo > hi:
+            raise GraphError(f"empty vertex-count range {lo}..{hi}")
+        rng = np.random.default_rng([seed, 0xDC])
+        for _ in range(samples):
+            yield "", random_graph(rng, int(rng.integers(lo, hi + 1)), pair=True)
 
     return _run(
-        "delete-contract",
-        _config(
-            samples=samples,
-            n_range=n_range,
-            norm=plane.spec_string(),
-            trials=trials,
-            seed=seed,
-        ),
-        items,
-        is_uv_rigid_comb,
-        numeric,
-        seed,
+        "delete-contract", items, is_uv_rigid_comb, "coincident", "rigid",
+        desc, trials, seed, samples=samples, n_range=n_range,
     )
 
 
@@ -236,24 +200,11 @@ def rigidity_sweep(
 ) -> SweepReport:
     """Tight-spanning-subgraph rigidity vs numerical rank on connected graphs."""
     check_exhaustive(max_n)
-    plane = _plane(desc)
-    seed = resolve_seed(seed)
-
-    def items():
-        for n in range(3, max_n + 1):
-            yield from enumerate_graphs(n, connected=True)
-
-    def numeric(g: Graph, s: int):
-        rep = generic_rank(g, plane, trials=trials, seed=s)
-        return rep.rigid, rep.rank, rep.rows
-
     return _run(
         "rigidity",
-        _config(max_n=max_n, norm=plane.spec_string(), trials=trials, seed=seed),
-        items(),
-        is_rigid_comb,
-        numeric,
-        seed,
+        lambda _: (("", g) for n in range(3, max_n + 1)
+                   for g in enumerate_graphs(n, connected=True)),
+        is_rigid_comb, "plain", "rigid", desc, trials, seed, max_n=max_n,
     )
 
 
@@ -265,24 +216,11 @@ def cover_bound_sweep(
 ) -> SweepReport:
     """Cover upper bound vs generic rank: equality for every small graph."""
     check_exhaustive(max_n)
-    plane = _plane(desc)
-    seed = resolve_seed(seed)
-
-    def items():
-        for n in range(1, max_n + 1):
-            yield from enumerate_graphs(n)
-
-    def numeric(g: Graph, s: int):
-        rep = generic_rank(g, plane, trials=trials, seed=s)
-        return rep.rank, rep.rank, rep.rows
-
     return _run(
         "cover-bound",
-        _config(max_n=max_n, norm=plane.spec_string(), trials=trials, seed=seed),
-        items(),
+        lambda _: (("", g) for n in range(1, max_n + 1) for g in enumerate_graphs(n)),
         lambda g: cover_rank_bound(g).value,
-        numeric,
-        seed,
+        "plain", "rank", desc, trials, seed, max_n=max_n,
     )
 
 
@@ -436,29 +374,16 @@ def operation_preservation_suite(
     resulting framework must come out numerically uv-independent;
     anything else is a disagreement.
     """
-    plane = _plane(desc)
-    seed = resolve_seed(seed)
-    items = []
-    for vi, variant in enumerate(OP_VARIANTS):
-        rng = np.random.default_rng([seed, 0x09, vi])
-        for _ in range(samples):
-            items.append((variant, _apply_variant(variant, rng)))
 
-    def numeric(inst, s: int):
-        _, g = inst
-        rep = uv_generic_rank(g, plane, trials=trials, seed=s)
-        return rep.independent, rep.rank, rep.rows
+    def items(seed: int):
+        for vi, variant in enumerate(OP_VARIANTS):
+            rng = np.random.default_rng([seed, 0x09, vi])
+            for _ in range(samples):
+                yield variant, _apply_variant(variant, rng)
 
     return _run(
-        "operation-preservation",
-        _config(
-            samples=samples, norm=plane.spec_string(), trials=trials, seed=seed
-        ),
-        items,
-        lambda inst: True,
-        numeric,
-        seed,
-        note_fn=lambda inst: inst[0],
+        "operation-preservation", items, lambda g: True, "coincident",
+        "independent", desc, trials, seed, samples=samples,
     )
 
 
@@ -479,39 +404,21 @@ def conjecture_probe(
     seed = resolve_seed(seed)
     t0 = time.perf_counter()
     planes = [_plane(d) for d in desc_list]
-    total = agreements = 0
-    disagreements: list[Disagreement] = []
-    for plane in planes:
-        rep = equivalence_sweep(
-            max_n, plane, trials=trials, seed=seed, samples_per_large_n=samples
-        )
-        total += rep.instances
-        agreements += rep.agreements
-        for d in rep.disagreements:
-            disagreements.append(
-                Disagreement(
-                    len(disagreements),
-                    d.graph,
-                    d.combinatorial,
-                    d.numeric,
-                    d.rank,
-                    d.rows,
-                    d.seeds,
-                    note=f"norm {plane.spec_string()}: {d.note}".rstrip(": "),
-                )
-            )
+    reps = [
+        equivalence_sweep(max_n, p, trials=trials, seed=seed, samples_per_large_n=samples)
+        for p in planes
+    ]
+    found = [(p, d) for p, r in zip(planes, reps) for d in r.disagreements]
+    norms = tuple(p.spec_string() for p in planes)
     return SweepReport(
         "conjecture-probe",
-        _config(
-            norms=tuple(p.spec_string() for p in planes),
-            samples=samples,
-            max_n=max_n,
-            trials=trials,
-            seed=seed,
+        _config(norms=norms, samples=samples, max_n=max_n, trials=trials, seed=seed),
+        sum(r.instances for r in reps),
+        sum(r.agreements for r in reps),
+        tuple(
+            replace(d, index=i, note=f"norm {p.spec_string()}")
+            for i, (p, d) in enumerate(found)
         ),
-        total,
-        agreements,
-        tuple(disagreements),
         runtime=time.perf_counter() - t0,
     )
 

@@ -22,10 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, delete_edge
-from .norms import LpPlane
+from .norms import DEFAULT_PLANE, LpPlane
 
 DEFAULT_SEED = 1729
 _SEED_ENV = "NORMRIG_SEED"
+
+# Placements are drawn uniformly from the square [-r, r]^2 of this r.
+_BOX_RADIUS = 1.0
 
 # Most matrix entries one batched SVD holds (512 KiB of float64); larger
 # trial counts run in chunks, so memory does not grow with --trials.
@@ -161,13 +164,13 @@ def _affine_span_full(points: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_rank(centered) == 2
 
 
-def _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident) -> RankReport:
+def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
     """The rank report of both kinds, with every trial batched.
 
     Trial t places the vertices by default_rng([seed, t]) alone, so its
     rank does not depend on the other trials or on the chunking.
     """
-    plane = plane or LpPlane(4.0)
+    plane = plane or DEFAULT_PLANE
     seed = resolve_seed(seed)
     if trials < 1:
         raise RigidityError("need at least one trial")
@@ -182,7 +185,7 @@ def _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident) -> Ra
     for start in range(0, trials, step):
         ts = range(start, min(trials, start + step))
         pts = np.stack([
-            np.random.default_rng([seed, t]).uniform(-box_radius, box_radius, size=(work.n, 2))
+            np.random.default_rng([seed, t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(work.n, 2))
             for t in ts
         ])
         if coincident:
@@ -212,7 +215,7 @@ def _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident) -> Ra
         pair_edge_removed=had_pair_edge,
         trials=trials,
         seed=seed,
-        box_radius=box_radius,
+        box_radius=_BOX_RADIUS,
         tol_rel=tol.rel,
         norm_spec=plane.spec_string(),
         near_threshold=bool(notes),
@@ -225,7 +228,6 @@ def generic_rank(
     plane: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
-    box_radius: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> RankReport:
     """Best rigidity-matrix rank over random placements.
@@ -236,7 +238,7 @@ def generic_rank(
     forces |V| >= 3; graphs on at most one vertex are rigid by
     convention.
     """
-    return _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident=False)
+    return _generic_rank(graph, plane, trials, seed, tol, coincident=False)
 
 
 def uv_generic_rank(
@@ -244,7 +246,6 @@ def uv_generic_rank(
     plane: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
-    box_radius: float = 1.0,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> RankReport:
     """Coincident variant: the designated pair shares one random point.
@@ -254,4 +255,4 @@ def uv_generic_rank(
     the pair edge to be absent from G in the first place; uv-rigidity
     is rank 2|V| - 2 with full affine span.
     """
-    return _generic_rank(graph, plane, trials, seed, box_radius, tol, coincident=True)
+    return _generic_rank(graph, plane, trials, seed, tol, coincident=True)

@@ -222,10 +222,6 @@ if __name__ == "__main__":
     from normrig.experiments import _verdict_with_retry
     from normrig.rigidity import uv_generic_rank
 
-    def numeric(g, s):
-        rep = uv_generic_rank(g, trials=10, seed=s)
-        return rep.independent, rep.rank, rep.rows
-
     classes = enumerate_graphs(7, pair=True)
     t0 = time.perf_counter()
     brute_bad = sum(is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse for g in classes)
@@ -235,8 +231,10 @@ if __name__ == "__main__":
     bad = retried = 0
     for idx, g in enumerate(classes):
         comb = is_uv_sparse(g).sparse
-        verdict, _, _, seeds = _verdict_with_retry(comb, lambda s: numeric(g, s), SEED, idx)
-        bad += verdict != comb
+        rep, seeds = _verdict_with_retry(
+            comb, lambda s: uv_generic_rank(g, trials=10, seed=s), "independent", SEED, idx
+        )
+        bad += rep.independent != comb
         retried += len(seeds) > 1
     print(f"counting vs numerical: graphs {len(classes)} mismatches {bad} "
           f"retried {retried} time {time.perf_counter() - t0:.1f} s")

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from normrig import experiments
 from normrig.experiments import (
+    MAX_RETRIES,
     OP_VARIANTS,
     SWEEPS,
     SweepReport,
+    _derive_seed,
     conjecture_probe,
     cover_bound_sweep,
     delete_contract_sweep,
@@ -21,7 +24,13 @@ from normrig.experiments import (
 )
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
 from normrig.rigidity import uv_generic_rank
-from normrig.sparsity import is_uv_sparse, is_uv_tight
+from normrig.sparsity import (
+    cover_rank_bound,
+    is_rigid_comb,
+    is_uv_rigid_comb,
+    is_uv_sparse,
+    is_uv_tight,
+)
 
 
 @pytest.mark.parametrize("sweep,sizes", [(rigidity_sweep, 5), (cover_bound_sweep, 7)])
@@ -145,3 +154,102 @@ def test_four_cycle_through_the_pair_is_the_known_gap():
     rank = uv_generic_rank(bad, trials=10, seed=0)
     assert not rank.independent
     assert rank.rank == 6 and rank.rows == 7
+
+
+# ---------------------------------------------------------------------------
+# the disagreement path, reached by forcing a fixed share of verdicts to flip
+# ---------------------------------------------------------------------------
+
+
+def _flipped(g: Graph) -> bool:
+    """The instances whose verdict the forced runs flip: n + m divisible by 3."""
+    return (g.n + g.m) % 3 == 0
+
+
+def _flip_sparse(g):
+    verdict = is_uv_sparse(g)
+    return dataclasses.replace(verdict, sparse=verdict.sparse != _flipped(g))
+
+
+def _flip_rigid(g):
+    return is_rigid_comb(g) != _flipped(g)
+
+
+def _flip_uv_rigid(g):
+    return is_uv_rigid_comb(g) != _flipped(g)
+
+
+def _flip_cover(g):
+    bound = cover_rank_bound(g)
+    return dataclasses.replace(bound, value=bound.value + _flipped(g))
+
+
+def _flip_independent(g, *args, **kwargs):
+    # The operation suite's counting side is a constant (its hosts meet
+    # the hypotheses by construction), so it flips the numerical side.
+    rep = uv_generic_rank(g, *args, **kwargs)
+    return dataclasses.replace(rep, independent=rep.independent != _flipped(g))
+
+
+# sweep -> (patched name in experiments, replacement, run, instances,
+#           disagreements, sha256 prefix of the verbose report)
+FORCED = {
+    "equivalence": (
+        "is_uv_sparse", _flip_sparse, lambda: equivalence_sweep(4, seed=9),
+        36, 12, "2e45ac6b69bc7b8d",
+    ),
+    "delete-contract": (
+        "is_uv_rigid_comb", _flip_uv_rigid,
+        lambda: delete_contract_sweep(12, n_range=(4, 6), seed=9), 12, 4,
+        "dc59700986a4c661",
+    ),
+    "rigidity": (
+        "is_rigid_comb", _flip_rigid, lambda: rigidity_sweep(4, seed=9), 8, 2,
+        "7685bbedb70b56c1",
+    ),
+    "cover-bound": (
+        "cover_rank_bound", _flip_cover, lambda: cover_bound_sweep(4, seed=9),
+        18, 6, "b2b6b229f3c5a554",
+    ),
+    "operations": (
+        "uv_generic_rank", _flip_independent,
+        lambda: operation_preservation_suite(samples=3, seed=9), 21, 4,
+        "d1b4eae47644e43f",
+    ),
+    "conjecture": (
+        "is_uv_sparse", _flip_sparse,
+        lambda: conjecture_probe(["lp:1.5", "lp:3"], max_n=4, seed=9), 72, 24,
+        "55c65ac81c9abe64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED))
+def test_forced_disagreements_pinned(monkeypatch, name):
+    attr, flip, run, instances, count, digest = FORCED[name]
+    monkeypatch.setattr(experiments, attr, flip)
+    rep = run()
+    text = format_report(rep, verbose=True)
+    assert (rep.instances, len(rep.disagreements)) == (instances, count)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, text
+    for d in rep.disagreements:
+        assert d.combinatorial != d.numeric and d.rank <= d.rows
+    if name == "conjecture":
+        # each plane's own sweep in turn, renumbered and tagged with its norm
+        own = [
+            dataclasses.replace(d, note=f"norm {desc}")
+            for desc in ("lp:1.5", "lp:3")
+            for d in equivalence_sweep(4, desc, seed=9).disagreements
+        ]
+        assert rep.disagreements == tuple(
+            dataclasses.replace(d, index=i) for i, d in enumerate(own)
+        )
+        return
+    for d in rep.disagreements:
+        assert d.seeds == tuple(_derive_seed(9, d.index, a) for a in range(MAX_RETRIES + 1))
+    if name == "operations":
+        assert [d.note for d in rep.disagreements] == [
+            OP_VARIANTS[d.index // 3] for d in rep.disagreements
+        ]
+    else:
+        assert all(d.note == "" for d in rep.disagreements)

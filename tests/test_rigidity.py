@@ -97,11 +97,12 @@ def test_pair_edge_removed_flag(plane4):
 
 
 def test_trial_determinism(two_k4, plane4):
-    a = uv_generic_rank(two_k4, plane4, trials=10, seed=11)
-    b = uv_generic_rank(two_k4, plane4, trials=10, seed=11)
-    assert a == b
-    c = uv_generic_rank(two_k4, plane4, trials=10, seed=12)
-    assert c.per_trial_ranks == a.per_trial_ranks or c.seed != a.seed
+    # a loose tolerance, so the per-trial ranks and notes move with the seed
+    loose = TolerancePolicy(1e-2)
+    a = uv_generic_rank(two_k4, plane4, trials=10, seed=11, tol=loose)
+    assert uv_generic_rank(two_k4, plane4, trials=10, seed=11, tol=loose) == a
+    c = uv_generic_rank(two_k4, plane4, trials=10, seed=12, tol=loose)
+    assert c.per_trial_ranks != a.per_trial_ranks and c.notes != a.notes
 
 
 def test_rank_report_fields(two_k4, plane4):
