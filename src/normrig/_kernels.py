@@ -1,11 +1,14 @@
 """Low-level combinatorial kernels.
 
-Callers relabel vertices to 0..n-1 before dropping into this layer.
-The pebble game keeps the orientation as adjacency lists, so its cost
-follows the edges it searches and not n**2.  The canonizer is
-vectorised over numpy arrays of edge bitmasks.  The family search is a
-branch and bound over Python-int bitmasks; its cost follows the
-families it cannot rule out, not the 2**c families there are.
+Each kernel has one adapter, which turns a Graph into its input:
+pebble_game is called only by sparsity.pebble_game, canonize_batch
+only by enumeration._class_masks, and family_best only by
+sparsity.is_uv_sparse_bruteforce.  The pebble game keeps the
+orientation as adjacency lists, so its cost follows the edges it
+searches and not n**2.  The canonizer is vectorised over numpy arrays
+of edge bitmasks.  The family search is a branch and bound over
+Python-int bitmasks; its cost follows the families it cannot rule
+out, not the 2**c families there are.
 """
 
 from __future__ import annotations

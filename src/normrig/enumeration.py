@@ -1,15 +1,15 @@
 """Exhaustive small-graph streams and random instances.
 
 Graphs on n vertices are encoded as edge bitmasks over the C(n, 2)
-vertex-pair slots in lexicographic order.  Isomorphism deduplication
-takes the minimum mask over all vertex permutations (optionally only
-permutations preserving the designated pair {0, 1} setwise), which is
-itself the edge mask of a relabelled copy, so every canonical form is
-a concrete representative.  Classes on n vertices extend those on
-n - 1: relabel a vertex of largest degree not in the designated pair
-to n - 1 and delete it, and what is left is a relabelled representative.
-So only representatives plus a vertex n - 1 of largest degree outside
-the pair are canonized.  Exhaustive enumeration stops at
+vertex-pair slots in lexicographic order.  enumerate_graphs keeps one
+representative per isomorphism class: the minimum mask over all vertex
+permutations (only those preserving the designated pair {0, 1}
+setwise, when there is one), which is itself the edge mask of a
+relabelled copy.  Classes on n vertices extend those on n - 1: relabel
+a vertex of largest degree not in the designated pair to n - 1 and
+delete it, and what is left is a relabelled representative.  So only
+representatives plus a vertex n - 1 of largest degree outside the pair
+are canonized, in one batch per n.  Exhaustive enumeration stops at
 EXHAUSTIVE_MAX_N = 7 vertices; beyond that, use random sampling.
 """
 
@@ -29,17 +29,6 @@ EXHAUSTIVE_MAX_N = 7
 
 def edge_slots(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
-
-
-def graph_to_mask(g: Graph) -> int:
-    """Edge bitmask of a graph labelled 0..n-1."""
-    if g.vertices != tuple(range(g.n)):
-        raise GraphError("mask encoding needs vertices labelled 0..n-1")
-    slot = {e: i for i, e in enumerate(edge_slots(g.n))}
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << slot[e]
-    return mask
 
 
 def mask_to_graph(n: int, mask: int, pair: tuple[int, int] | None = None) -> Graph:
@@ -64,32 +53,6 @@ def _perm_bitmaps(n: int, fix_pair: bool) -> np.ndarray:
             a, c = sigma[i], sigma[j]
             out[p, b] = slot[(a, c) if a < c else (c, a)]
     return out
-
-
-def canonical_mask(g: Graph, respect_pair: bool = True) -> int:
-    """Isomorphism-invariant integer code (pair-aware when present).
-
-    The designated pair, when respected, is pinned to labels {0, 1}.
-    """
-    pair = g.designated_pair if respect_pair else None
-    if pair is not None:
-        u, v = pair
-        rest = [x for x in g.vertices if x not in (u, v)]
-        relab = {u: 0, v: 1, **{x: i + 2 for i, x in enumerate(sorted(rest))}}
-        gc = g.relabel(relab)
-    else:
-        gc = g.canonical_labels()
-    masks = np.array([graph_to_mask(gc)], dtype=np.int64)
-    bitmaps = _perm_bitmaps(gc.n, pair is not None)
-    return int(_kernels.canonize_batch(masks, bitmaps)[0])
-
-
-def is_isomorphic(g: Graph, h: Graph, respect_pair: bool = True) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if respect_pair and (g.designated_pair is None) != (h.designated_pair is None):
-        return False
-    return canonical_mask(g, respect_pair) == canonical_mask(h, respect_pair)
 
 
 def check_exhaustive(n: int) -> None:

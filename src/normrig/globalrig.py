@@ -32,8 +32,8 @@ Sequence files are line oriented::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args
 
-from . import _kernels
 from .graph import (
     AddEdge,
     AddVertexWithNeighbors,
@@ -43,9 +43,10 @@ from .graph import (
     GraphError,
     apply_step,
     delete_edge,
+    numbered_lines,
 )
 from .norms import LpPlane
-from .sparsity import SparsityError, is_rigid_comb
+from .sparsity import SparsityError, is_rigid_comb, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -95,15 +96,11 @@ def is_redundantly_rigid_comb(g: Graph) -> bool:
     """
     if g.n < 1:
         raise SparsityError("rigidity needs at least one vertex")
-    index = {x: i for i, x in enumerate(g.vertices)}
-    edges = [(index[a], index[b]) for a, b in g.sorted_edges()]
-    rank, accepted, reaches = _kernels.pebble_game(
-        g.n, [a for a, _ in edges], [b for _, b in edges], 2, 2
-    )
-    if rank < 2 * g.n - 2:
+    res = pebble_game(g, 2, 2)
+    if res.rank < 2 * g.n - 2:
         return False
-    loose = [e for e, kept in zip(edges, accepted) if kept]
-    for reach in reaches:
+    loose = res.accepted
+    for reach in res.reaches:
         loose = [(a, b) for a, b in loose if a not in reach or b not in reach]
     return not loose
 
@@ -112,7 +109,7 @@ def is_redundantly_rigid_comb(g: Graph) -> bool:
 # sequences
 # ---------------------------------------------------------------------------
 
-_ALLOWED_STEPS = (AddEdge, AddVertexWithNeighbors, GeneralizedVertexSplit)
+_ALLOWED_STEPS = get_args(ConstructionStep)
 
 
 @dataclass(frozen=True)
@@ -276,11 +273,7 @@ def parse_step(body: str, lineno: int | None = None) -> ConstructionStep:
 
 
 def parse_sequence(text: str) -> ConstructionSequence:
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body))
+    rows = numbered_lines(text)
     if not rows:
         raise SequenceError("empty sequence file")
     lineno, header = rows[0]

@@ -413,12 +413,15 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped body) of every line with content
+    once '#' comments are cut; the reader of graph and sequence files."""
+    bodies = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(i, body) for i, body in enumerate(bodies, start=1) if body]
+
+
 def parse_graph(text: str) -> Graph:
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body))
+    rows = numbered_lines(text)
     if not rows:
         raise GraphFormatError("empty graph file")
 
@@ -473,12 +476,27 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+def _is_int_pair(x) -> bool:
+    return isinstance(x, (list, tuple)) and [type(i) for i in x] == [int, int]
+
+
 def graph_from_json(data: dict | str) -> Graph:
+    """Inverse of graph_to_json; a malformed record raises GraphFormatError."""
     if isinstance(data, str):
-        data = json.loads(data)
-    pair = data.get("designated_pair")
-    return Graph.from_edges(
-        range(int(data["vertices"])),
-        [tuple(e) for e in data["edges"]],
-        tuple(pair) if pair else None,
-    )
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise GraphFormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict) or not {"vertices", "edges"} <= data.keys():
+        raise GraphFormatError("graph record needs the keys 'vertices' and 'edges'")
+    n, edges, pair = data["vertices"], data["edges"], data.get("designated_pair")
+    if type(n) is not int or n < 0:
+        raise GraphFormatError(f"vertex count must be an integer >= 0, got {n!r}")
+    if not isinstance(edges, (list, tuple)) or not all(map(_is_int_pair, edges)):
+        raise GraphFormatError("edges must be a list of integer pairs")
+    if pair is not None and not _is_int_pair(pair):
+        raise GraphFormatError(f"designated pair must be an integer pair, got {pair!r}")
+    try:
+        return Graph.from_edges(range(n), map(tuple, edges), pair and tuple(pair))
+    except GraphError as exc:
+        raise GraphFormatError(str(exc)) from None

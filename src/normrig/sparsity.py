@@ -29,7 +29,7 @@ pairwise-disjoint connected parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _kernels
 from .graph import Graph, contract_pair, delete_edge, induced_edge_count
@@ -102,7 +102,12 @@ class PebbleResult:
     l: int
     rank: int
     accepted: tuple[tuple[int, int], ...]
-    witness: frozenset[int] | None  # reach set at the first rejection
+    reaches: tuple[frozenset[int], ...]  # reach set at every rejection, in order
+
+    @property
+    def witness(self) -> frozenset[int] | None:
+        """The reach set at the first rejection, or None if none was rejected."""
+        return self.reaches[0] if self.reaches else None
 
 
 def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
@@ -120,14 +125,9 @@ def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     eu = [index[a] for a, b in edges]
     ev = [index[b] for a, b in edges]
     rank, accepted, reaches = _kernels.pebble_game(g.n, eu, ev, k, l)
-    witness = frozenset(verts[i] for i in reaches[0]) if reaches else None
-    return PebbleResult(
-        k,
-        l,
-        rank,
-        tuple(e for e, a in zip(edges, accepted) if a),
-        witness,
-    )
+    kept = tuple(e for e, a in zip(edges, accepted) if a)
+    labelled = tuple(frozenset(verts[i] for i in r) for r in reaches)
+    return PebbleResult(k, l, rank, kept, labelled)
 
 
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:
@@ -289,9 +289,11 @@ def _connected_subsets(g: Graph, verts: Sequence[int]) -> list[frozenset[int]]:
 
 
 def _max_disjoint_packing(
-    cands: list[tuple[frozenset[int], int]]
+    g: Graph, verts: Sequence[int], weight: Callable[[frozenset[int]], int]
 ) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Max total weight over pairwise-disjoint candidate sets."""
+    """Max total weight over pairwise-disjoint connected subsets of verts,
+    the candidates being those of positive weight (0 skips a set)."""
+    cands = [(c, w) for c in _connected_subsets(g, verts) if (w := weight(c)) > 0]
     best = 0
     best_sets: tuple[frozenset[int], ...] = ()
     suffix = [0] * (len(cands) + 1)
@@ -337,14 +339,12 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
         w = UvWitness("subset", (s,), induced_edge_count(g, s), val_set(s, u, v))
         return UvSparseVerdict(False, w)
 
-    others = [x for x in g.vertices if x not in (u, v)]
-    cands: list[tuple[frozenset[int], int]] = []
-    for c in _connected_subsets(g, others):
+    def gain(c: frozenset[int]) -> int:
         x = c | {u, v}
-        gain = induced_edge_count(g, x) - (val_set(x, u, v) - 2)
-        if gain > 0:
-            cands.append((c, gain))
-    total, parts = _max_disjoint_packing(cands)
+        return induced_edge_count(g, x) - (val_set(x, u, v) - 2)
+
+    others = [x for x in g.vertices if x not in (u, v)]
+    total, parts = _max_disjoint_packing(g, others, gain)
     if total >= 3:
         fam = tuple(sorted((p | {u, v} for p in parts), key=lambda s: sorted(s)))
         w = UvWitness(
@@ -388,17 +388,11 @@ def cover_rank_bound(g: Graph) -> CoverBound:
     (splitting into components never lowers the excess sum), and sets
     of size <= 3 are never profitable in simple graphs.
     """
-    cands: list[tuple[frozenset[int], int]] = []
-    for c in _connected_subsets(g, g.vertices):
-        if len(c) < 4:
-            continue
-        excess = induced_edge_count(g, c) - (2 * len(c) - 2)
-        if excess > 0:
-            cands.append((c, excess))
-    saved, bigs = _max_disjoint_packing(cands)
-    covered = set()
-    for y in bigs:
-        covered |= {e for e in g.edges if e[0] in y and e[1] in y}
+    def excess(c: frozenset[int]) -> int:
+        return induced_edge_count(g, c) - (2 * len(c) - 2) if len(c) >= 4 else 0
+
+    saved, bigs = _max_disjoint_packing(g, g.vertices, excess)
+    covered = {e for e in g.edges if any(e[0] in y and e[1] in y for y in bigs)}
     cover = tuple(sorted(bigs, key=lambda s: sorted(s))) + tuple(
         frozenset(e) for e in sorted(g.edges - covered)
     )

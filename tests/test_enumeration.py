@@ -1,4 +1,5 @@
-"""Graph enumeration up to isomorphism, canonical masks, random instances."""
+"""Graph enumeration up to isomorphism, the batched canonizer against a
+permutation oracle, random instances."""
 from __future__ import annotations
 
 from itertools import combinations, permutations
@@ -12,15 +13,38 @@ from normrig._kernels import canonize_batch
 from normrig.enumeration import (
     _class_masks,
     _perm_bitmaps,
-    canonical_mask,
     edge_slots,
     enumerate_graphs,
-    graph_to_mask,
-    is_isomorphic,
     mask_to_graph,
     random_graph,
 )
 from normrig.graph import Graph, GraphError
+
+
+def mask_of(g):
+    """Edge bitmask of a graph on 0..n-1 over the slots edge_slots(n)."""
+    slot = {e: i for i, e in enumerate(edge_slots(g.n))}
+    return sum(1 << slot[e] for e in g.edges)
+
+
+def perm_canonical(g, respect_pair=True):
+    """Oracle canonical form, no kernel involved: the smallest mask_of over
+    every relabelling onto 0..n-1 from itertools.permutations, keeping only
+    those that send a respected designated pair onto {0, 1}."""
+    pair = g.designated_pair if respect_pair else None
+    forms = []
+    for image in permutations(range(g.n)):
+        sigma = dict(zip(g.vertices, image))
+        if pair is None or {sigma[pair[0]], sigma[pair[1]]} == {0, 1}:
+            h = Graph.from_edges(image, ((sigma[a], sigma[b]) for a, b in g.edges))
+            forms.append(mask_of(h))
+    return min(forms)
+
+
+def canonize(graphs, pair):
+    """The kernel's canonical forms of graphs on 0..n-1, in one batch."""
+    masks = np.array([mask_of(g) for g in graphs], dtype=np.int64)
+    return [int(x) for x in canonize_batch(masks, _perm_bitmaps(graphs[0].n, pair))]
 
 # unlabelled simple graphs on n vertices (OEIS A000088), connected A001349
 PLAIN_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -99,9 +123,12 @@ def test_class_counts_match_burnside(pair_classes_7):
 def test_pair_classes_distinct_small():
     gs = enumerate_graphs(4, pair=True)
     assert all(g.designated_pair == (0, 1) for g in gs)
-    for i, g in enumerate(gs):
-        for h in gs[i + 1 :]:
-            assert not is_isomorphic(g, h)
+    forms = [perm_canonical(g) for g in gs]
+    assert len(set(forms)) == len(gs) == PAIR_COUNTS[4]
+    # each representative is the oracle's canonical form of its class
+    for pair in (False, True):
+        for g in enumerate_graphs(5, pair=pair):
+            assert mask_of(g) == perm_canonical(g)
 
 
 def test_enumerate_rejects_large_exhaustive():
@@ -114,7 +141,7 @@ def test_mask_round_trip():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         g = random_graph(rng, n, pair=bool(rng.integers(2)))
-        back = mask_to_graph(n, graph_to_mask(g), pair=g.designated_pair)
+        back = mask_to_graph(n, mask_of(g), pair=g.designated_pair)
         assert back == g
 
 
@@ -136,24 +163,26 @@ def test_canonical_mask_is_relabelling_invariant(data):
     mapping = {u: v if swap else u, v: u if swap else v}
     mapping.update(dict(zip(others, perm)))
     h = g.relabel(mapping)
-    assert canonical_mask(g) == canonical_mask(h)
-    assert is_isomorphic(g, h)
+    assert canonize([g, h], pair=True) == [perm_canonical(g)] * 2
+    assert canonize([g, h], pair=False) == [perm_canonical(g, respect_pair=False)] * 2
 
 
 def test_pair_respect_distinguishes():
     # path 0-2-1 vs path 2-0-1: isomorphic as graphs, not pair-preservingly
     g = Graph.from_edges(range(3), [(0, 2), (1, 2)], pair=(0, 1))
     h = Graph.from_edges(range(3), [(0, 2), (0, 1)], pair=(0, 1))
-    assert is_isomorphic(g, h, respect_pair=False)
-    assert not is_isomorphic(g, h)
-    assert canonical_mask(g, respect_pair=False) == canonical_mask(h, respect_pair=False)
-    assert canonical_mask(g) != canonical_mask(h)
+    plain = canonize([g, h], pair=False)
+    assert plain[0] == plain[1] == perm_canonical(g, respect_pair=False)
+    fixed = canonize([g, h], pair=True)
+    assert fixed[0] != fixed[1]
+    assert fixed == [perm_canonical(g), perm_canonical(h)]
 
 
 def test_is_isomorphic_negative():
-    assert not is_isomorphic(Graph.complete(4), Graph.complete(3))
     k4_minus = Graph.from_edges(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert not is_isomorphic(Graph.complete(4), k4_minus)
+    k4, k4e = canonize([Graph.complete(4), k4_minus], pair=False)
+    assert k4 != k4e
+    assert (k4, k4e) == (perm_canonical(Graph.complete(4)), perm_canonical(k4_minus))
 
 
 def test_random_graph_shape():

@@ -220,6 +220,44 @@ def test_json_roundtrip(k23):
     assert g.m == k23.m and g.designated_pair == (0, 1)
 
 
+_RECORD = {"vertices": 3, "edges": [[0, 1], [1, 2]], "designated_pair": [0, 2]}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {**_RECORD, "vertices": 2.7},  # was read as 2
+        {**_RECORD, "vertices": -2},  # was read as the empty graph
+        {**_RECORD, "vertices": True},
+        {"edges": [[0, 1]]},  # missing key
+        {"vertices": 3},
+        {**_RECORD, "edges": [[0, 1, 2]]},  # edge of three numbers
+        {**_RECORD, "edges": [[0, 1], [2]]},
+        {**_RECORD, "designated_pair": [0]},  # one-element pair
+        {**_RECORD, "edges": [["0", "1"]]},  # string vertex ids
+        {**_RECORD, "edges": 7},
+        {**_RECORD, "edges": [[0, 3]]},  # vertex out of range
+        {**_RECORD, "edges": [[1, 1]]},  # loop
+        {**_RECORD, "designated_pair": [1, 1]},
+        [3, [[0, 1]]],  # not an object
+        "[3]",
+        "{not json",
+        None,
+    ],
+    ids=lambda r: json.dumps(r) if not isinstance(r, str) else r,
+)
+def test_json_malformed_record_is_format_error(record):
+    for form in [record] if isinstance(record, str) else [record, json.dumps(record)]:
+        with pytest.raises(GraphFormatError):
+            graph_from_json(form)
+
+
+def test_json_valid_records_unchanged():
+    assert graph_from_json(_RECORD) == Graph.from_edges(range(3), [(0, 1), (1, 2)], (0, 2))
+    assert graph_from_json({"vertices": 0, "edges": []}) == Graph.from_edges([], [])
+    assert graph_from_json({"vertices": 2, "edges": [], "designated_pair": None}).m == 0
+
+
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(2, 7))

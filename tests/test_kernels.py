@@ -1,12 +1,16 @@
 """Kernel oracles: the pebble game against greedy insertion with brute-force
-counts, and the family search against a plain subset scan."""
+counts, and the family search against a plain subset scan.  Also pins that
+each kernel is reached through exactly one adapter."""
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normrig
 from normrig import _kernels
 from normrig.sparsity import pebble_game
 
@@ -39,6 +43,7 @@ def _greedy_oracle(n, edges, k, l):
 @pytest.mark.parametrize("kl", [(2, 2), (2, 3), (1, 1)])
 def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     k, l = kl
+    rng = np.random.default_rng(5)
     for g in small_graphs:
         edges = g.sorted_edges()
         eu = [a for a, _ in edges]
@@ -48,8 +53,20 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
         expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
         assert (kept, reaches) == (expect_kept, expect_reaches), (g.n, edges)
         assert rank == len(kept)
-        witness = pebble_game(g, k, l).witness
-        assert witness == (expect_reaches[0] if expect_reaches else None)
+        assert pebble_game(g, k, l).witness == (expect_reaches[0] if expect_reaches else None)
+
+        # A copy under an injective relabelling into non-contiguous labels:
+        # the adapter's reach sets are the kernel's, mapped through h.vertices.
+        labels = rng.choice(1000, size=g.n, replace=False)
+        h = g.relabel({x: int(y) for x, y in zip(g.vertices, labels)})
+        index = {x: i for i, x in enumerate(h.vertices)}
+        edges = h.sorted_edges()
+        _, _, reaches = _kernels.pebble_game(
+            h.n, [index[a] for a, _ in edges], [index[b] for _, b in edges], k, l
+        )
+        res = pebble_game(h, k, l)
+        assert res.reaches == tuple(frozenset(h.vertices[i] for i in r) for r in reaches)
+        assert res.witness == (res.reaches[0] if res.reaches else None)
 
 
 def _score(edge_masks, val_terms, s):
@@ -72,3 +89,47 @@ def test_family_best_matches_subset_scan():
         expect = max(sc for sc, _ in scores)
         smallest = min(s for sc, s in scores if sc == expect)
         assert _kernels.family_best(edge_masks, val_terms) == (expect, smallest)
+
+
+# each _kernels function and the one function in src/normrig that calls it
+ADAPTERS = {
+    "pebble_game": ("sparsity", "pebble_game"),
+    "canonize_batch": ("enumeration", "_class_masks"),
+    "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
+}
+
+
+def test_each_kernel_has_one_adapter():
+    src = Path(normrig.__file__).parent
+    kernels = {
+        node.name
+        for node in ast.parse((src / "_kernels.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert kernels == set(ADAPTERS)
+    refs = {name: [] for name in kernels}
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        if module == "_kernels":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                assert node.module != "_kernels", f"{module} imports names from _kernels"
+                if "_kernels" in names:
+                    importers.add(module)
+            elif isinstance(node, ast.Import):
+                assert all("_kernels" not in a.name for a in node.names), module
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "_kernels"
+                ):
+                    where = top.name if isinstance(top, ast.FunctionDef) else None
+                    refs[node.attr].append((module, where))
+    assert importers == {"sparsity", "enumeration"}
+    assert refs == {name: [adapter] for name, adapter in ADAPTERS.items()}
