@@ -1,7 +1,8 @@
 """Low-level combinatorial kernels.
 
-Each kernel has one adapter, which turns a Graph into its input:
-pebble_game is called only by sparsity.pebble_game, canonize_batch
+Each kernel has one adapter, which turns a graph into its input:
+pebble_game is called only by sparsity._pebble_edges (the edge-list
+adapter behind sparsity.pebble_game and the uv check), canonize_batch
 only by enumeration._class_masks, and family_best only by
 sparsity.is_uv_sparse_bruteforce.  The pebble game keeps the
 orientation as adjacency lists, so its cost follows the edges it
@@ -21,9 +22,10 @@ import numpy as np
 
 
 def pebble_game(n, eu, ev, k, l):
-    """(k, l)-pebble game on a simple graph with vertices 0..n-1.
+    """(k, l)-pebble game on a multigraph with vertices 0..n-1.
 
-    Edges are offered in the order given by ``eu``/``ev``.  Returns
+    Edges are offered in the order given by ``eu``/``ev``; an edge may
+    repeat, and each copy is offered as an edge of its own.  Returns
     ``(rank, accepted, reaches)`` where ``accepted`` flags the edges
     that entered the spanning independent set and ``reaches`` holds,
     for each rejected edge in order, the reach set of its endpoints at

@@ -10,6 +10,7 @@ configuration yields byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -497,8 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         status = args.fn(args)

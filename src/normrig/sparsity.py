@@ -18,18 +18,19 @@ and, for families X_1..X_k of vertex sets each containing u, v with
 G is uv-sparse when i(U) <= val(U) for every |U| >= 2 and the covered
 edge count of every uv-compatible family stays within its val.  Two
 checkers are provided: a brute-force one that enumerates every subset
-and family (exponential, guarded), and a reduced one that combines a
-pebble game with a disjoint-packing search over connected pieces of
-G - u - v.  The reduction is exact: merging two family sets whose
-parts outside {u, v} meet, and splitting a part into its connected
-components, never lowers a family's deficiency, so some maximiser has
-pairwise-disjoint connected parts.
+and family (exponential, guarded), and a reduced one that plays two
+pebble games.  By the main theorem the uv-sparse edge sets are the
+independent sets of a count matroid, so both conditions are counts: the
+subsets' is (2,2)-sparsity without the pair edge, and the families' is
+(2,2)-sparsity of one auxiliary multigraph (see is_uv_sparse).  The
+cover bound is the (2,2) pebble rank, with a cover read off the same
+game's reach sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .graph import Graph, contract_pair, delete_edge, induced_edge_count
@@ -110,6 +111,23 @@ class PebbleResult:
         return self.reaches[0] if self.reaches else None
 
 
+def _pebble_edges(
+    verts: Sequence[int], edges: Sequence[tuple[int, int]], k: int, l: int
+) -> PebbleResult:
+    """The pebble game on an edge list over verts, offered in list order.
+
+    The list may repeat an edge: parallel copies are separate edges of
+    a multigraph, as in the uv check's auxiliary graph.
+    """
+    index = {x: i for i, x in enumerate(verts)}
+    eu = [index[a] for a, b in edges]
+    ev = [index[b] for a, b in edges]
+    rank, accepted, reaches = _kernels.pebble_game(len(verts), eu, ev, k, l)
+    kept = tuple(e for e, a in zip(edges, accepted) if a)
+    labelled = tuple(frozenset(verts[i] for i in r) for r in reaches)
+    return PebbleResult(k, l, rank, kept, labelled)
+
+
 def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     """Run the (k, l)-pebble game, offering edges in sorted order.
 
@@ -119,15 +137,7 @@ def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     """
     if k < 1 or l < 0 or l >= 2 * k:
         raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
-    verts = g.vertices
-    index = {x: i for i, x in enumerate(verts)}
-    edges = g.sorted_edges()
-    eu = [index[a] for a, b in edges]
-    ev = [index[b] for a, b in edges]
-    rank, accepted, reaches = _kernels.pebble_game(g.n, eu, ev, k, l)
-    kept = tuple(e for e, a in zip(edges, accepted) if a)
-    labelled = tuple(frozenset(verts[i] for i in r) for r in reaches)
-    return PebbleResult(k, l, rank, kept, labelled)
+    return _pebble_edges(g.vertices, g.sorted_edges(), k, l)
 
 
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:
@@ -259,74 +269,23 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     return UvSparseVerdict(True, None)
 
 
-def _connected_subsets(g: Graph, verts: Sequence[int]) -> list[frozenset[int]]:
-    """Connected (in g) induced subsets of verts, deterministically ordered."""
-    vs = sorted(verts)
-    idx = {x: i for i, x in enumerate(vs)}
-    adj = {
-        x: [y for y in g.neighbors(x) if y in idx] for x in vs
-    }
-    out: list[frozenset[int]] = []
-
-    # Standard rooted growth: subsets whose minimum element is the root,
-    # extended only by neighbors, never reusing forbidden vertices.
-    def grow(current: set[int], frontier: list[int], banned: set[int]):
-        out.append(frozenset(current))
-        for i, x in enumerate(frontier):
-            new_banned = banned | set(frontier[:i])
-            nxt = [
-                y
-                for y in adj[x]
-                if y not in current and y not in new_banned
-            ]
-            grow(current | {x}, sorted(set(frontier[i + 1 :]) | set(nxt)), new_banned)
-        return
-
-    for r in vs:
-        nbrs = [y for y in adj[r] if y > r]
-        grow({r}, sorted(nbrs), {y for y in vs if y < r})
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-def _max_disjoint_packing(
-    g: Graph, verts: Sequence[int], weight: Callable[[frozenset[int]], int]
-) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Max total weight over pairwise-disjoint connected subsets of verts,
-    the candidates being those of positive weight (0 skips a set)."""
-    cands = [(c, w) for c in _connected_subsets(g, verts) if (w := weight(c)) > 0]
-    best = 0
-    best_sets: tuple[frozenset[int], ...] = ()
-    suffix = [0] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + cands[i][1]
-
-    def rec(idx: int, used: frozenset[int], total: int, chosen: list[frozenset[int]]):
-        nonlocal best, best_sets
-        if total > best:
-            best, best_sets = total, tuple(chosen)
-        if idx == len(cands) or total + suffix[idx] <= best:
-            return
-        s, w = cands[idx]
-        if not (s & used):
-            chosen.append(s)
-            rec(idx + 1, used | s, total + w, chosen)
-            chosen.pop()
-        rec(idx + 1, used, total, chosen)
-
-    rec(0, frozenset(), 0, [])
-    return best, best_sets
-
-
 def is_uv_sparse(g: Graph) -> UvSparseVerdict:
-    """Reduced uv-sparsity check.
+    """Reduced uv-sparsity check: two pebble games.
 
     Simple graphs make the subset conditions equivalent to plain
-    (2,2)-sparsity plus the absence of the pair edge, which the pebble
-    game settles.  For families, some maximiser of covered - val has
-    parts that are pairwise disjoint and connected inside G - u - v, so
-    a weighted disjoint-packing search over connected subsets is exact:
-    writing gain(C) = i({u,v} + C) - val({u,v} + C) + 2, a violating
-    family exists iff some packing has total gain >= 3.
+    (2,2)-sparsity plus the absence of the pair edge, which the first
+    game settles.  For families, let T be the common neighbours of u
+    and v.  Two family sets with at least 4 vertices merge without
+    lowering covered - val, and a set {c, u, v} gains 1 when c is in T
+    and nothing otherwise, so a violating family exists iff |T| >= 3 or
+    some X containing u and v has i(X) + |T - X| >= 2|X| - 1.  That is
+    a (2,2)-count on G' = G - {cu : c in T} plus |T| parallel copies of
+    uv, which the second game settles.
+
+    The family witness is the triples {c, u, v} of the three smallest
+    common neighbours when |T| >= 3, and otherwise the first reach set
+    R of the second game (it holds u and v) plus the triples with c
+    outside R.
     """
     u, v = g.require_pair()
     if g.has_edge(u, v):
@@ -339,19 +298,23 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
         w = UvWitness("subset", (s,), induced_edge_count(g, s), val_set(s, u, v))
         return UvSparseVerdict(False, w)
 
-    def gain(c: frozenset[int]) -> int:
-        x = c | {u, v}
-        return induced_edge_count(g, x) - (val_set(x, u, v) - 2)
-
-    others = [x for x in g.vertices if x not in (u, v)]
-    total, parts = _max_disjoint_packing(g, others, gain)
-    if total >= 3:
-        fam = tuple(sorted((p | {u, v} for p in parts), key=lambda s: sorted(s)))
-        w = UvWitness(
-            "family", fam, covered_edge_count(g, fam), val_family(fam, u, v)
+    common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
+    if len(common) >= 3:
+        fam = tuple(frozenset((c, u, v)) for c in common[:3])
+    else:
+        dropped = {tuple(sorted((c, u))) for c in common}
+        edges = sorted(
+            [e for e in g.sorted_edges() if e not in dropped]
+            + [tuple(sorted((u, v)))] * len(common)
         )
-        return UvSparseVerdict(False, w)
-    return UvSparseVerdict(True, None)
+        reaches = _pebble_edges(g.vertices, edges, 2, 2).reaches
+        if not reaches:
+            return UvSparseVerdict(True, None)
+        r = reaches[0]
+        fam = (r,) + tuple(frozenset((c, u, v)) for c in common if c not in r)
+    fam = tuple(sorted(fam, key=sorted))
+    w = UvWitness("family", fam, covered_edge_count(g, fam), val_family(fam, u, v))
+    return UvSparseVerdict(False, w)
 
 
 def is_uv_tight(g: Graph) -> bool:
@@ -381,19 +344,22 @@ def cover_rank_bound(g: Graph) -> CoverBound:
 
     A cover is a family of vertex sets (size >= 2) whose induced
     subgraphs together contain every edge; it scores
-    sum(2|Y| - 2 - s(|Y|)) with s(2) = 1.  Restricting to covers whose
-    larger sets are pairwise disjoint loses nothing, so the minimum is
-    |E| minus the best disjoint packing of sets Y with
-    i(Y) > 2|Y| - 2 weighted by that excess.  Connected sets suffice
-    (splitting into components never lowers the excess sum), and sets
-    of size <= 3 are never profitable in simple graphs.
+    sum(2|Y| - 2 - s(|Y|)) with s(2) = 1.  By the rank formula of the
+    (2,2)-count matroid the least score is the pebble rank, and one
+    (2,2) game gives a cover that attains it.  Every reach set is tight
+    in the accepted edges, and two tight sets that share a vertex have
+    a tight union, so the reach sets merged along shared vertices are
+    disjoint tight sets that cover every rejected edge; the edges left
+    uncovered are accepted ones and join the cover as pairs.
     """
-    def excess(c: frozenset[int]) -> int:
-        return induced_edge_count(g, c) - (2 * len(c) - 2) if len(c) >= 4 else 0
-
-    saved, bigs = _max_disjoint_packing(g, g.vertices, excess)
+    res = pebble_game(g, 2, 2)
+    bigs: list[frozenset[int]] = []
+    for r in res.reaches:
+        meet = [y for y in bigs if y & r]
+        bigs = [y for y in bigs if not y & r]
+        bigs.append(r.union(*meet))
     covered = {e for e in g.edges if any(e[0] in y and e[1] in y for y in bigs)}
-    cover = tuple(sorted(bigs, key=lambda s: sorted(s))) + tuple(
+    cover = tuple(sorted(bigs, key=sorted)) + tuple(
         frozenset(e) for e in sorted(g.edges - covered)
     )
-    return CoverBound(g.m - saved, cover)
+    return CoverBound(res.rank, cover)

@@ -7,12 +7,14 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normrig
-from normrig import __version__
+from normrig import __version__, cli
 from normrig.cli import main
 from normrig.graph import format_graph, parse_graph
+from normrig.sparsity import pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
 TWO_K4 = (
@@ -74,6 +76,69 @@ def test_check_uv_sparse_bruteforce_size_limit(tmp_path, capsys):
     rc, out, err = run(capsys, "check-uv-sparse", str(path), "--bruteforce")
     assert (rc, out) == (1, "")
     assert err == "error: brute force limited to 7 vertices\n"
+
+
+def _zero_extended_text(n, extra=()):
+    """K4 on {0, 2, 3, 4} with 1 joined to 2 and 3, grown by 0-extensions
+    on seeded random pairs other than {0, 1}: uv-tight, with pair (0, 1)."""
+    rng = np.random.default_rng(3)
+    edges = {(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4), (1, 2), (1, 3)}
+    for z in range(5, n):
+        while True:
+            a, b = sorted(int(x) for x in rng.choice(z, size=2, replace=False))
+            if (a, b) != (0, 1):
+                break
+        edges |= {(a, z), (b, z)}
+    edges |= set(extra) - edges
+    return f"{n} {len(edges)} 0 1\n" + "".join(f"{a} {b}\n" for a, b in sorted(edges))
+
+
+@pytest.mark.parametrize("n", [18, 200])
+def test_check_uv_sparse_long_chain(tmp_path, capsys, n):
+    # at 18 vertices a search recursing once per candidate set overflowed
+    # the interpreter's stack; the two pebble games do not recurse
+    path = tmp_path / "chain.graph"
+    path.write_text(_zero_extended_text(n))
+    rc, out, err = run(capsys, "check-uv-sparse", str(path))
+    assert (rc, out, err) == (0, "uv-sparse: yes\n", "")
+
+
+def test_cover_bound_200_vertices(tmp_path, capsys):
+    # a K6 on vertices 100..105 makes the pebble game reject edges
+    block = [(a, b) for a in range(100, 106) for b in range(a + 1, 106)]
+    text = _zero_extended_text(200, block)
+    path = tmp_path / "block.graph"
+    path.write_text(text)
+    g = parse_graph(text)
+    rc, out, _ = run(capsys, "cover-bound", str(path), "--json")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["value"] == pebble_rank(g) < g.m
+    cover = [set(y) for y in res["cover"]]
+    assert all(any(a in y and b in y for y in cover) for a, b in g.edges)
+    assert res["value"] == sum(1 if len(y) == 2 else 2 * len(y) - 2 for y in cover)
+
+
+def test_main_builds_the_parser_once(files, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for name in ("k4.graph", "k23.graph", "two_k4.graph"):
+            assert run(capsys, "check-sparse", files[name])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_repeated_norm_option_parses_afresh(files, capsys):
+    # --norm appends: a reused parser must start each parse from an empty
+    # list, or the second call would see two norms and refuse
+    argv = ("rank", files["k4.graph"], "--norm", "lp:3", "--json")
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv) == first
 
 
 def test_check_sparse(files, capsys):

@@ -69,6 +69,23 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
         assert res.witness == (res.reaches[0] if res.reaches else None)
 
 
+@pytest.mark.parametrize("kl", [(2, 2), (2, 3)])
+def test_pebble_game_on_multigraphs_equals_greedy_oracle(kl, small_graphs):
+    # the uv check plays the game on a multigraph: each copy of a repeated
+    # edge is offered on its own, and the oracle counts every copy
+    k, l = kl
+    rng = np.random.default_rng(8)
+    for g in small_graphs:
+        edges = sorted(g.sorted_edges() * 2)
+        edges = [e for e in edges if rng.random() < 0.6]
+        rank, accepted, reaches = _kernels.pebble_game(
+            g.n, [a for a, _ in edges], [b for _, b in edges], k, l
+        )
+        kept = [e for e, a in zip(edges, accepted) if a]
+        assert (kept, reaches) == _greedy_oracle(g.n, edges, k, l), (g.n, edges)
+        assert rank == len(kept)
+
+
 def _score(edge_masks, val_terms, s):
     chosen = [i for i in range(len(edge_masks)) if (s >> i) & 1]
     union = 0
@@ -93,7 +110,7 @@ def test_family_best_matches_subset_scan():
 
 # each _kernels function and the one function in src/normrig that calls it
 ADAPTERS = {
-    "pebble_game": ("sparsity", "pebble_game"),
+    "pebble_game": ("sparsity", "_pebble_edges"),
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
 }

@@ -2,7 +2,9 @@
 
 The brute-force checker is the oracle here: the reduced checker must agree
 with it on every small instance, and every negative verdict must ship a
-witness whose counts actually violate the bound.
+witness whose counts actually violate the bound.  A disjoint-packing
+search over connected vertex subsets is a second, exponential oracle for
+the family condition and the cover bound, on graphs of up to ten vertices.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from normrig.enumeration import enumerate_graphs, random_graph
+from normrig.enumeration import edge_slots, enumerate_graphs, random_graph
 from normrig.graph import Graph, delete_edge, zero_extension
 from normrig.sparsity import (
     BRUTEFORCE_MAX_N,
@@ -259,6 +261,130 @@ def test_uv_rigid_comb_pinned(two_k4, k23, k4_minus_uv):
     assert is_uv_rigid_comb(two_k4)
     assert not is_uv_rigid_comb(k23)
     assert not is_uv_rigid_comb(k4_minus_uv)  # independent but too few edges
+
+
+# ------------------------------------------------------ packing oracles
+
+
+def _connected_subsets(g: Graph, verts) -> list[frozenset[int]]:
+    """Subsets of verts that induce a connected subgraph of g, by size and
+    then by sorted members."""
+    inside = set(verts)
+    level = {frozenset((x,)) for x in inside}
+    out = set(level)
+    while level:
+        level = {
+            s | {y}
+            for s in level
+            for x in s
+            for y in g.neighbors(x)
+            if y in inside and y not in s
+        }
+        out |= level
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def _max_disjoint_packing(g: Graph, verts, weight):
+    """Max total weight over pairwise-disjoint connected subsets of verts of
+    positive weight, with the first packing found that attains it.
+
+    Depth-first branch and bound over the candidates in order, each one
+    taken before it is skipped; a branch is cut when even all remaining
+    candidates could not beat the best total.
+    """
+    cands = [(c, w) for c in _connected_subsets(g, verts) if (w := weight(c)) > 0]
+    suffix = list(itertools.accumulate((w for _, w in reversed(cands)), initial=0))[::-1]
+    best, best_sets = 0, ()
+    stack = [(0, frozenset(), 0, ())]
+    while stack:
+        idx, used, total, chosen = stack.pop()
+        if total > best:
+            best, best_sets = total, chosen
+        if idx == len(cands) or total + suffix[idx] <= best:
+            continue
+        s, w = cands[idx]
+        stack.append((idx + 1, used, total, chosen))
+        if not s & used:
+            stack.append((idx + 1, used | s, total + w, chosen + (s,)))
+    return best, best_sets
+
+
+def _packing_uv_sparse(g: Graph):
+    """uv-sparsity with the family condition decided by packing: some
+    maximising family has disjoint parts, connected in G - u - v, and a
+    violating family exists iff a packing of parts C gains
+    i({u,v} + C) - val({u,v} + C) + 2 >= 3 in total.  Returns the verdict
+    and the packing's family witness (None unless the family condition
+    alone fails)."""
+    u, v = g.designated_pair
+    if g.has_edge(u, v) or not is_kl_sparse(g):
+        return False, None
+
+    def gain(c):
+        x = c | {u, v}
+        return _induced_edges(g, x) - (val_set(x, u, v) - 2)
+
+    total, parts = _max_disjoint_packing(g, [x for x in g.vertices if x not in (u, v)], gain)
+    if total < 3:
+        return True, None
+    return False, tuple(sorted((p | {u, v} for p in parts), key=sorted))
+
+
+def _packing_cover_value(g: Graph) -> int:
+    """|E| minus the best packing of disjoint connected sets Y, |Y| >= 4,
+    weighted by their excess i(Y) - (2|Y| - 2)."""
+
+    def excess(c):
+        return _induced_edges(g, c) - (2 * len(c) - 2) if len(c) >= 4 else 0
+
+    return g.m - _max_disjoint_packing(g, g.vertices, excess)[0]
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """Every pair class on at most 6 vertices, and 160 seeded random graphs
+    on 8 to 10 vertices.  Each random graph is the (2,2)-sparse basis of a
+    random graph, so the family condition decides it, grown by a
+    0-extension: on the pair for half of them, which gives the pair a
+    common neighbour, and on two other vertices for the rest."""
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n, pair=True)]
+    rng = np.random.default_rng(41)
+    for i in range(160):
+        n = int(rng.integers(7, 10))
+        slots = [e for e in edge_slots(n) if e != (0, 1)]
+        chosen = rng.choice(len(slots), size=int(rng.integers(n, 3 * n)), replace=False)
+        base = pebble_game(Graph.from_edges(range(n), [slots[j] for j in chosen])).accepted
+        a, b = (0, 1) if i % 2 else sorted(int(x) for x in rng.choice(range(2, n), 2, replace=False))
+        graphs.append(Graph.from_edges(range(n + 1), [*base, (a, n), (b, n)], (0, 1)))
+    return graphs
+
+
+def test_reduced_matches_packing_oracle(oracle_graphs):
+    families = differ = 0
+    for g in oracle_graphs:
+        verdict = is_uv_sparse(g)
+        sparse, packed = _packing_uv_sparse(g)
+        assert verdict.sparse == sparse, (g.n, g.edges)
+        if verdict.sparse or verdict.witness.kind != "family":
+            continue
+        u, v = g.designated_pair
+        assert all({u, v} <= s and len(s) >= 3 for s in verdict.witness.sets)
+        _check_witness(g, verdict)
+        families += 1
+        differ += verdict.witness.sets != packed
+    # The witnesses differ exactly where the pair has four or more common
+    # neighbours: the packing takes every triple {c, u, v}, the two games
+    # the three smallest.
+    assert (families, differ) == (121, 55)
+
+
+def test_cover_matches_packing_oracle(oracle_graphs):
+    for g in oracle_graphs:
+        bound = cover_rank_bound(g)
+        assert bound.value == _packing_cover_value(g) == pebble_rank(g), (g.n, g.edges)
+        for a, b in g.edges:
+            assert any(a in Y and b in Y for Y in bound.cover)
+        assert bound.value == sum(min(_induced_edges(g, Y), 2 * len(Y) - 2) for Y in bound.cover)
 
 
 # ---------------------------------------------------------------- cover bound
