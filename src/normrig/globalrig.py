@@ -13,11 +13,13 @@ certified for every split:
   single edge), a stronger condition convenient for whole sequences.
 
 Redundant rigidity of G' implies the minus-pair condition, since uv is
-an edge of G'.  It is decided by one pebble game per split, not one per
-edge: an edge can be deleted without losing rigidity exactly when it
-lies in a circuit, and the game's rejections expose those circuits.
-Global rigidity itself is not decided here — only the side conditions
-of each construction step are checked.
+an edge of G', so it is tested only where that condition holds.  It is
+decided by one pebble game per split, not one per edge: an edge can be
+deleted without losing rigidity exactly when it lies in a circuit, and
+the game's rejections expose those circuits.  Global rigidity itself is
+not decided here — only the side conditions of each step are checked,
+by one routine that both certify_sequence and random_certified_graph
+run on every step, so a generated sequence's report is that routine's.
 
 Sequence files are line oriented::
 
@@ -34,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import get_args
 
+import numpy as np
+
 from .graph import (
     AddEdge,
     AddVertexWithNeighbors,
@@ -46,6 +50,7 @@ from .graph import (
     numbered_lines,
 )
 from .norms import LpPlane
+from .rigidity import uv_generic_rank
 from .sparsity import SparsityError, is_rigid_comb, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
@@ -149,9 +154,41 @@ class CertificateReport:
     pass_minus_pair_regime: bool
     pass_redundant_regime: bool
 
-    @property
-    def certified(self) -> bool:
-        return self.pass_minus_pair_regime
+
+def _check_step(
+    g: Graph, index: int, step: ConstructionStep, numeric: bool = False,
+    plane: LpPlane | None = None, trials: int = 10, seed: int | None = None,
+) -> tuple[Graph, StepVerdict]:
+    """The graph after one step (g if it fails to apply) and its verdict.
+
+    Redundant rigidity implies the minus-pair condition, so it is tested
+    only where that condition holds.
+    """
+    try:
+        if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
+            raise GraphError("vertex additions need at least 3 distinct neighbors")
+        nxt = apply_step(g, step)
+    except GraphError as exc:
+        return g, StepVerdict(index, step, False, str(exc), None, None)
+    minus_ok = red_ok = num_ok = None
+    if isinstance(step, GeneralizedVertexSplit):
+        minus_ok = is_rigid_comb(delete_edge(nxt, step.u, step.v))
+        red_ok = minus_ok and is_redundantly_rigid_comb(nxt)
+        if numeric:
+            num_ok = uv_generic_rank(nxt, plane, trials=trials, seed=seed).rigid
+    return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
+
+
+def _report(seq: ConstructionSequence, verdicts: list[StepVerdict], g: Graph) -> CertificateReport:
+    """The report on seq from its checked steps' verdicts, ending at graph g."""
+    aborted_at = next((v.index for v in verdicts if not v.applied), None)
+    splits = [v for v in verdicts if isinstance(v.step, GeneralizedVertexSplit) and v.applied]
+    ok = aborted_at is None
+    return CertificateReport(
+        seq, tuple(verdicts), g, aborted_at,
+        pass_minus_pair_regime=ok and all(v.minus_pair_rigid for v in splits),
+        pass_redundant_regime=ok and all(v.redundantly_rigid for v in splits),
+    )
 
 
 def certify_sequence(
@@ -170,40 +207,12 @@ def certify_sequence(
     """
     g = base_graph(seq.base)
     verdicts: list[StepVerdict] = []
-    aborted_at = None
     for i, step in enumerate(seq.steps):
-        try:
-            if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
-                raise GraphError("vertex additions need at least 3 distinct neighbors")
-            nxt = apply_step(g, step)
-        except GraphError as exc:
-            verdicts.append(StepVerdict(i, step, False, str(exc), None, None))
-            aborted_at = i
+        g, verdict = _check_step(g, i, step, numeric, plane, trials, seed)
+        verdicts.append(verdict)
+        if not verdict.applied:
             break
-        minus_ok = red_ok = num_ok = None
-        if isinstance(step, GeneralizedVertexSplit):
-            minus_ok = is_rigid_comb(delete_edge(nxt, step.u, step.v))
-            red_ok = is_redundantly_rigid_comb(nxt)
-            if numeric:
-                from .rigidity import uv_generic_rank
-
-                num_ok = uv_generic_rank(
-                    nxt, plane, trials=trials, seed=seed
-                ).rigid
-        verdicts.append(
-            StepVerdict(i, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
-        )
-        g = nxt
-    splits = [v for v in verdicts if isinstance(v.step, GeneralizedVertexSplit) and v.applied]
-    ok = aborted_at is None
-    return CertificateReport(
-        sequence=seq,
-        steps=tuple(verdicts),
-        final_graph=g,
-        aborted_at=aborted_at,
-        pass_minus_pair_regime=ok and all(v.minus_pair_rigid for v in splits),
-        pass_redundant_regime=ok and all(v.redundantly_rigid for v in splits),
-    )
+    return _report(seq, verdicts, g)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +236,19 @@ def format_sequence(seq: ConstructionSequence) -> str:
     return "\n".join([f"base {seq.base}"] + [format_step(s) for s in seq.steps]) + "\n"
 
 
-def _ints(text: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError:
-        raise SequenceError(f"non-integer token in {text!r}", lineno) from None
-
-
 def parse_step(body: str, lineno: int | None = None) -> ConstructionStep:
     """One step line: 'addedge a b', 'addvertex z: ...' or 'split ...'."""
-    kind, _, rest = body.strip().partition(" ")
+    body = body.strip()
+    kind, _, rest = body.partition(" ")
+
+    def ints(text: str) -> list[int]:
+        try:
+            return [int(tok) for tok in text.split()]
+        except ValueError:
+            raise SequenceError(f"non-integer token in {body!r}", lineno) from None
+
     if kind == "addedge":
-        nums = _ints(rest, lineno)
+        nums = ints(rest)
         if len(nums) != 2:
             raise SequenceError("addedge takes exactly two vertices", lineno)
         return AddEdge(*nums)
@@ -246,10 +256,10 @@ def parse_step(body: str, lineno: int | None = None) -> ConstructionStep:
         head, colon, tail = rest.partition(":")
         if not colon:
             raise SequenceError("addvertex needs 'z: n1 n2 ...'", lineno)
-        zs = _ints(head, lineno)
+        zs = ints(head)
         if len(zs) != 1:
             raise SequenceError("addvertex needs a single vertex id", lineno)
-        return AddVertexWithNeighbors(zs[0], tuple(_ints(tail, lineno)))
+        return AddVertexWithNeighbors(zs[0], tuple(ints(tail)))
     if kind == "split":
         head, arrow, tail = rest.partition("->")
         if not arrow:
@@ -257,18 +267,13 @@ def parse_step(body: str, lineno: int | None = None) -> ConstructionStep:
         fields = head.split("|")
         if len(fields) != 4:
             raise SequenceError("split needs 'z | Nu | Nv | w -> u v'", lineno)
-        zs = _ints(fields[0], lineno)
+        zs = ints(fields[0])
         if len(zs) != 1:
             raise SequenceError("split needs a single vertex id", lineno)
-        n_u = tuple(_ints(fields[1], lineno))
-        n_v = tuple(_ints(fields[2], lineno))
-        wlist = _ints(fields[3], lineno)
-        uv = _ints(tail, lineno)
+        n_u, n_v, wlist, uv = (ints(text) for text in (*fields[1:], tail))
         if len(wlist) != 1 or len(uv) != 2:
-            raise SequenceError(
-                "split needs one w before '->' and two vertices after", lineno
-            )
-        return GeneralizedVertexSplit(zs[0], n_u, n_v, wlist[0], uv[0], uv[1])
+            raise SequenceError("split needs one w before '->' and two vertices after", lineno)
+        return GeneralizedVertexSplit(zs[0], tuple(n_u), tuple(n_v), wlist[0], *uv)
     raise SequenceError(f"unknown step kind {kind!r}", lineno)
 
 
@@ -303,17 +308,18 @@ def random_certified_graph(
 
     Each growth round optionally adds a random absent edge, then either
     a generalized vertex split (retried with fresh parameters until its
-    minus-pair check passes) or a random degree-3 vertex addition.  The
-    returned report always passes the minus-pair regime; exhausting the
-    retry budget raises GenerationError carrying the partial sequence.
+    minus-pair check passes) or a random degree-3 vertex addition.  Each
+    proposed step gets certify_sequence's step check, and the report is
+    built from the kept steps' verdicts, so it is certify_sequence's
+    report on the returned sequence and passes the minus-pair regime.
+    Exhausting the retry budget raises GenerationError with the partial
+    sequence.
     """
-    import numpy as np
-
     g = base_graph(base)
     if target_size < g.n:
         raise GraphError(f"target size {target_size} below base size {g.n}")
     rng = np.random.default_rng([seed, 0xC0])
-    steps: list[ConstructionStep] = []
+    verdicts: list[StepVerdict] = []
 
     def fresh(k: int) -> list[int]:
         top = max(g.vertices) + 1
@@ -329,12 +335,10 @@ def random_certified_graph(
                 if not g.has_edge(a, b)
             ]
             a, b = absent[int(rng.integers(n_absent))]
-            step: ConstructionStep = AddEdge(a, b)
-            g = apply_step(g, step)
-            steps.append(step)
+            g, verdict = _check_step(g, len(verdicts), AddEdge(a, b))
+            verdicts.append(verdict)
             continue
         if rng.random() < split_prob:
-            placed = False
             for _ in range(retries_per_step):
                 z = int(rng.choice(g.vertices))
                 nbrs = list(g.neighbors(z))
@@ -347,28 +351,24 @@ def random_certified_graph(
                 w = int(rng.choice(pool))
                 u, v = fresh(2)
                 step = GeneralizedVertexSplit(z, n_u, n_v, w, u, v)
-                nxt = apply_step(g, step)
-                if is_rigid_comb(delete_edge(nxt, u, v)):
+                nxt, verdict = _check_step(g, len(verdicts), step)
+                if verdict.minus_pair_rigid:
                     g = nxt
-                    steps.append(step)
-                    placed = True
+                    verdicts.append(verdict)
                     break
-            if not placed:
-                partial = ConstructionSequence(base, tuple(steps))
+            else:
                 raise GenerationError(
                     f"no certifiable split found in {retries_per_step} tries "
                     f"at {g.n} vertices",
-                    partial,
+                    ConstructionSequence(base, tuple(v.step for v in verdicts)),
                     g,
                 )
         else:
             z = fresh(1)[0]
             nbrs = rng.choice(g.vertices, size=3, replace=False)
             step = AddVertexWithNeighbors(z, tuple(int(x) for x in sorted(nbrs)))
-            g = apply_step(g, step)
-            steps.append(step)
+            g, verdict = _check_step(g, len(verdicts), step)
+            verdicts.append(verdict)
 
-    seq = ConstructionSequence(base, tuple(steps))
-    report = certify_sequence(seq)
-    assert report.pass_minus_pair_regime  # every split was gated on this
-    return g, seq, report
+    seq = ConstructionSequence(base, tuple(v.step for v in verdicts))
+    return g, seq, _report(seq, verdicts, g)

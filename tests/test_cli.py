@@ -250,6 +250,9 @@ def test_op_split_supersedes_pair(files, capsys):
 
 
 @pytest.mark.parametrize("line", [
+    "addedge 2 x",
+    "addvertex 5: 0 x",
+    "split 2 | 0 | 1 | x -> 7 8",
     "deledge 0 x",
     "delvertex y",
     "zeroext 0 1 q",

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
+from normrig import globalrig
 from normrig.globalrig import (
     BASE_TAGS,
     CertificateReport,
@@ -139,7 +140,6 @@ def test_reference_sequences_certify(text):
     assert report.aborted_at is None
     assert report.pass_minus_pair_regime
     assert report.pass_redundant_regime
-    assert report.certified
     assert (report.final_graph.n, report.final_graph.m) == (7, 13)
     for sv in report.steps:
         assert sv.applied
@@ -176,6 +176,19 @@ def test_vertex_addition_needs_three_neighbors():
     assert "neighbor" in report.steps[0].error
 
 
+def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
+    def refuse(g):
+        raise AssertionError("redundancy tested although G' - uv is flexible")
+
+    monkeypatch.setattr(globalrig, "is_redundantly_rigid_comb", refuse)
+    seq = ConstructionSequence(
+        "K5_MINUS_E",
+        (GeneralizedVertexSplit(3, (), (0, 1, 2), 0, 5, 6),),
+    )
+    (sv,) = certify_sequence(seq).steps
+    assert (sv.minus_pair_rigid, sv.redundantly_rigid) == (False, False)
+
+
 def test_split_without_regimes_fails_cleanly():
     # an empty n_u side leaves u with degree 2, so G' - uv loses rigidity:
     # the step applies but certification fails under both regimes
@@ -200,7 +213,7 @@ def test_sequence_round_trip():
     empty = ConstructionSequence("K5_MINUS_E", ())
     assert parse_sequence(format_sequence(empty)) == empty
     rep = certify_sequence(empty)
-    assert rep.certified and rep.final_graph == base_graph("K5_MINUS_E")
+    assert rep.pass_minus_pair_regime and rep.final_graph == base_graph("K5_MINUS_E")
 
 
 def test_format_step_grammar():
@@ -251,6 +264,36 @@ def test_random_certified_graph_trivial_target():
     g, seq, _ = random_certified_graph(6, seed=0, base="H_GRAPH")
     assert seq.steps == ()
     assert g == base_graph("H_GRAPH")
+
+
+GENERATOR_SETTINGS = {
+    "default": {},
+    "split-only": {"split_prob": 1.0, "edge_prob": 0.0},
+    "h-base": {"base": "H_GRAPH"},
+}
+
+
+@pytest.mark.parametrize("setting", GENERATOR_SETTINGS)
+@pytest.mark.parametrize("size", [8, 16, 40])
+def test_generator_report_is_certifiers(size, setting):
+    for seed in range(10):
+        g, seq, report = random_certified_graph(size, seed, **GENERATOR_SETTINGS[setting])
+        assert report == certify_sequence(seq)
+        assert report.final_graph == g
+
+
+def test_generator_applies_each_step_once(monkeypatch):
+    seen = []  # the step objects themselves, so no id is reused while held
+
+    def recording_apply_step(g, step):
+        seen.append(step)
+        return apply_step(g, step)
+
+    monkeypatch.setattr(globalrig, "apply_step", recording_apply_step)
+    for seed in range(4):
+        seen.clear()
+        _, seq, _ = random_certified_graph(16, seed, split_prob=1.0, edge_prob=0.0)
+        assert len({id(step) for step in seen}) == len(seen) >= len(seq.steps)
 
 
 def test_generation_error_carries_partial():
