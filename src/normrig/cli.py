@@ -66,7 +66,7 @@ from .rigidity import (
 )
 from .sparsity import (
     SparsityError,
-    is_rigid_comb,
+    delete_contract,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
     cover_rank_bound,
@@ -205,10 +205,7 @@ def _cmd_cover_bound(args) -> int:
 
 
 def _cmd_uv_rigid_comb(args) -> int:
-    g = _load_graph(args.graph)
-    u, v = g.require_pair()
-    minus = is_rigid_comb(delete_edge(g, u, v) if g.has_edge(u, v) else g)
-    contracted = is_rigid_comb(contract_pair(g))
+    minus, contracted = delete_contract(_load_graph(args.graph))
     lines = [
         f"uv-rigid-comb: {_yesno(minus and contracted)}",
         f"rigid-minus-pair: {_yesno(minus)}",
@@ -299,6 +296,8 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.numeric and args.tol is not None:
+        raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
     with open(args.sequence, "r", encoding="ascii") as fh:
         seq = parse_sequence(fh.read())
     plane = _single_norm(args)
@@ -389,6 +388,8 @@ _EXPERIMENT_RUNS = {
 
 
 def _cmd_experiment(args) -> int:
+    if args.tol is not None:
+        raise RigidityError("--tol: experiment always uses the default tolerance")
     rep = _EXPERIMENT_RUNS[args.name](args)
     text = format_report(rep, verbose=args.verbose)
     if args.out:

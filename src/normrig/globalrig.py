@@ -328,13 +328,13 @@ def random_certified_graph(
     while g.n < target_size:
         n_absent = g.n * (g.n - 1) // 2 - g.m
         if n_absent and rng.random() < edge_prob:
-            absent = [
-                (a, b)
-                for i, a in enumerate(g.vertices)
-                for b in g.vertices[i + 1 :]
-                if not g.has_edge(a, b)
-            ]
-            a, b = absent[int(rng.integers(n_absent))]
+            k = int(rng.integers(n_absent))  # the k-th absent pair, row-major
+            for i, a in enumerate(g.vertices):  # skip rows by their absent counts
+                row = g.n - 1 - i - sum(1 for x in g.neighbors(a) if x > a)
+                if k < row:
+                    break
+                k -= row
+            b = [x for x in g.vertices[i + 1 :] if not g.has_edge(a, x)][k]
             g, verdict = _check_step(g, len(verdicts), AddEdge(a, b))
             verdicts.append(verdict)
             continue

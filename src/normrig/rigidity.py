@@ -91,11 +91,10 @@ def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, a_idx, b_idx) -> np.nd
     mat = np.zeros((trials, m, n, 2))
     if m:
         diffs = (pts[:, a_idx] - pts[:, b_idx]).reshape(-1, 2)
-        lengths = plane.norm_batch(diffs).reshape(trials, m)
-        zero = lengths == 0.0
+        zero = ~diffs.any(axis=1).reshape(trials, m)  # zero length iff zero vector
         if zero.any():
             t = int(np.argmax(zero.any(axis=1)))
-            a, b = edges[int(np.argmin(lengths[t]))]
+            a, b = edges[int(np.argmax(zero[t]))]
             raise RigidityError(f"edge {a}-{b} joins two coincident points")
         phis = plane.support_batch(diffs).reshape(trials, m, 2)
         rows = np.arange(m)

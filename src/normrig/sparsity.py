@@ -22,9 +22,12 @@ and family (exponential, guarded), and a reduced one that plays two
 pebble games.  By the main theorem the uv-sparse edge sets are the
 independent sets of a count matroid, so both conditions are counts: the
 subsets' is (2,2)-sparsity without the pair edge, and the families' is
-(2,2)-sparsity of one auxiliary multigraph (see is_uv_sparse).  The
-cover bound is the (2,2) pebble rank, with a cover read off the same
-game's reach sets.
+(2,2)-sparsity of one auxiliary multigraph (see is_uv_sparse).  Both
+checkers build their witnesses through one function, each choosing the
+sets it reports.  The other characterisation, delete-contract (G - uv
+and G/uv both rigid), is the one routine delete_contract behind
+is_uv_rigid_comb and the uv-rigid-comb command.  The cover bound is the
+(2,2) pebble rank, with a cover read off the same game's reach sets.
 """
 
 from __future__ import annotations
@@ -221,51 +224,42 @@ def _candidate_arrays(g: Graph, u: int, v: int):
     return parts, masks, terms
 
 
+def _violation(g: Graph, kind: str, sets: Sequence[frozenset[int]] = ()) -> UvSparseVerdict:
+    """The failed verdict whose kind witness reports sets (the pair for a pair edge).
+
+    A pair edge is the subset {u, v}, which induces 1 edge against val 0.
+    """
+    u, v = g.require_pair()
+    sets = (frozenset((u, v)),) if kind == "pair-edge" else tuple(sets)
+    value = val_family(sets, u, v) if kind == "family" else val_set(sets[0], u, v)
+    w = UvWitness(kind, sets, covered_edge_count(g, sets), value)
+    return UvSparseVerdict(False, w)
+
+
 def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     """Check uv-sparsity straight from the definition.
 
     Every subset is scanned, and the family search covers all
     2**(2**(n-2) - 1) families of candidate sets, so the guard keeps
-    n <= BRUTEFORCE_MAX_N.  A family witness is the smallest maximising
-    family in candidate order (ascending masks over V - {u, v}).
+    n <= BRUTEFORCE_MAX_N.  A subset wins ties with a family.  A family
+    witness is the smallest maximising family in candidate order
+    (ascending masks over V - {u, v}).
     """
     u, v = g.require_pair()
     if g.n > BRUTEFORCE_MAX_N:
         raise SparsityError(f"brute force limited to {BRUTEFORCE_MAX_N} vertices")
     if g.has_edge(u, v):
-        w = UvWitness("pair-edge", (frozenset((u, v)),), 1, 0)
-        return UvSparseVerdict(False, w)
+        return _violation(g, "pair-edge")
 
     sub_def, sub_set = _subset_scan(g, u, v)
-
     parts, masks, terms = _candidate_arrays(g, u, v)
-    fam_def, fam_sets = 0, None
-    if parts:
-        best, chosen = _kernels.family_best(masks, terms)
-        if best > fam_def:
-            fam_def = best
-            fam_sets = tuple(
-                frozenset(parts[i]) | {u, v}
-                for i in range(len(parts))
-                if (chosen >> i) & 1
-            )
+    fam_def, chosen = _kernels.family_best(masks, terms) if parts else (0, 0)
 
     if sub_def >= 1 and sub_def >= fam_def:
-        w = UvWitness(
-            "subset",
-            (sub_set,),
-            induced_edge_count(g, sub_set),
-            val_set(sub_set, u, v),
-        )
-        return UvSparseVerdict(False, w)
+        return _violation(g, "subset", (sub_set,))
     if fam_def >= 1:
-        w = UvWitness(
-            "family",
-            fam_sets,
-            covered_edge_count(g, fam_sets),
-            val_family(fam_sets, u, v),
-        )
-        return UvSparseVerdict(False, w)
+        fam = [frozenset(c) | {u, v} for i, c in enumerate(parts) if (chosen >> i) & 1]
+        return _violation(g, "family", fam)
     return UvSparseVerdict(True, None)
 
 
@@ -282,21 +276,18 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     a (2,2)-count on G' = G - {cu : c in T} plus |T| parallel copies of
     uv, which the second game settles.
 
-    The family witness is the triples {c, u, v} of the three smallest
-    common neighbours when |T| >= 3, and otherwise the first reach set
-    R of the second game (it holds u and v) plus the triples with c
-    outside R.
+    The subset witness is the first game's first reach set.  The family
+    witness is the triples {c, u, v} of the three smallest common
+    neighbours when |T| >= 3, and otherwise the first reach set R of
+    the second game (it holds u and v) plus the triples with c outside R.
     """
     u, v = g.require_pair()
     if g.has_edge(u, v):
-        w = UvWitness("pair-edge", (frozenset((u, v)),), 1, 0)
-        return UvSparseVerdict(False, w)
+        return _violation(g, "pair-edge")
 
     res = pebble_game(g, 2, 2)
     if res.rank < g.m:
-        s = res.witness
-        w = UvWitness("subset", (s,), induced_edge_count(g, s), val_set(s, u, v))
-        return UvSparseVerdict(False, w)
+        return _violation(g, "subset", (res.witness,))
 
     common = sorted(set(g.neighbors(u)) & set(g.neighbors(v)))
     if len(common) >= 3:
@@ -312,20 +303,23 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
             return UvSparseVerdict(True, None)
         r = reaches[0]
         fam = (r,) + tuple(frozenset((c, u, v)) for c in common if c not in r)
-    fam = tuple(sorted(fam, key=sorted))
-    w = UvWitness("family", fam, covered_edge_count(g, fam), val_family(fam, u, v))
-    return UvSparseVerdict(False, w)
+    return _violation(g, "family", sorted(fam, key=sorted))
 
 
 def is_uv_tight(g: Graph) -> bool:
     return g.m == 2 * g.n - 2 and is_uv_sparse(g).sparse
 
 
-def is_uv_rigid_comb(g: Graph) -> bool:
-    """Delete-contract test: G - uv and G/uv both combinatorially rigid."""
+def delete_contract(g: Graph) -> tuple[bool, bool]:
+    """Whether G - uv and G/uv are combinatorially rigid, in that order."""
     u, v = g.require_pair()
     minus = delete_edge(g, u, v) if g.has_edge(u, v) else g
-    return is_rigid_comb(minus) and is_rigid_comb(contract_pair(g))
+    return is_rigid_comb(minus), is_rigid_comb(contract_pair(g))
+
+
+def is_uv_rigid_comb(g: Graph) -> bool:
+    """Delete-contract test: G - uv and G/uv both combinatorially rigid."""
+    return all(delete_contract(g))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import normrig
-from normrig import __version__, cli
+from normrig import __version__, cli, globalrig
 from normrig.cli import main
 from normrig.graph import format_graph, parse_graph
 from normrig.sparsity import pebble_rank
@@ -175,6 +175,32 @@ def test_bad_tolerance_exit_1(files, capsys, cmd, tol):
     assert err.startswith("error: tolerance must be finite and non-negative")
 
 
+def test_tol_changes_the_rank(files, capsys):
+    rc, out, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--tol", "0.5")
+    assert rc == 0 and out.splitlines()[0] == "rank: 0"
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["experiment", "rigidity", "--max-n", "4", "--seed", "1"], "experiment"),
+    (["certify-global", "left.seq", "--numeric"], "certify-global --numeric"),
+])
+def test_tol_rejected_where_unused(files, capsys, monkeypatch, argv, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --tol was rejected")
+
+    monkeypatch.setattr(cli, "rigidity_sweep", no_work)
+    monkeypatch.setattr(cli, "parse_sequence", no_work)
+    argv = [files.get(a, a) for a in argv]
+    rc, out, err = run(capsys, *argv, "--tol", "0.9")
+    assert (rc, out) == (1, "")
+    assert err == f"error: --tol: {where} always uses the default tolerance\n"
+
+
+def test_certify_global_without_numeric_ignores_tol(files, capsys):
+    rc, out, _ = run(capsys, "certify-global", files["left.seq"], "--tol", "0.9")
+    assert rc == 0 and "pass-redundant-regime: yes" in out
+
+
 def test_parallel_edge_exit_1(files, capsys):
     rc, _, err = run(capsys, "check-uv-sparse", files["dup.graph"])
     assert rc == 1
@@ -266,6 +292,37 @@ def test_op_non_integer_operand_exit_1(files, capsys, line):
     assert (rc, out, err) == (1, "", f"error: non-integer token in {line!r}\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("deledge 1", "deledge takes exactly two vertices"),
+    ("fourcycle 2 6 0", "fourcycle takes 'w wnew x1 x2 [y>t ...]'"),
+    ("fourcycle 2 6 0 1 3-2", "reassignment entries look like 'y>t', got '3-2'"),
+    ("fourcycle 2 6 0 1 3>x", "non-integer in reassignment entry '3>x'"),
+    ("vertex2h 2", "vertex2h takes 'w H-file [y>t ...]'"),
+    ("contractpair 1", "contractpair takes no or two vertices"),
+    ("frob 1", "unknown operation 'frob'"),
+])
+def test_op_usage_exit_1(files, capsys, line, message):
+    rc, out, err = run(capsys, "op", "apply", files["k23.graph"], line)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("addedge 1", "addedge takes exactly two vertices"),
+    ("addvertex 5 0 1 2", "addvertex needs 'z: n1 n2 ...'"),
+    ("addvertex 5 6: 0 1 2", "addvertex needs a single vertex id"),
+    ("split 2 | 0 | 1 -> 7 8", "split needs 'z | Nu | Nv | w -> u v'"),
+    ("split 2 | 0 | 1 | 3 7 8", "split needs '-> u v'"),
+    ("split 2 3 | 0 | 1 | 3 -> 7 8", "split needs a single vertex id"),
+    ("split 2 | 0 | 1 | 3 -> 7", "split needs one w before '->' and two vertices after"),
+    ("frob 1", "unknown step kind 'frob'"),
+])
+def test_sequence_line_error_exit_1(capsys, tmp_path, line, message):
+    path = tmp_path / "s.seq"
+    path.write_text(f"base H_GRAPH\n{line}\n")
+    rc, out, err = run(capsys, "certify-global", str(path))
+    assert (rc, out, err) == (1, "", f"error: line 2: {message}\n")
+
+
 def test_op_precondition_exit_1(files, capsys):
     rc, _, err = run(capsys, "op", "apply", files["k4.graph"], "zeroext 0 0 4")
     assert rc == 1 and "error:" in err
@@ -329,6 +386,17 @@ def test_generate_global_stdout_pinned(capsys, seed, size):
     rc, out, _ = run(capsys, "generate-global", "--size", str(size), "--seed", str(seed))
     assert rc == 0 and "addedge" in out
     assert hashlib.sha256(out.encode()).hexdigest() == GENERATE_GLOBAL_SHA256[seed, size]
+
+
+def test_generate_global_failure_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(globalrig, "is_rigid_comb", lambda g: False)
+    rc, out, err = run(capsys, "generate-global", "--size", "9", "--seed", "1")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: no certifiable split found in 40 tries at 6 vertices\n"
+        "partial sequence:\n"
+        "base K5_MINUS_E\naddvertex 5: 0 1 4\naddedge 2 5\n"
+    )
 
 
 def test_experiment_rerun_identical(capsys):

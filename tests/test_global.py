@@ -7,6 +7,7 @@ sequences must certify under both and end at 7 vertices, 13 edges.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -264,6 +265,24 @@ def test_random_certified_graph_trivial_target():
     g, seq, _ = random_certified_graph(6, seed=0, base="H_GRAPH")
     assert seq.steps == ()
     assert g == base_graph("H_GRAPH")
+
+
+# sha256 of the sequence text of random_certified_graph(40, seed,
+# edge_prob=0.6), captured when each edge round listed every absent pair
+DENSE_SEQUENCE_SHA256 = {
+    0: "5c75929a43f7cca7c9e7fe8ba408f0dbedff98ef4e11df3c8b6e7e51a5b7945a",
+    1: "e897c510aaf82fe55f562251fe3efb8a4674c807c975d076040d5c506a7c8f8a",
+    2: "ac82da7b2b8ebe63c2f20032f21e70ed1646b445d97ec339efd1c7794b795b79",
+    3: "d8bf4f212534cc87f5681172ad668dc66844341bc0c01af673c1578dee29ff3c",
+    4: "787f654c33d4c5c43eb0e2986d3a7a841a7482a52b63163ef624fe4798adff61",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DENSE_SEQUENCE_SHA256))
+def test_edge_draws_pinned(seed):
+    _, seq, _ = random_certified_graph(40, seed, edge_prob=0.6)
+    digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+    assert digest == DENSE_SEQUENCE_SHA256[seed]
 
 
 GENERATOR_SETTINGS = {

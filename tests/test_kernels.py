@@ -40,7 +40,8 @@ def _greedy_oracle(n, edges, k, l):
     return kept, smallest
 
 
-@pytest.mark.parametrize("kl", [(2, 2), (2, 3), (1, 1)])
+# l < k, as in (2, 1) and (1, 0), is where the second endpoint pays the pebble
+@pytest.mark.parametrize("kl", [(2, 2), (2, 3), (1, 1), (2, 1), (1, 0)])
 def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     k, l = kl
     rng = np.random.default_rng(5)

@@ -32,6 +32,17 @@ def rank_of(a, tol=DEFAULT_TOL):
     return int(rank[0])
 
 
+def test_coincident_edge_named_from_first_bad_trial():
+    path = Graph.from_edges(range(3), [(0, 1), (1, 2)])
+    pts = np.array([
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],
+        [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]],  # 1 and 2 coincide
+        [[3.0, 3.0], [3.0, 3.0], [0.0, 1.0]],  # 0 and 1 coincide, later trial
+    ])
+    with pytest.raises(RigidityError, match="^edge 1-2 joins two coincident points$"):
+        rigidity._matrix_stack(LpPlane(4), pts, *rigidity._endpoints(path))
+
+
 def test_resolve_seed(monkeypatch):
     assert resolve_seed(7) == 7
     monkeypatch.delenv("NORMRIG_SEED", raising=False)
