@@ -12,11 +12,11 @@ certified for every split:
 * redundant regime:  G' is redundantly rigid (rigid after deleting any
   single edge), a stronger condition convenient for whole sequences.
 
-Redundant rigidity of G' implies the minus-pair condition, since uv is
-an edge of G', so it is tested only where that condition holds.  It is
-decided by one pebble game per split, not one per edge: an edge can be
-deleted without losing rigidity exactly when it lies in a circuit, and
-the game's rejections expose those circuits.  Global rigidity itself is
+One pebble game on G' decides both: an edge can be deleted without
+losing rigidity exactly when it lies in a circuit, and the game's
+rejections expose the circuits.  So G' - uv is rigid when G' is rigid
+and uv is not a coloop (an edge in no circuit), and G' is redundantly
+rigid when it is rigid and has no coloop.  Global rigidity itself is
 not decided here — only the side conditions of each step are checked,
 by one routine that both certify_sequence and random_certified_graph
 run on every step, so a generated sequence's report is that routine's.
@@ -46,12 +46,11 @@ from .graph import (
     Graph,
     GraphError,
     apply_step,
-    delete_edge,
     numbered_lines,
 )
 from .norms import LpPlane
 from .rigidity import uv_generic_rank
-from .sparsity import SparsityError, is_rigid_comb, pebble_game
+from .sparsity import SparsityError, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -91,23 +90,28 @@ def base_graph(tag: str) -> Graph:
     raise SequenceError(f"unknown base tag {tag!r} (expected one of {BASE_TAGS})")
 
 
-def is_redundantly_rigid_comb(g: Graph) -> bool:
-    """Rigid, and still rigid after deleting any single edge.
-
-    One (2,2) pebble game decides it: G must be rigid and no accepted
-    edge a coloop, i.e. each lies in the fundamental circuit of some
-    rejected edge f, which is f plus the accepted edges that f's reach
-    set induces.  One vertex is rigid by convention, as in is_rigid_comb.
+def _coloops(g: Graph) -> list[tuple[int, int]] | None:
+    """G's coloops, or None if G is not rigid, from one (2,2) pebble game:
+    the accepted edges in no rejected edge f's fundamental circuit, which
+    is f plus the accepted edges that f's reach set induces.
     """
-    if g.n < 1:
-        raise SparsityError("rigidity needs at least one vertex")
     res = pebble_game(g, 2, 2)
     if res.rank < 2 * g.n - 2:
-        return False
-    loose = res.accepted
-    for reach in res.reaches:
-        loose = [(a, b) for a, b in loose if a not in reach or b not in reach]
-    return not loose
+        return None
+    reach_ids = dict.fromkeys(g.vertices, 0)  # vertex -> bitmask of reach sets
+    for i, reach in enumerate(res.reaches):
+        for x in reach:
+            reach_ids[x] |= 1 << i
+    return [(a, b) for a, b in res.accepted if not reach_ids[a] & reach_ids[b]]
+
+
+def is_redundantly_rigid_comb(g: Graph) -> bool:
+    """Rigid, and still rigid after deleting any single edge: rigid with
+    no coloop, decided by one (2,2) pebble game.  One vertex is rigid by
+    convention, as in is_rigid_comb."""
+    if g.n < 1:
+        raise SparsityError("rigidity needs at least one vertex")
+    return _coloops(g) == []
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +165,7 @@ def _check_step(
 ) -> tuple[Graph, StepVerdict]:
     """The graph after one step (g if it fails to apply) and its verdict.
 
-    Redundant rigidity implies the minus-pair condition, so it is tested
-    only where that condition holds.
+    Both regimes of a split come from the coloops of its result G'.
     """
     try:
         if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
@@ -172,8 +175,9 @@ def _check_step(
         return g, StepVerdict(index, step, False, str(exc), None, None)
     minus_ok = red_ok = num_ok = None
     if isinstance(step, GeneralizedVertexSplit):
-        minus_ok = is_rigid_comb(delete_edge(nxt, step.u, step.v))
-        red_ok = minus_ok and is_redundantly_rigid_comb(nxt)
+        coloops = _coloops(nxt)
+        minus_ok = coloops is not None and (min(step.u, step.v), max(step.u, step.v)) not in coloops
+        red_ok = minus_ok and not coloops
         if numeric:
             num_ok = uv_generic_rank(nxt, plane, trials=trials, seed=seed).rigid
     return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
@@ -321,10 +325,6 @@ def random_certified_graph(
     rng = np.random.default_rng([seed, 0xC0])
     verdicts: list[StepVerdict] = []
 
-    def fresh(k: int) -> list[int]:
-        top = max(g.vertices) + 1
-        return [top + i for i in range(k)]
-
     while g.n < target_size:
         n_absent = g.n * (g.n - 1) // 2 - g.m
         if n_absent and rng.random() < edge_prob:
@@ -349,8 +349,8 @@ def random_certified_graph(
                 if not pool:
                     continue
                 w = int(rng.choice(pool))
-                u, v = fresh(2)
-                step = GeneralizedVertexSplit(z, n_u, n_v, w, u, v)
+                u = max(g.vertices) + 1
+                step = GeneralizedVertexSplit(z, n_u, n_v, w, u, u + 1)
                 nxt, verdict = _check_step(g, len(verdicts), step)
                 if verdict.minus_pair_rigid:
                     g = nxt
@@ -364,7 +364,7 @@ def random_certified_graph(
                     g,
                 )
         else:
-            z = fresh(1)[0]
+            z = max(g.vertices) + 1
             nbrs = rng.choice(g.vertices, size=3, replace=False)
             step = AddVertexWithNeighbors(z, tuple(int(x) for x in sorted(nbrs)))
             g, verdict = _check_step(g, len(verdicts), step)

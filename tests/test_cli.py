@@ -389,7 +389,7 @@ def test_generate_global_stdout_pinned(capsys, seed, size):
 
 
 def test_generate_global_failure_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(globalrig, "is_rigid_comb", lambda g: False)
+    monkeypatch.setattr(globalrig, "_coloops", lambda g: None)  # every G' flexible
     rc, out, err = run(capsys, "generate-global", "--size", "9", "--seed", "1")
     assert (rc, out) == (1, "")
     assert err == (

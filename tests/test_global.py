@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from normrig import globalrig
+from normrig import _kernels, globalrig
 from normrig.globalrig import (
     BASE_TAGS,
     CertificateReport,
     ConstructionSequence,
     GenerationError,
     SequenceError,
+    StepVerdict,
     base_graph,
     certify_sequence,
     format_sequence,
@@ -37,7 +39,7 @@ from normrig.graph import (
     apply_step,
     delete_edge,
 )
-from normrig.sparsity import SparsityError, is_rigid_comb
+from normrig.sparsity import SparsityError, is_rigid_comb, pebble_game
 
 SEQ_SPLIT = """base H_GRAPH
 split 2 | 0 1 | 3 4 5 | 3 -> 6 7
@@ -76,6 +78,32 @@ def redundant_oracle(g: Graph) -> bool:
     return is_rigid_comb(g) and all(
         is_rigid_comb(delete_edge(g, a, b)) for a, b in g.sorted_edges()
     )
+
+
+def split_oracle(g: Graph, step: GeneralizedVertexSplit) -> tuple[bool, bool]:
+    """A split's (minus-pair, redundant) verdicts on its result g by their
+    definitions: a rigidity test on g - uv, and redundant_oracle(g)."""
+    return is_rigid_comb(delete_edge(g, step.u, step.v)), redundant_oracle(g)
+
+
+def proposed_splits(size: int, seed: int) -> list[tuple[Graph, StepVerdict]]:
+    """(G', verdict) of every split random_certified_graph(size, seed)
+    checks, kept and rejected alike."""
+    seen = []
+    check = globalrig._check_step
+
+    def recording_check(g, index, step, *args):
+        nxt, verdict = check(g, index, step, *args)
+        if isinstance(step, GeneralizedVertexSplit) and verdict.applied:
+            seen.append((nxt, verdict))
+        return nxt, verdict
+
+    globalrig._check_step = recording_check
+    try:
+        random_certified_graph(size, seed)
+    finally:
+        globalrig._check_step = check
+    return seen
 
 
 def sequence_graphs(size: int, seed: int, deletions: int) -> list[Graph]:
@@ -177,17 +205,96 @@ def test_vertex_addition_needs_three_neighbors():
     assert "neighbor" in report.steps[0].error
 
 
-def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
-    def refuse(g):
-        raise AssertionError("redundancy tested although G' - uv is flexible")
+def count_pebble_games(monkeypatch) -> list[int]:
+    """Patch the pebble game kernel to record the vertex count of each game."""
+    games = []
+    play = _kernels.pebble_game
 
-    monkeypatch.setattr(globalrig, "is_redundantly_rigid_comb", refuse)
+    def counting(n, eu, ev, k, l):
+        games.append(n)
+        return play(n, eu, ev, k, l)
+
+    monkeypatch.setattr(_kernels, "pebble_game", counting)
+    return games
+
+
+def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
+    # Both regimes come from the one game on G', even where G' - uv is flexible.
+    games = count_pebble_games(monkeypatch)
     seq = ConstructionSequence(
         "K5_MINUS_E",
         (GeneralizedVertexSplit(3, (), (0, 1, 2), 0, 5, 6),),
     )
     (sv,) = certify_sequence(seq).steps
     assert (sv.minus_pair_rigid, sv.redundantly_rigid) == (False, False)
+    assert len(games) == 1
+
+
+def test_one_pebble_game_per_applied_split(monkeypatch):
+    g, seq, _ = random_certified_graph(16, 3, edge_prob=0.6)
+    z = max(g.vertices)  # empty sides cannot partition its neighbourhood
+    seq = ConstructionSequence(seq.base, seq.steps + (GeneralizedVertexSplit(z, (), (), 0, 98, 99),))
+    games = count_pebble_games(monkeypatch)
+    report = certify_sequence(seq)
+    assert {type(sv.step) for sv in report.steps} == {
+        AddEdge, AddVertexWithNeighbors, GeneralizedVertexSplit
+    }
+    assert report.aborted_at == len(seq.steps) - 1
+    splits = [sv for sv in report.steps if isinstance(sv.step, GeneralizedVertexSplit)]
+    assert len(games) == sum(sv.applied for sv in splits) == len(splits) - 1
+
+
+# Splits of K5_MINUS_E: (steps, where uv sits in the pebble game on G',
+# expected verdicts).  The last two follow a first split that leaves vertex 5
+# on two edges, so G' has coloops other than uv.
+HAND_SPLITS = {
+    "rejected": ("split 0 | 1 | 2 3 4 | 2 -> 5 6", "rejected", (True, True)),
+    "in-reach": ("split 0 | 1 | 2 3 4 | 2 -> 0 5", "in-reach", (True, True)),
+    "in-reach-u-above-v": ("split 0 | 1 | 2 3 4 | 2 -> 5 0", "in-reach", (True, True)),
+    "coloop": ("split 0 | | 1 2 3 4 | 1 -> 5 6", "coloop", (False, False)),
+    "coloop-u-above-v": ("split 0 | | 1 2 3 4 | 1 -> 5 0", "coloop", (False, False)),
+    "flexible": ("split 3 | 0 1 2 | | 4 -> 5 6", "flexible", (False, False)),
+    "rejected-other-coloops": (
+        "split 0 | | 1 2 3 4 | 1 -> 5 6\nsplit 2 | 1 | 3 4 6 | 3 -> 7 8", "rejected", (True, False)
+    ),
+    "in-reach-other-coloops": (
+        "split 0 | | 1 2 3 4 | 1 -> 5 6\nsplit 2 | 1 | 3 4 6 | 3 -> 7 2", "in-reach", (True, False)
+    ),
+}
+
+
+def uv_branch(g: Graph, u: int, v: int) -> str:
+    """Where the pair edge uv sits in the (2,2) pebble game on g."""
+    res = pebble_game(g, 2, 2)
+    if res.rank < 2 * g.n - 2:
+        return "flexible"
+    if (min(u, v), max(u, v)) not in res.accepted:
+        return "rejected"
+    if any(u in reach and v in reach for reach in res.reaches):
+        return "in-reach"
+    return "coloop"
+
+
+@pytest.mark.parametrize("name", HAND_SPLITS)
+def test_hand_split_verdicts_equal_oracle(name):
+    text, branch, expect = HAND_SPLITS[name]
+    report = certify_sequence(parse_sequence("base K5_MINUS_E\n" + text + "\n"))
+    sv = report.steps[-1]
+    g = report.final_graph
+    assert uv_branch(g, sv.step.u, sv.step.v) == branch
+    assert (sv.minus_pair_rigid, sv.redundantly_rigid) == expect == split_oracle(g, sv.step)
+
+
+def test_proposed_split_verdicts_equal_oracle():
+    seen = set()
+    for size, seed in itertools.product((8, 12, 16), range(4)):
+        for g, sv in proposed_splits(size, seed):
+            verdict = (sv.minus_pair_rigid, sv.redundantly_rigid)
+            assert verdict == split_oracle(g, sv.step), sv
+            seen.add(verdict)
+    # The generator's graphs stay redundantly rigid, so (True, False) comes
+    # only from HAND_SPLITS.
+    assert seen == {(True, True), (False, False)}
 
 
 def test_split_without_regimes_fails_cleanly():
@@ -325,12 +432,28 @@ def test_generation_error_carries_partial():
 
 if __name__ == "__main__":
     # The full oracle set, too slow for tier-1: every prefix of 20 seeded
-    # 40-vertex sequences plus 30 single-edge deletions of each final graph.
-    # Run as `PYTHONPATH=src python3 tests/test_global.py`.
+    # 40-vertex sequences plus 30 single-edge deletions of each final graph,
+    # and every split proposed while growing those sequences, kept and
+    # rejected alike.  Run as `PYTHONPATH=src python3 tests/test_global.py`;
+    # exits 1 on any mismatch.
     graphs = [g for seed in range(20) for g in sequence_graphs(40, seed, 30)]
     verdicts = [(is_redundantly_rigid_comb(g), redundant_oracle(g)) for g in graphs]
+    mismatches = sum(fast != slow for fast, slow in verdicts)
     print(
         f"graphs {len(graphs)} "
-        f"mismatches {sum(fast != slow for fast, slow in verdicts)} "
+        f"mismatches {mismatches} "
         f"non-redundant {sum(not slow for _, slow in verdicts)}"
     )
+    splits = [
+        ((sv.minus_pair_rigid, sv.redundantly_rigid), split_oracle(g, sv.step))
+        for seed in range(20)
+        for g, sv in proposed_splits(40, seed)
+    ]
+    split_mismatches = sum(fast != slow for fast, slow in splits)
+    print(
+        f"splits {len(splits)} "
+        f"mismatches {split_mismatches} "
+        f"kept {sum(slow[0] for _, slow in splits)} "
+        f"redundant {sum(slow[1] for _, slow in splits)}"
+    )
+    sys.exit(1 if mismatches or split_mismatches else 0)
