@@ -233,7 +233,8 @@ def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
 def test_one_pebble_game_per_applied_split(monkeypatch):
     g, seq, _ = random_certified_graph(16, 3, edge_prob=0.6)
     z = max(g.vertices)  # empty sides cannot partition its neighbourhood
-    seq = ConstructionSequence(seq.base, seq.steps + (GeneralizedVertexSplit(z, (), (), 0, 98, 99),))
+    stray = GeneralizedVertexSplit(z, (), (), 0, 98, 99)
+    seq = ConstructionSequence(seq.base, seq.steps + (stray,))
     games = count_pebble_games(monkeypatch)
     report = certify_sequence(seq)
     assert {type(sv.step) for sv in report.steps} == {
