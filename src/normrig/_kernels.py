@@ -4,12 +4,12 @@ Each kernel has one adapter, which turns a graph into its input:
 pebble_game is called only by sparsity._pebble_edges (the edge-list
 adapter behind sparsity.pebble_game and the uv check), canonize_batch
 only by enumeration._class_masks, and family_best only by
-sparsity.is_uv_sparse_bruteforce.  The pebble game keeps the
-orientation as adjacency lists, so its cost follows the edges it
-searches and not n**2.  The canonizer is vectorised over numpy arrays
-of edge bitmasks.  The family search is a branch and bound over
-Python-int bitmasks; its cost follows the families it cannot rule
-out, not the 2**c families there are.
+sparsity.is_uv_sparse_bruteforce.  The pebble game works on vertex
+labels and keeps the orientation as adjacency lists, so its cost
+follows the edges it searches and not n**2.  The canonizer is
+vectorised over numpy arrays of edge bitmasks.  The family search is a
+branch and bound over Python-int bitmasks; its cost follows the
+families it cannot rule out, not the 2**c families there are.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def pebble_game(n, eu, ev, k, l):
-    """(k, l)-pebble game on a multigraph with vertices 0..n-1.
+def pebble_game(verts, edges, k, l):
+    """(k, l)-pebble game on a multigraph over the vertex labels verts.
 
-    Edges are offered in the order given by ``eu``/``ev``; an edge may
-    repeat, and each copy is offered as an edge of its own.  Returns
-    ``(rank, accepted, reaches)`` where ``accepted`` flags the edges
-    that entered the spanning independent set and ``reaches`` holds,
-    for each rejected edge in order, the reach set of its endpoints at
-    its rejection (the first one is the non-sparsity witness).  The
-    reach set U of a rejection always induces more than k|U| - l edges.
+    Pebbles and out-lists are keyed by label.  The edges, label pairs,
+    are offered in list order; an edge may repeat, and each copy is
+    offered as an edge of its own.  Returns ``(accepted, reaches)``: the
+    accepted edges in order, and for each rejected edge in order the
+    reach set (of labels) of its endpoints at its rejection, the first
+    one being the non-sparsity witness.  The reach set U of a rejection
+    always induces more than k|U| - l edges.
 
     The result does not depend on the order in which searches scan
     out-neighbours: the accepted edges are those that greedy insertion
@@ -41,11 +41,10 @@ def pebble_game(n, eu, ev, k, l):
     on U, and any circuit through the rejected edge spans a tight set
     through both endpoints, which contains U.
     """
-    pebbles = [k] * n
-    out = [[] for _ in range(n)]  # out[x]: heads of the edges x -> y
+    pebbles = dict.fromkeys(verts, k)
+    out = {x: [] for x in verts}  # out[x]: heads of the edges x -> y
     accepted = []
     reaches = []
-    rank = 0
 
     def fetch(root, a, b, parent):
         """Pull one pebble onto root along a reversed path.  The search
@@ -73,14 +72,13 @@ def pebble_game(n, eu, ev, k, l):
                 stack.append(y)
         return False
 
-    for a, b in zip(map(int, eu), map(int, ev)):
+    for a, b in edges:
         while pebbles[a] + pebbles[b] <= l:
             seen = {}
             if not (fetch(a, a, b, seen) or fetch(b, a, b, seen)):
                 break
         if pebbles[a] + pebbles[b] > l:
-            accepted.append(True)
-            rank += 1
+            accepted.append((a, b))
             if pebbles[a]:
                 pebbles[a] -= 1
                 out[a].append(b)
@@ -93,10 +91,9 @@ def pebble_game(n, eu, ev, k, l):
         # reach set of {a, b}: it is closed under out-edges and every
         # vertex in it except a, b has zero pebbles, so with the
         # rejected edge it induces more than k|U| - l edges.
-        accepted.append(False)
         reaches.append(frozenset(seen))
 
-    return rank, accepted, reaches
+    return accepted, reaches
 
 
 # ---------------------------------------------------------------------------

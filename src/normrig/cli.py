@@ -260,8 +260,7 @@ _FIXED_OPS = {
 def _apply_op_line(g: Graph, line: str) -> Graph:
     """Extended step grammar for `op apply` (superset of sequence steps)."""
     body = line.strip()
-    kind, _, rest = body.partition(" ")
-    toks = rest.split()
+    kind, *toks = body.split() or [""]
     if kind in ("addedge", "addvertex", "split"):
         return apply_step(g, parse_step(body))
     if kind in _FIXED_OPS:

@@ -13,13 +13,14 @@ certified for every split:
   single edge), a stronger condition convenient for whole sequences.
 
 One pebble game on G' decides both: an edge can be deleted without
-losing rigidity exactly when it lies in a circuit, and the game's
-rejections expose the circuits.  So G' - uv is rigid when G' is rigid
-and uv is not a coloop (an edge in no circuit), and G' is redundantly
-rigid when it is rigid and has no coloop.  Global rigidity itself is
-not decided here — only the side conditions of each step are checked,
-by one routine that both certify_sequence and random_certified_graph
-run on every step, so a generated sequence's report is that routine's.
+losing rigidity exactly when it lies in a circuit, and
+sparsity.circuit_parts reads the coloops (edges in no circuit) off the
+game.  So G' - uv is rigid when G' is rigid and uv is not a coloop,
+and G' is redundantly rigid when it is rigid and has no coloop.  Global
+rigidity itself is not decided here — only the side conditions of each
+step are checked, by one routine that both certify_sequence and
+random_certified_graph run on every step, so a generated sequence's
+report is that routine's.
 
 Sequence files are line oriented::
 
@@ -50,7 +51,7 @@ from .graph import (
 )
 from .norms import LpPlane
 from .rigidity import uv_generic_rank
-from .sparsity import SparsityError, pebble_game
+from .sparsity import SparsityError, circuit_parts, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -90,28 +91,14 @@ def base_graph(tag: str) -> Graph:
     raise SequenceError(f"unknown base tag {tag!r} (expected one of {BASE_TAGS})")
 
 
-def _coloops(g: Graph) -> list[tuple[int, int]] | None:
-    """G's coloops, or None if G is not rigid, from one (2,2) pebble game:
-    the accepted edges in no rejected edge f's fundamental circuit, which
-    is f plus the accepted edges that f's reach set induces.
-    """
-    res = pebble_game(g, 2, 2)
-    if res.rank < 2 * g.n - 2:
-        return None
-    reach_ids = dict.fromkeys(g.vertices, 0)  # vertex -> bitmask of reach sets
-    for i, reach in enumerate(res.reaches):
-        for x in reach:
-            reach_ids[x] |= 1 << i
-    return [(a, b) for a, b in res.accepted if not reach_ids[a] & reach_ids[b]]
-
-
 def is_redundantly_rigid_comb(g: Graph) -> bool:
     """Rigid, and still rigid after deleting any single edge: rigid with
-    no coloop, decided by one (2,2) pebble game.  One vertex is rigid by
-    convention, as in is_rigid_comb."""
+    no coloop, read by circuit_parts from one (2,2) pebble game.  One
+    vertex is rigid by convention, as in is_rigid_comb."""
     if g.n < 1:
         raise SparsityError("rigidity needs at least one vertex")
-    return _coloops(g) == []
+    res = pebble_game(g, 2, 2)
+    return res.rank == 2 * g.n - 2 and not circuit_parts(res)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +162,9 @@ def _check_step(
         return g, StepVerdict(index, step, False, str(exc), None, None)
     minus_ok = red_ok = num_ok = None
     if isinstance(step, GeneralizedVertexSplit):
-        coloops = _coloops(nxt)
-        minus_ok = coloops is not None and (min(step.u, step.v), max(step.u, step.v)) not in coloops
+        res = pebble_game(nxt, 2, 2)
+        coloops = circuit_parts(res)[1]
+        minus_ok = res.rank == 2 * nxt.n - 2 and tuple(sorted((step.u, step.v))) not in coloops
         red_ok = minus_ok and not coloops
         if numeric:
             num_ok = uv_generic_rank(nxt, plane, trials=trials, seed=seed).rigid
@@ -243,7 +231,8 @@ def format_sequence(seq: ConstructionSequence) -> str:
 def parse_step(body: str, lineno: int | None = None) -> ConstructionStep:
     """One step line: 'addedge a b', 'addvertex z: ...' or 'split ...'."""
     body = body.strip()
-    kind, _, rest = body.partition(" ")
+    kind, *_ = body.split() or [""]  # the keyword ends at any whitespace run
+    rest = body[len(kind):]
 
     def ints(text: str) -> list[int]:
         try:

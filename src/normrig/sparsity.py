@@ -26,8 +26,10 @@ subsets' is (2,2)-sparsity without the pair edge, and the families' is
 checkers build their witnesses through one function, each choosing the
 sets it reports.  The other characterisation, delete-contract (G - uv
 and G/uv both rigid), is the one routine delete_contract behind
-is_uv_rigid_comb and the uv-rigid-comb command.  The cover bound is the
-(2,2) pebble rank, with a cover read off the same game's reach sets.
+is_uv_rigid_comb and the uv-rigid-comb command.  circuit_parts is the
+one reader of the pebble game's circuits: the cover bound is the (2,2)
+pebble rank with its parts and coloops as the cover, and globalrig's
+redundancy verdicts read the same coloops.
 """
 
 from __future__ import annotations
@@ -102,11 +104,12 @@ def covered_edge_count(g: Graph, sets: Sequence[Iterable[int]]) -> int:
 
 @dataclass(frozen=True)
 class PebbleResult:
-    k: int
-    l: int
-    rank: int
     accepted: tuple[tuple[int, int], ...]
     reaches: tuple[frozenset[int], ...]  # reach set at every rejection, in order
+
+    @property
+    def rank(self) -> int:
+        return len(self.accepted)
 
     @property
     def witness(self) -> frozenset[int] | None:
@@ -122,13 +125,8 @@ def _pebble_edges(
     The list may repeat an edge: parallel copies are separate edges of
     a multigraph, as in the uv check's auxiliary graph.
     """
-    index = {x: i for i, x in enumerate(verts)}
-    eu = [index[a] for a, b in edges]
-    ev = [index[b] for a, b in edges]
-    rank, accepted, reaches = _kernels.pebble_game(len(verts), eu, ev, k, l)
-    kept = tuple(e for e, a in zip(edges, accepted) if a)
-    labelled = tuple(frozenset(verts[i] for i in r) for r in reaches)
-    return PebbleResult(k, l, rank, kept, labelled)
+    accepted, reaches = _kernels.pebble_game(verts, edges, k, l)
+    return PebbleResult(tuple(accepted), tuple(reaches))
 
 
 def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
@@ -165,6 +163,28 @@ def is_rigid_comb(g: Graph) -> bool:
     if g.n == 1:
         return True
     return pebble_rank(g, 2, 2) == 2 * g.n - 2
+
+
+def circuit_parts(res: PebbleResult) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """The reach sets merged along shared vertices, and the coloops.
+
+    A rejected edge's fundamental circuit is the edge plus the accepted
+    edges its reach set induces.  Reach sets are tight in the accepted
+    edges, and two tight sets that share a vertex have a tight union
+    with no accepted edge between their differences, so the merged
+    parts are disjoint and hold both ends of exactly the accepted edges
+    in some circuit.  The others, the coloops, come back in game order.
+    """
+    parts: list[frozenset[int]] = []
+    for r in res.reaches:
+        if any(r <= y for y in parts):
+            continue
+        meet = [y for y in parts if y & r]
+        parts = [y for y in parts if not y & r]
+        parts.append(r.union(*meet))
+    part_of = {x: i for i, y in enumerate(parts) for x in y}
+    coloops = [(a, b) for a, b in res.accepted if a not in part_of or part_of[a] != part_of.get(b)]
+    return parts, coloops
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +360,11 @@ def cover_rank_bound(g: Graph) -> CoverBound:
     subgraphs together contain every edge; it scores
     sum(2|Y| - 2 - s(|Y|)) with s(2) = 1.  By the rank formula of the
     (2,2)-count matroid the least score is the pebble rank, and one
-    (2,2) game gives a cover that attains it.  Every reach set is tight
-    in the accepted edges, and two tight sets that share a vertex have
-    a tight union, so the reach sets merged along shared vertices are
-    disjoint tight sets that cover every rejected edge; the edges left
-    uncovered are accepted ones and join the cover as pairs.
+    (2,2) game gives a cover that attains it: circuit_parts' disjoint
+    tight parts hold every edge in a circuit, and the coloops join the
+    cover as pairs.
     """
     res = pebble_game(g, 2, 2)
-    bigs: list[frozenset[int]] = []
-    for r in res.reaches:
-        meet = [y for y in bigs if y & r]
-        bigs = [y for y in bigs if not y & r]
-        bigs.append(r.union(*meet))
-    covered = {e for e in g.edges if any(e[0] in y and e[1] in y for y in bigs)}
-    cover = tuple(sorted(bigs, key=sorted)) + tuple(
-        frozenset(e) for e in sorted(g.edges - covered)
-    )
+    parts, coloops = circuit_parts(res)
+    cover = tuple(sorted(parts, key=sorted)) + tuple(frozenset(e) for e in sorted(coloops))
     return CoverBound(res.rank, cover)

@@ -14,7 +14,7 @@ import normrig
 from normrig import __version__, cli, globalrig
 from normrig.cli import main
 from normrig.graph import format_graph, parse_graph
-from normrig.sparsity import pebble_rank
+from normrig.sparsity import PebbleResult, pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
 TWO_K4 = (
@@ -323,6 +323,28 @@ def test_sequence_line_error_exit_1(capsys, tmp_path, line, message):
     assert (rc, out, err) == (1, "", f"error: line 2: {message}\n")
 
 
+@pytest.mark.parametrize("graph,line", [
+    ("k4.graph", "deledge 0 1"),
+    ("k4.graph", "zeroext 0 1 4"),
+    ("two_k4.graph", "split 6 | 0 2 3 | 1 4 5 | 1 -> 7 8"),
+])
+def test_op_tab_after_keyword(files, capsys, graph, line):
+    spaced = run(capsys, "op", "apply", files[graph], line)
+    assert spaced[0] == 0
+    assert run(capsys, "op", "apply", files[graph], line.replace(" ", "\t", 1)) == spaced
+
+
+def test_sequence_tab_after_keyword(capsys, tmp_path):
+    steps = ["addedge 0 4", "addvertex 6: 0 1 2", "split 2 | 0 1 6 | 3 4 5 | 3 -> 7 8"]
+    outputs = []
+    for sep in (" ", "\t"):
+        path = tmp_path / "s.seq"
+        path.write_text("base H_GRAPH\n" + "".join(s.replace(" ", sep, 1) + "\n" for s in steps))
+        outputs.append(run(capsys, "certify-global", str(path)))
+    assert outputs[0][0] == 0 and "split" in outputs[0][1]
+    assert outputs[1] == outputs[0]
+
+
 def test_op_precondition_exit_1(files, capsys):
     rc, _, err = run(capsys, "op", "apply", files["k4.graph"], "zeroext 0 0 4")
     assert rc == 1 and "error:" in err
@@ -389,7 +411,8 @@ def test_generate_global_stdout_pinned(capsys, seed, size):
 
 
 def test_generate_global_failure_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(globalrig, "_coloops", lambda g: None)  # every G' flexible
+    # a game that accepts no edge: every G' flexible
+    monkeypatch.setattr(globalrig, "pebble_game", lambda g, k, l: PebbleResult((), ()))
     rc, out, err = run(capsys, "generate-global", "--size", "9", "--seed", "1")
     assert (rc, out) == (1, "")
     assert err == (

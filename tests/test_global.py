@@ -210,9 +210,9 @@ def count_pebble_games(monkeypatch) -> list[int]:
     games = []
     play = _kernels.pebble_game
 
-    def counting(n, eu, ev, k, l):
-        games.append(n)
-        return play(n, eu, ev, k, l)
+    def counting(verts, edges, k, l):
+        games.append(len(verts))
+        return play(verts, edges, k, l)
 
     monkeypatch.setattr(_kernels, "pebble_game", counting)
     return games

@@ -47,27 +47,24 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     rng = np.random.default_rng(5)
     for g in small_graphs:
         edges = g.sorted_edges()
-        eu = [a for a, _ in edges]
-        ev = [b for _, b in edges]
-        rank, accepted, reaches = _kernels.pebble_game(g.n, eu, ev, k, l)
-        kept = [e for e, a in zip(edges, accepted) if a]
+        accepted, reaches = _kernels.pebble_game(g.vertices, edges, k, l)
         expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
-        assert (kept, reaches) == (expect_kept, expect_reaches), (g.n, edges)
-        assert rank == len(kept)
-        assert pebble_game(g, k, l).witness == (expect_reaches[0] if expect_reaches else None)
+        assert (accepted, reaches) == (expect_kept, expect_reaches), (g.n, edges)
+        res = pebble_game(g, k, l)
+        assert (res.accepted, res.reaches) == (tuple(accepted), tuple(reaches))
+        assert res.rank == len(accepted)
+        assert res.witness == (expect_reaches[0] if expect_reaches else None)
 
-        # A copy under an injective relabelling into non-contiguous labels:
-        # the adapter's reach sets are the kernel's, mapped through h.vertices.
-        labels = rng.choice(1000, size=g.n, replace=False)
-        h = g.relabel({x: int(y) for x, y in zip(g.vertices, labels)})
-        index = {x: i for i, x in enumerate(h.vertices)}
-        edges = h.sorted_edges()
-        _, _, reaches = _kernels.pebble_game(
-            h.n, [index[a] for a, _ in edges], [index[b] for _, b in edges], k, l
+        # A copy under an injective relabelling into non-contiguous labels,
+        # offered the images of the same edges in the same order: the game
+        # keeps the images of the same edges and rejects with the images of
+        # the same reach sets.
+        f = dict(zip(g.vertices, map(int, rng.choice(1000, size=g.n, replace=False))))
+        h_accepted, h_reaches = _kernels.pebble_game(
+            [f[x] for x in g.vertices], [(f[a], f[b]) for a, b in edges], k, l
         )
-        res = pebble_game(h, k, l)
-        assert res.reaches == tuple(frozenset(h.vertices[i] for i in r) for r in reaches)
-        assert res.witness == (res.reaches[0] if res.reaches else None)
+        assert h_accepted == [(f[a], f[b]) for a, b in accepted]
+        assert h_reaches == [frozenset(f[x] for x in r) for r in reaches]
 
 
 @pytest.mark.parametrize("kl", [(2, 2), (2, 3)])
@@ -79,12 +76,8 @@ def test_pebble_game_on_multigraphs_equals_greedy_oracle(kl, small_graphs):
     for g in small_graphs:
         edges = sorted(g.sorted_edges() * 2)
         edges = [e for e in edges if rng.random() < 0.6]
-        rank, accepted, reaches = _kernels.pebble_game(
-            g.n, [a for a, _ in edges], [b for _, b in edges], k, l
-        )
-        kept = [e for e, a in zip(edges, accepted) if a]
-        assert (kept, reaches) == _greedy_oracle(g.n, edges, k, l), (g.n, edges)
-        assert rank == len(kept)
+        accepted, reaches = _kernels.pebble_game(g.vertices, edges, k, l)
+        assert (accepted, reaches) == _greedy_oracle(g.n, edges, k, l), (g.n, edges)
 
 
 def _score(edge_masks, val_terms, s):

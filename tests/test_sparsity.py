@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from normrig.enumeration import edge_slots, enumerate_graphs, random_graph
+from normrig.globalrig import random_certified_graph
 from normrig.graph import Graph, delete_edge, zero_extension
 from normrig.sparsity import (
     BRUTEFORCE_MAX_N,
     CoverBound,
     SparsityError,
     check_family,
+    circuit_parts,
     cover_rank_bound,
     covered_edge_count,
     is_kl_sparse,
@@ -406,3 +408,36 @@ def test_cover_is_valid():
             assert any(a in Y and b in Y for Y in bound.cover)
         total = sum(min(_induced_edges(g, Y), 2 * len(Y) - 2) for Y in bound.cover)
         assert bound.value == total
+
+
+def test_circuit_parts_equal_deletion_oracle(small_graphs):
+    """circuit_parts against per-edge deletion games: every graph on at most
+    7 vertices, seeded random graphs on 8 to 40 vertices, and generated
+    construction graphs."""
+    graphs = small_graphs + enumerate_graphs(7)
+    # Dense blocks, sparsely joined, so that a graph can have several parts.
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(8, 41))
+        block = rng.integers(0, max(2, n // 6), size=n)
+        graphs.append(Graph.from_edges(range(n), [
+            (a, b) for a, b in edge_slots(n)
+            if rng.random() < (0.7 if block[a] == block[b] else 0.04)
+        ]))
+    graphs += [random_certified_graph(size, seed, edge_prob=p)[0]
+               for size, seed, p in [(16, 1, 0.15), (24, 2, 0.6), (40, 3, 0.15)]]
+    several = 0
+    for g in graphs:
+        res = pebble_game(g)
+        parts, coloops = circuit_parts(res)
+        assert set(coloops) == {
+            (a, b) for a, b in g.sorted_edges() if pebble_rank(delete_edge(g, a, b)) < res.rank
+        }, sorted(g.edges)
+        assert sum(map(len, parts)) == len(set().union(*parts))  # pairwise disjoint
+        for y in parts:
+            assert len(y) >= 5
+            assert sum(1 for a, b in res.accepted if a in y and b in y) == 2 * len(y) - 2
+        pairs = [y for y in cover_rank_bound(g).cover if len(y) == 2]
+        assert pairs == [frozenset(e) for e in coloops]
+        several += len(parts) > 1
+    assert several > 0
