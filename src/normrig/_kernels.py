@@ -1,8 +1,7 @@
 """Low-level combinatorial kernels.
 
 Each kernel has one adapter, which turns a graph into its input:
-pebble_game is called only by sparsity._pebble_edges (the edge-list
-adapter behind sparsity.pebble_game and the uv check), canonize_batch
+pebble_game is called only by sparsity.pebble_game, canonize_batch
 only by enumeration._class_masks, and family_best only by
 sparsity.is_uv_sparse_bruteforce.  The pebble game works on vertex
 labels and keeps the orientation as adjacency lists, so its cost
@@ -22,11 +21,10 @@ import numpy as np
 
 
 def pebble_game(verts, edges, k, l):
-    """(k, l)-pebble game on a multigraph over the vertex labels verts.
+    """(k, l)-pebble game over the vertex labels verts; sparsity.pebble_game adapts it.
 
     Pebbles and out-lists are keyed by label.  The edges, label pairs,
-    are offered in list order; an edge may repeat, and each copy is
-    offered as an edge of its own.  Returns ``(accepted, reaches)``: the
+    are offered in list order.  Returns ``(accepted, reaches)``: the
     accepted edges in order, and for each rejected edge in order the
     reach set (of labels) of its endpoints at its rejection, the first
     one being the non-sparsity witness.  The reach set U of a rejection

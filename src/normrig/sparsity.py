@@ -16,20 +16,14 @@ and, for families X_1..X_k of vertex sets each containing u, v with
     val(X)  = sum val(X_i) - 2(k - 1).
 
 G is uv-sparse when i(U) <= val(U) for every |U| >= 2 and the covered
-edge count of every uv-compatible family stays within its val.  Two
-checkers are provided: a brute-force one that enumerates every subset
-and family (exponential, guarded), and a reduced one that plays two
-pebble games.  By the main theorem the uv-sparse edge sets are the
-independent sets of a count matroid, so both conditions are counts: the
-subsets' is (2,2)-sparsity without the pair edge, and the families' is
-(2,2)-sparsity of one auxiliary multigraph (see is_uv_sparse).  Both
-checkers build their witnesses through one function, each choosing the
-sets it reports.  The other characterisation, delete-contract (G - uv
-and G/uv both rigid), is the one routine delete_contract behind
-is_uv_rigid_comb and the uv-rigid-comb command.  circuit_parts is the
-one reader of the pebble game's circuits: the cover bound is the (2,2)
-pebble rank with its parts and coloops as the cover, and globalrig's
-redundancy verdicts read the same coloops.
+edge count of every uv-compatible family stays within its val.  By the
+main theorem these edge sets form a count matroid, and (2,2) pebble
+games on G - uv and G/uv settle it: is_uv_sparse, delete_contract (the
+one routine behind is_uv_rigid_comb and uv-rigid-comb) and the counting
+uv-rank uv_rank_comb.  is_uv_sparse_bruteforce checks the definition on
+small graphs.  circuit_parts is the one reader of the pebble game's
+circuits: the cover bound and globalrig's redundancy verdicts read its
+parts and coloops.
 """
 
 from __future__ import annotations
@@ -117,20 +111,8 @@ class PebbleResult:
         return self.reaches[0] if self.reaches else None
 
 
-def _pebble_edges(
-    verts: Sequence[int], edges: Sequence[tuple[int, int]], k: int, l: int
-) -> PebbleResult:
-    """The pebble game on an edge list over verts, offered in list order.
-
-    The list may repeat an edge: parallel copies are separate edges of
-    a multigraph, as in the uv check's auxiliary graph.
-    """
-    accepted, reaches = _kernels.pebble_game(verts, edges, k, l)
-    return PebbleResult(tuple(accepted), tuple(reaches))
-
-
 def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
-    """Run the (k, l)-pebble game, offering edges in sorted order.
+    """The (k, l)-pebble game on g's sorted edges, the kernel's one caller.
 
     The rank is the size of a maximum (k, l)-sparse subset of E.  When
     an edge is rejected the reach set U of its endpoints satisfies
@@ -138,7 +120,8 @@ def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
     """
     if k < 1 or l < 0 or l >= 2 * k:
         raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
-    return _pebble_edges(g.vertices, g.sorted_edges(), k, l)
+    accepted, reaches = _kernels.pebble_game(g.vertices, g.sorted_edges(), k, l)
+    return PebbleResult(tuple(accepted), tuple(reaches))
 
 
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:
@@ -156,12 +139,10 @@ def is_kl_tight(g: Graph, k: int = 2, l: int = 2) -> bool:
 def is_rigid_comb(g: Graph) -> bool:
     """Combinatorial rigidity: the (2,2)-matroid rank reaches 2|V| - 2.
 
-    Graphs on at most one vertex are rigid by convention.
+    One vertex is rigid: its rank 0 is 2 * 1 - 2.
     """
     if g.n < 1:
         raise SparsityError("rigidity needs at least one vertex")
-    if g.n == 1:
-        return True
     return pebble_rank(g, 2, 2) == 2 * g.n - 2
 
 
@@ -284,22 +265,19 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
 
 
 def is_uv_sparse(g: Graph) -> UvSparseVerdict:
-    """Reduced uv-sparsity check: two pebble games.
+    """Reduced uv-sparsity check: pebble games on G and on G/uv.
 
-    Simple graphs make the subset conditions equivalent to plain
-    (2,2)-sparsity plus the absence of the pair edge, which the first
-    game settles.  For families, let T be the common neighbours of u
-    and v.  Two family sets with at least 4 vertices merge without
-    lowering covered - val, and a set {c, u, v} gains 1 when c is in T
-    and nothing otherwise, so a violating family exists iff |T| >= 3 or
-    some X containing u and v has i(X) + |T - X| >= 2|X| - 1.  That is
-    a (2,2)-count on G' = G - {cu : c in T} plus |T| parallel copies of
-    uv, which the second game settles.
-
-    The subset witness is the first game's first reach set.  The family
-    witness is the triples {c, u, v} of the three smallest common
-    neighbours when |T| >= 3, and otherwise the first reach set R of
-    the second game (it holds u and v) plus the triples with c outside R.
+    Without the pair edge the subsets ask for (2,2)-sparsity of G.  Let
+    T be the common neighbours of u and v.  Family sets of 4 or more
+    vertices merge without loss, and {c, u, v} gains 1 iff c is in T, so
+    a family is violated iff |T| >= 3 or some X through u, v has
+    i(X) + |T - X| >= 2|X| - 1, i.e. X/uv spans 3 - |T| edges beyond the
+    (2,2) count in G/uv.  Every reach set of G/uv's game holds the merged
+    vertex w, and tight sets through w have a tight union, so that holds
+    iff the game rejects 3 - |T| edges: r(G/uv) + 2 < m.  Witnesses: G's
+    first reach set; the three smallest triples {c, u, v}; or X, the
+    union of G/uv's first 3 - |T| reach sets with u, v for w, plus the
+    triples with c outside X.
     """
     u, v = g.require_pair()
     if g.has_edge(u, v):
@@ -313,16 +291,11 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     if len(common) >= 3:
         fam = tuple(frozenset((c, u, v)) for c in common[:3])
     else:
-        dropped = {tuple(sorted((c, u))) for c in common}
-        edges = sorted(
-            [e for e in g.sorted_edges() if e not in dropped]
-            + [tuple(sorted((u, v)))] * len(common)
-        )
-        reaches = _pebble_edges(g.vertices, edges, 2, 2).reaches
-        if not reaches:
+        con = pebble_game(contract_pair(g))
+        if con.rank + 2 >= g.m:
             return UvSparseVerdict(True, None)
-        r = reaches[0]
-        fam = (r,) + tuple(frozenset((c, u, v)) for c in common if c not in r)
+        x = frozenset((u, v)).union(*con.reaches[: 3 - len(common)])
+        fam = (x,) + tuple(frozenset((c, u, v)) for c in common if c not in x)
     return _violation(g, "family", sorted(fam, key=sorted))
 
 
@@ -330,11 +303,29 @@ def is_uv_tight(g: Graph) -> bool:
     return g.m == 2 * g.n - 2 and is_uv_sparse(g).sparse
 
 
-def delete_contract(g: Graph) -> tuple[bool, bool]:
-    """Whether G - uv and G/uv are combinatorially rigid, in that order."""
+def _uv_games(g: Graph) -> tuple[PebbleResult, PebbleResult]:
+    """The (2,2) pebble games on G - uv and on G/uv, in that order."""
     u, v = g.require_pair()
     minus = delete_edge(g, u, v) if g.has_edge(u, v) else g
-    return is_rigid_comb(minus), is_rigid_comb(contract_pair(g))
+    return pebble_game(minus), pebble_game(contract_pair(g))
+
+
+def delete_contract(g: Graph) -> tuple[bool, bool]:
+    """Whether G - uv and G/uv (on n - 1 vertices) are combinatorially rigid."""
+    minus, con = _uv_games(g)
+    return minus.rank == 2 * g.n - 2, con.rank == 2 * g.n - 4
+
+
+def uv_rank_comb(g: Graph) -> int:
+    """Counting uv-rank: min(r(G - uv), r(G/uv) + 2), r the (2,2) pebble rank.
+
+    At m it is is_uv_sparse's test, at 2n - 2 delete-contract.  If G/uv's
+    matroid (cu, cv parallel copies of cw) is a quotient of G - uv's, this
+    is a Higgs lift (Higgs, JCT 1968; Oxley, Matroid Theory), so a matroid
+    rank.  Unproved here, it is an observed identity, checked in the tests.
+    """
+    minus, con = _uv_games(g)
+    return min(minus.rank, con.rank + 2)
 
 
 def is_uv_rigid_comb(g: Graph) -> bool:

@@ -213,14 +213,19 @@ def test_criterion_10_support_identities():
 
 
 if __name__ == "__main__":
-    # The full seven-vertex runs, too slow for tier-1: criterion 08 and
+    # The full seven-vertex runs, too slow for tier-1: criterion 08,
     # counting against numerical uv-independence (the equivalence sweep's
-    # retry policy) on every pair class on 7 vertices.  Exits 1 on any
-    # mismatch.  Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
+    # retry policy) on every pair class on 7 vertices, and the counting
+    # uv-rank against greedy insertion under the brute-force checker on
+    # every pair class on 6 and 7 vertices.  Exits 1 on any mismatch.
+    # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
     import sys
+
+    from test_sparsity import _greedy_uv_rank
 
     from normrig.experiments import _verdict_with_retry
     from normrig.rigidity import uv_generic_rank
+    from normrig.sparsity import uv_rank_comb
 
     classes = enumerate_graphs(7, pair=True)
     t0 = time.perf_counter()
@@ -238,4 +243,9 @@ if __name__ == "__main__":
         retried += len(seeds) > 1
     print(f"counting vs numerical: graphs {len(classes)} mismatches {bad} "
           f"retried {retried} time {time.perf_counter() - t0:.1f} s")
-    sys.exit(1 if brute_bad or bad else 0)
+    t0 = time.perf_counter()
+    greedy_classes = enumerate_graphs(6, pair=True) + classes
+    rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)
+    print(f"counting uv-rank vs greedy: graphs {len(greedy_classes)} mismatches {rank_bad} "
+          f"time {time.perf_counter() - t0:.1f} s")
+    sys.exit(1 if brute_bad or bad or rank_bad else 0)

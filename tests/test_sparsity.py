@@ -15,11 +15,13 @@ import pytest
 
 from normrig.enumeration import edge_slots, enumerate_graphs, random_graph
 from normrig.globalrig import random_certified_graph
-from normrig.graph import Graph, delete_edge, zero_extension
+from normrig.graph import Graph, contract_pair, delete_edge, parse_graph, zero_extension
+from normrig.rigidity import uv_generic_rank
 from normrig.sparsity import (
     BRUTEFORCE_MAX_N,
     CoverBound,
     SparsityError,
+    UvWitness,
     check_family,
     circuit_parts,
     cover_rank_bound,
@@ -33,6 +35,7 @@ from normrig.sparsity import (
     is_uv_tight,
     pebble_game,
     pebble_rank,
+    uv_rank_comb,
     val_family,
     val_set,
 )
@@ -263,6 +266,61 @@ def test_uv_rigid_comb_pinned(two_k4, k23, k4_minus_uv):
     assert is_uv_rigid_comb(two_k4)
     assert not is_uv_rigid_comb(k23)
     assert not is_uv_rigid_comb(k4_minus_uv)  # independent but too few edges
+
+
+# 0-1 is the pair; |T| = 1 (T = {12}) and G/uv rejects 2 edges, so the
+# family witness needs the union of G/uv's first two reach sets
+TWO_REACH_SETS = "13 24 0 1\n" + "\n".join(
+    e.replace("-", " ")
+    for e in "0-3 0-4 0-12 1-7 1-8 1-9 1-10 1-12 2-7 2-11 3-4 3-6 3-9 3-11 4-5 4-7 "
+    "4-10 5-6 6-8 6-11 7-8 7-9 8-9 8-11".split()
+)
+
+
+def test_family_witness_needs_two_reach_sets():
+    g = parse_graph(TWO_REACH_SETS)
+    verdict = is_uv_sparse(g)
+    assert verdict.witness == UvWitness(
+        "family", (frozenset({0, 1, 3, 4, 6, 7, 8, 9, 11}), frozenset({0, 1, 12})), 18, 17
+    )
+    _check_witness(g, verdict)
+    # the first reach set alone, with the pair and the triples, covers
+    # 13 against a value of 13: no witness
+    first = pebble_game(contract_pair(g)).reaches[0] | {0, 1}
+    short = [first, frozenset({0, 1, 12})]
+    assert (covered_edge_count(g, short), val_family(short, 0, 1)) == (13, 13)
+
+
+def _greedy_uv_rank(g: Graph) -> int:
+    """Greedy insertion under the brute-force checker.  The uv-sparse sets
+    are a matroid's independent sets, so the kept set is a basis and its
+    size is the uv-rank."""
+    kept = []
+    for e in g.sorted_edges():
+        if is_uv_sparse_bruteforce(Graph.from_edges(g.vertices, kept + [e], g.designated_pair)).sparse:
+            kept.append(e)
+    return len(kept)
+
+
+@pytest.fixture(scope="module")
+def pair_classes_6():
+    return [g for n in range(2, 7) for g in enumerate_graphs(n, pair=True)]
+
+
+def test_uv_rank_comb_equals_numerical_uv_rank(pair_classes_6):
+    bad = [sorted(g.edges) for g in pair_classes_6
+           if uv_rank_comb(g) != uv_generic_rank(g, seed=1729).rank]
+    assert bad == []
+
+
+def test_uv_rank_comb_equals_greedy_oracle(pair_classes_6):
+    small = [g for g in pair_classes_6 if g.n <= 5]
+    assert [uv_rank_comb(g) for g in small] == [_greedy_uv_rank(g) for g in small]
+
+
+def test_uv_rank_comb_at_2n_minus_2_is_delete_contract(pair_classes_6):
+    for g in pair_classes_6:
+        assert is_uv_rigid_comb(g) == (uv_rank_comb(g) == 2 * g.n - 2), sorted(g.edges)
 
 
 # ------------------------------------------------------ packing oracles
