@@ -297,11 +297,16 @@ def _cmd_op(args) -> int:
 def _cmd_certify(args) -> int:
     if args.numeric and args.tol is not None:
         raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
+    seed = args.seed
+    if args.numeric:
+        seed = resolve_seed(seed)
+        if args.trials < 1:
+            raise RigidityError("need at least one trial")
     with open(args.sequence, "r", encoding="ascii") as fh:
         seq = parse_sequence(fh.read())
     plane = _single_norm(args)
     rep = certify_sequence(
-        seq, numeric=args.numeric, plane=plane, trials=args.trials, seed=args.seed
+        seq, numeric=args.numeric, plane=plane, trials=args.trials, seed=seed
     )
     lines = [f"base: {seq.base}", f"steps: {len(seq.steps)}"]
     for sv in rep.steps:

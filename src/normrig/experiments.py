@@ -10,6 +10,11 @@ instance index, attempt), before it counts as a disagreement; the
 disagreement lists every seed tried.  Unlucky placements can sit below
 generic rank, never above it.
 
+Only the verdict is read, so each numerical verdict comes from
+rigidity.settled_rank: a first trial that reaches the rank cap
+min(rows, 2|V| - 2) with full affine span decides it, and otherwise
+every trial runs.  The rank commands of the CLI run every trial.
+
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
 from comparisons).
@@ -34,7 +39,7 @@ from .graph import (
     zero_extension,
 )
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
-from .rigidity import generic_rank, resolve_seed, uv_generic_rank
+from .rigidity import generic_rank, resolve_seed, settled_rank, uv_generic_rank
 from .sparsity import (
     cover_rank_bound,
     is_uv_rigid_comb,
@@ -120,7 +125,7 @@ def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepR
     for idx, (note, g) in enumerate(items(seed)):
         comb = comb_fn(g)
         rep, seeds = _verdict_with_retry(
-            comb, lambda s: rank_fn(g, plane, trials=trials, seed=s), attr, seed, idx
+            comb, lambda s: settled_rank(rank_fn, g, plane, trials, s), attr, seed, idx
         )
         verdict = getattr(rep, attr)
         if verdict == comb:

@@ -345,8 +345,9 @@ def contract_pair(g: Graph, u: int | None = None, v: int | None = None) -> Graph
         a2 = keep if a == gone else a
         b2 = keep if b == gone else b
         if a2 != b2:
-            edges.add(_norm_edge(a2, b2))
-    return Graph.from_edges((x for x in g.vertices if x != gone), edges, None)
+            edges.add((a2, b2) if a2 < b2 else (b2, a2))
+    # normalised, distinct and inside the kept vertices, so no from_edges checks
+    return Graph(tuple(sorted(x for x in g.vertices if x != gone)), frozenset(edges), None)
 
 
 # ---------------------------------------------------------------------------

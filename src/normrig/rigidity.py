@@ -12,11 +12,18 @@ keeping the best rank seen; coincident variants place the designated
 pair at one common point and work on the graph minus the pair edge.
 The trials are batched: placements, matrices and singular values of
 many trials come out of single numpy calls, in chunks of bounded size.
+
+generic_rank and uv_generic_rank run every trial they are asked for.
+Callers that read only the verdict go through settled_rank instead: no
+placement's rank exceeds min(rows, 2|V| - 2), since translations always
+lie in the kernel, so a first trial at that cap with full affine span
+already fixes rank, independence, rigidity and the span flag.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +161,12 @@ class RankReport:
     near_threshold: bool
     notes: tuple[str, ...] = field(default=())
 
+    @property
+    def at_rank_cap(self) -> bool:
+        """Rank min(rows, 2|V| - 2) with full affine span: no further
+        trial can change rank, independent, rigid or affine_span_full."""
+        return self.affine_span_full and self.rank == min(self.rows, 2 * self.n_vertices - 2)
+
 
 def _affine_span_full(points: np.ndarray) -> np.ndarray:
     """Whether each point set of a (T, n, 2) stack affinely spans the plane."""
@@ -255,3 +268,26 @@ def uv_generic_rank(
     is rank 2|V| - 2 with full affine span.
     """
     return _generic_rank(graph, plane, trials, seed, tol, coincident=True)
+
+
+def settled_rank(
+    rank_fn: Callable[..., RankReport],
+    graph: Graph,
+    plane: LpPlane | None = None,
+    trials: int = 10,
+    seed: int | None = None,
+) -> RankReport:
+    """rank_fn's report, stopped after trial 0 when that trial is at the cap.
+
+    rank_fn is generic_rank or uv_generic_rank (or a stand-in with their
+    signature).  A settled report is a one-trial report; otherwise all
+    of the trials run again from trial 0.  Trial t draws from the same
+    seed stream either way, so the verdict fields equal those of the
+    full report.
+    """
+    if trials < 1:
+        raise RigidityError("need at least one trial")
+    first = rank_fn(graph, plane, trials=1, seed=seed)
+    if trials == 1 or first.at_rank_cap:
+        return first
+    return rank_fn(graph, plane, trials=trials, seed=seed)

@@ -368,6 +368,33 @@ def test_certify_global_numeric_flag(files, capsys):
     assert rc == 0 and "numeric-uv-rigid=yes" in out
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["--seed", "-3"], "error: seed must be a non-negative integer, got -3\n"),
+    (["--trials", "0"], "error: need at least one trial\n"),
+])
+def test_certify_global_numeric_flags_checked_first(capsys, monkeypatch, tmp_path, argv, err):
+    base_only = tmp_path / "base_only.seq"
+    base_only.write_text("base K5_MINUS_E\n")
+    rc, out, _ = run(capsys, "certify-global", str(base_only), *argv)
+    assert rc == 0 and "pass-redundant-regime: yes" in out  # unread without --numeric
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(cli, "parse_sequence", no_work)
+    assert run(capsys, "certify-global", str(base_only), "--numeric", *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-global", "left.seq", "--numeric"],
+    ["experiment", "rigidity", "--max-n", "4"],
+])
+def test_no_trials_exit_1(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    rc, out, err = run(capsys, *argv, "--trials", "0")
+    assert (rc, out, err) == (1, "", "error: need at least one trial\n")
+
+
 def test_certify_global_abort(capsys, tmp_path):
     bad = tmp_path / "bad.seq"
     bad.write_text("base H_GRAPH\nsplit 2 | 0 1 3 | 4 5 | 3 -> 6 7\n")

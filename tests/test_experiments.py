@@ -23,7 +23,7 @@ from normrig.experiments import (
     rigidity_sweep,
 )
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
-from normrig.rigidity import uv_generic_rank
+from normrig.rigidity import generic_rank, uv_generic_rank
 from normrig.sparsity import (
     cover_rank_bound,
     is_rigid_comb,
@@ -106,6 +106,20 @@ def test_sweep_registry_runs():
         "operations",
         "rigidity",
     }
+
+
+def test_sweeps_stop_at_the_rank_cap(monkeypatch):
+    trials = []
+
+    def counted(g, *args, **kwargs):
+        trials.append(kwargs["trials"])
+        return generic_rank(g, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generic_rank", counted)
+    rep = rigidity_sweep(5, seed=9)
+    assert rep.ok and set(trials) <= {1, 10}
+    # each instance runs trial 0 alone, and the full ten only off the cap
+    assert trials.count(1) == rep.instances > trials.count(10)
 
 
 def test_report_invariant_enforced():

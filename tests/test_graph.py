@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from normrig.enumeration import enumerate_graphs
 from normrig.graph import (
     AddEdge,
     AddVertexWithNeighbors,
@@ -161,6 +162,17 @@ def test_contract_pair(k23):
     assert (c2.n, c2.m) == (3, 3)
     with pytest.raises(GraphError):
         contract_pair(Graph.complete(3))
+
+
+def test_contract_pair_equals_from_edges_construction():
+    for g in (g for n in range(2, 7) for g in enumerate_graphs(n, pair=True)):
+        u, v = g.designated_pair
+        keep, gone = min(u, v), max(u, v)
+        moved = ((keep if a == gone else a, keep if b == gone else b) for a, b in g.edges)
+        expected = Graph.from_edges(
+            (x for x in g.vertices if x != gone), {tuple(sorted(e)) for e in moved if e[0] != e[1]}
+        )
+        assert contract_pair(g) == expected, g
 
 
 def test_delete_vertex_guards_pair():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from normrig.rigidity import (
     generic_rank,
     RankReport,
     resolve_seed,
+    settled_rank,
     uv_generic_rank,
 )
 
@@ -263,3 +265,67 @@ def test_batch_memory_is_bounded(plane4):
         tracemalloc.stop()
     assert rep.rank == g.m
     assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# settled_rank: verdict-only queries stop after trial 0 at the rank cap
+# ---------------------------------------------------------------------------
+
+VERDICT_FIELDS = ("rank", "independent", "rigid", "affine_span_full", "rows")
+
+
+def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
+    cases = [(uv_generic_rank, g) for g in PAIR_CLASSES]
+    cases += [(generic_rank, g) for g in small_graphs]
+    settled = 0
+    for fn, g in cases:
+        full = fn(g, plane4, trials=10, seed=23)
+        got = settled_rank(fn, g, plane4, trials=10, seed=23)
+        assert [getattr(got, f) for f in VERDICT_FIELDS] == [
+            getattr(full, f) for f in VERDICT_FIELDS
+        ], g
+        assert got.trials == len(got.per_trial_ranks) in (1, 10)
+        assert got.per_trial_ranks == full.per_trial_ranks[: got.trials]
+        assert got == (fn(g, plane4, trials=1, seed=23) if got.trials == 1 else full)
+        settled += got.trials == 1
+    assert settled > len(cases) // 2
+
+
+def test_trial_zero_without_full_span_runs_every_trial(monkeypatch, two_k4, plane4):
+    assert settled_rank(uv_generic_rank, two_k4, plane4, 10, 3).trials == 1
+    real, stacks = rigidity._affine_span_full, []
+
+    def trial_zero_flat(points):
+        stacks.append(len(points))
+        span = real(points)
+        span[0] = False  # two_k4's ten trials fit one chunk, so index 0 is trial 0
+        return span
+
+    monkeypatch.setattr(rigidity, "_affine_span_full", trial_zero_flat)
+    got = settled_rank(uv_generic_rank, two_k4, plane4, 10, 3)
+    assert stacks == [1, 10]
+    assert got == uv_generic_rank(two_k4, plane4, trials=10, seed=3)
+    assert got.trials == 10 and got.rigid
+
+
+def test_trial_zero_below_the_cap_runs_every_trial(k23):
+    # a loose tolerance puts trial 0 one below the cap, which trial 1 reaches
+    rank_fn = functools.partial(generic_rank, tol=TolerancePolicy(rel=3e-3))
+    full = rank_fn(k23, LpPlane(1.5), trials=10, seed=6)
+    assert full.per_trial_ranks[:2] == (5, 6) and full.at_rank_cap and full.independent
+    assert settled_rank(rank_fn, k23, LpPlane(1.5), 10, 6) == full
+
+
+def test_rank_functions_run_every_trial_at_the_cap(two_k4, plane4):
+    for fn, g in ((generic_rank, Graph.complete(5)), (uv_generic_rank, two_k4)):
+        assert fn(g, plane4, trials=1, seed=4).at_rank_cap
+        full = fn(g, plane4, trials=10, seed=4)
+        assert full.trials == len(full.per_trial_ranks) == 10
+
+
+def test_settled_rank_rejects_no_trials(two_k4):
+    def no_work(*args, **kwargs):
+        raise AssertionError("rank function called with no trials")
+
+    with pytest.raises(RigidityError, match="need at least one trial"):
+        settled_rank(no_work, two_k4, trials=0, seed=1)
