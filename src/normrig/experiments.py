@@ -12,8 +12,8 @@ generic rank, never above it.
 
 Only the verdict is read, so each numerical verdict comes from
 rigidity.settled_rank: a first trial that reaches the rank cap
-min(rows, 2|V| - 2) with full affine span decides it, and otherwise
-every trial runs.  The rank commands of the CLI run every trial.
+min(rows, 2|V| - 2) decides it, and otherwise every trial runs.  The
+rank commands of the CLI run every trial.
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded

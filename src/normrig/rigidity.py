@@ -2,10 +2,18 @@
 
 A framework places each vertex in the plane.  The rigidity matrix has
 one row per edge xy (x < y): the support functional of p_x - p_y sits
-in x's column pair and its negation in y's.  Infinitesimal rigidity of
-a well-spread framework means the matrix reaches rank 2|V| - 2, the
-two missing dimensions being the translations (the only trivial
-motions away from the Euclidean plane).
+in x's column pair and its negation in y's.  Infinitesimal rigidity
+means the matrix reaches rank 2|V| - 2, the two missing dimensions
+being the translations (the only trivial motions away from the
+Euclidean plane).
+
+That rank already forces the points to span the plane.  On a line of
+direction d every edge vector is some lambda*d, and support functionals
+are odd and 1-homogeneous, so every row lies in {phi(d) (x) x : sum(x)
+= 0}: rank at most |V| - 1, below 2|V| - 2 once |V| >= 2.  Random
+placements span exactly when they hold three distinct points, so the
+span flag depends on the graph alone: |V| >= 3, or |V| >= 4 when the
+designated pair shares a point.
 
 Generic ranks are estimated by sampling several random placements and
 keeping the best rank seen; coincident variants place the designated
@@ -16,8 +24,8 @@ many trials come out of single numpy calls, in chunks of bounded size.
 generic_rank and uv_generic_rank run every trial they are asked for.
 Callers that read only the verdict go through settled_rank instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
-lie in the kernel, so a first trial at that cap with full affine span
-already fixes rank, independence, rigidity and the span flag.
+lie in the kernel, so a first trial at that cap already fixes rank,
+independence and rigidity.
 """
 
 from __future__ import annotations
@@ -163,17 +171,9 @@ class RankReport:
 
     @property
     def at_rank_cap(self) -> bool:
-        """Rank min(rows, 2|V| - 2) with full affine span: no further
-        trial can change rank, independent, rigid or affine_span_full."""
-        return self.affine_span_full and self.rank == min(self.rows, 2 * self.n_vertices - 2)
-
-
-def _affine_span_full(points: np.ndarray) -> np.ndarray:
-    """Whether each point set of a (T, n, 2) stack affinely spans the plane."""
-    if points.shape[1] < 3:
-        return np.zeros(points.shape[0], dtype=bool)
-    centered = points - points.mean(axis=1, keepdims=True)
-    return np.linalg.matrix_rank(centered) == 2
+        """Rank min(rows, 2|V| - 2): no further trial can change rank,
+        independent or rigid."""
+        return self.rank == min(self.rows, 2 * self.n_vertices - 2)
 
 
 def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
@@ -193,7 +193,7 @@ def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
     if coincident:
         u, v = (work.vertices.index(x) for x in work.designated_pair)
     step = max(1, _BATCH_ENTRIES // max(1, len(edges) * cols))
-    ranks, affine, notes = [], [], []
+    ranks, notes = [], []
     for start in range(0, trials, step):
         ts = range(start, min(trials, start + step))
         pts = np.stack([
@@ -205,14 +205,12 @@ def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
         sigmas = _singular_values(_matrix_stack(plane, pts, edges, a_idx, b_idx))
         rank, tau, near = _ranks(sigmas, tol, len(edges), cols)
         ranks += rank.tolist()
-        affine += _affine_span_full(pts).tolist()
         notes += [
             f"trial {ts[i]}: smallest kept singular value {sigmas[i, rank[i] - 1]:.3e} "
             f"within 10x of threshold {tau[i]:.3e}"
             for i in np.flatnonzero(near)
         ]
     best = max(ranks)
-    affine_ok = any(a for r, a in zip(ranks, affine) if r == best)
     return RankReport(
         kind="coincident" if coincident else "plain",
         n_vertices=graph.n,
@@ -220,9 +218,9 @@ def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
         rows=work.m,
         rank=best,
         independent=not had_pair_edge and best == work.m,
-        rigid=graph.n <= 1 or (best == 2 * graph.n - 2 and affine_ok),
+        rigid=graph.n <= 1 or best == 2 * graph.n - 2,
         per_trial_ranks=tuple(ranks),
-        affine_span_full=affine_ok,
+        affine_span_full=graph.n - coincident >= 3,
         pair=graph.designated_pair,
         pair_edge_removed=had_pair_edge,
         trials=trials,
@@ -246,9 +244,8 @@ def generic_rank(
 
     Rank never exceeds the generic value and random placements reach it
     with overwhelming probability, so the max over trials is the right
-    aggregate.  Rigidity additionally demands a full affine span, which
-    forces |V| >= 3; graphs on at most one vertex are rigid by
-    convention.
+    aggregate.  Rigidity is rank 2|V| - 2, which needs |V| >= 3; graphs
+    on at most one vertex are rigid by convention.
     """
     return _generic_rank(graph, plane, trials, seed, tol, coincident=False)
 
@@ -265,7 +262,7 @@ def uv_generic_rank(
     The matrix is built on G minus the pair edge (a coincident pair
     edge would only contribute a zero row).  uv-independence requires
     the pair edge to be absent from G in the first place; uv-rigidity
-    is rank 2|V| - 2 with full affine span.
+    is rank 2|V| - 2.
     """
     return _generic_rank(graph, plane, trials, seed, tol, coincident=True)
 

@@ -267,6 +267,26 @@ def test_batch_memory_is_bounded(plane4):
     assert peak < 4 * 2**20
 
 
+def test_collinear_points_stay_below_rigidity(small_graphs):
+    # On a line of direction d every row is phi(d) (x) x with sum(x) = 0,
+    # so rank 2n - 2 needs points that span the plane.
+    rng = np.random.default_rng(31)
+    for p in (1.5, 3.0, 4.0):
+        plane = LpPlane(p)
+        for n in range(3, 7):
+            g = Graph.complete(n)
+            for _ in range(5):
+                base, d = rng.uniform(-1, 1, (2, 2))
+                pts = base + rng.uniform(-1, 1, (n, 1)) * d
+                assert rank_of(matrix_of(g, plane, pts)) <= n - 1 < 2 * n - 2
+    cases = [(generic_rank, g, 0) for g in small_graphs]
+    cases += [(uv_generic_rank, g, 1) for g in PAIR_CLASSES]
+    for fn, g, coincident in cases:
+        rep = fn(g, LpPlane(1.5), trials=1, seed=7)
+        assert rep.affine_span_full == (g.n - coincident >= 3), g
+        assert not rep.rigid or rep.affine_span_full or g.n <= 1, g
+
+
 # ---------------------------------------------------------------------------
 # settled_rank: verdict-only queries stop after trial 0 at the rank cap
 # ---------------------------------------------------------------------------
@@ -291,21 +311,19 @@ def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
     assert settled > len(cases) // 2
 
 
-def test_trial_zero_without_full_span_runs_every_trial(monkeypatch, two_k4, plane4):
-    assert settled_rank(uv_generic_rank, two_k4, plane4, 10, 3).trials == 1
-    real, stacks = rigidity._affine_span_full, []
-
-    def trial_zero_flat(points):
-        stacks.append(len(points))
-        span = real(points)
-        span[0] = False  # two_k4's ten trials fit one chunk, so index 0 is trial 0
-        return span
-
-    monkeypatch.setattr(rigidity, "_affine_span_full", trial_zero_flat)
-    got = settled_rank(uv_generic_rank, two_k4, plane4, 10, 3)
-    assert stacks == [1, 10]
-    assert got == uv_generic_rank(two_k4, plane4, trials=10, seed=3)
-    assert got.trials == 10 and got.rigid
+def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
+    # n <= 2 plain, or three vertices with two of them coincident: never a span
+    cases = [(generic_rank, g) for g in small_graphs if g.n <= 2]
+    cases += [(uv_generic_rank, g) for g in enumerate_graphs(3, pair=True)
+              if not g.has_edge(*g.designated_pair)]
+    assert len(cases) == 6
+    for fn, g in cases:
+        got = settled_rank(fn, g, plane4, trials=10, seed=23)
+        full = fn(g, plane4, trials=10, seed=23)
+        assert got.trials == 1 and not got.affine_span_full, g
+        assert [getattr(got, f) for f in VERDICT_FIELDS] == [
+            getattr(full, f) for f in VERDICT_FIELDS
+        ], g
 
 
 def test_trial_zero_below_the_cap_runs_every_trial(k23):
