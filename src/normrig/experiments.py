@@ -10,10 +10,11 @@ instance index, attempt), before it counts as a disagreement; the
 disagreement lists every seed tried.  Unlucky placements can sit below
 generic rank, never above it.
 
-Only the verdict is read, so each numerical verdict comes from
-rigidity.settled_rank: a first trial that reaches the rank cap
-min(rows, 2|V| - 2) decides it, and otherwise every trial runs.  The
-rank commands of the CLI run every trial.
+Only the verdict is read, so the numerical verdicts come from
+rigidity.settled_ranks, one call per attempt over every instance still
+to decide: a first trial that reaches the rank cap min(rows, 2|V| - 2)
+decides an instance, and otherwise every trial runs.  The rank commands
+of the CLI run every trial.
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
@@ -39,7 +40,7 @@ from .graph import (
     zero_extension,
 )
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
-from .rigidity import generic_rank, resolve_seed, settled_rank, uv_generic_rank
+from .rigidity import resolve_seed, settled_ranks
 from .sparsity import (
     cover_rank_bound,
     is_uv_rigid_comb,
@@ -98,44 +99,44 @@ def _derive_seed(seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 
-def _verdict_with_retry(comb, rank_fn, attr: str, seed: int, idx: int):
-    """The retry policy: rank_fn(seed) -> RankReport, retried while its
-    field attr differs from comb.  Returns the last report and every seed tried."""
-    seeds: list[int] = []
+def _verdicts_with_retry(combs, rank_fn, attr: str, seed: int):
+    """The retry policy: rank_fn(indices, seeds) -> the RankReports of
+    those instances under those seeds, retried for every instance whose
+    field attr differs from its combs entry.  Returns each instance's
+    last report and every seed tried for it."""
+    reports, seeds = [None] * len(combs), [[] for _ in combs]
+    todo = list(range(len(combs)))
     for attempt in range(MAX_RETRIES + 1):
-        seeds.append(_derive_seed(seed, idx, attempt))
-        rep = rank_fn(seeds[-1])
-        if getattr(rep, attr) == comb:
-            break
-    return rep, tuple(seeds)
+        for idx in todo:
+            seeds[idx].append(_derive_seed(seed, idx, attempt))
+        for idx, rep in zip(todo, rank_fn(todo, [seeds[idx][-1] for idx in todo])):
+            reports[idx] = rep
+        todo = [idx for idx in todo if getattr(reports[idx], attr) != combs[idx]]
+    return reports, [tuple(s) for s in seeds]
 
 
 def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepReport:
     """The sweep loop: items(seed) yields (note, graph) pairs, and each
     comb_fn(graph) is checked against the field attr of the graph's
-    plain or coincident RankReport (kind).  keys join norm, trials and
-    seed in the report's config."""
+    plain or coincident RankReport (kind), one settled_ranks call per
+    attempt over the instances still in disagreement.  keys join norm,
+    trials and seed in the report's config."""
     t0 = time.perf_counter()
     plane = _plane(desc)
     seed = resolve_seed(seed)
-    # looked up per call, so rebinding the module's rank functions applies
-    rank_fn = uv_generic_rank if kind == "coincident" else generic_rank
-    agreements = 0
-    disagreements: list[Disagreement] = []
-    for idx, (note, g) in enumerate(items(seed)):
-        comb = comb_fn(g)
-        rep, seeds = _verdict_with_retry(
-            comb, lambda s: settled_rank(rank_fn, g, plane, trials, s), attr, seed, idx
-        )
-        verdict = getattr(rep, attr)
-        if verdict == comb:
-            agreements += 1
-        else:
-            disagreements.append(Disagreement(
-                idx, format_graph(g), comb, verdict, rep.rank, rep.rows, seeds, note
-            ))
+    instances = list(items(seed))
+    graphs = [g for _, g in instances]
+    combs = [comb_fn(g) for g in graphs]
+    reports, seeds = _verdicts_with_retry(combs, lambda idx, s: settled_ranks(
+        [graphs[i] for i in idx], s, kind == "coincident", plane, trials), attr, seed)
+    disagreements = [
+        Disagreement(idx, format_graph(g), comb, getattr(rep, attr), rep.rank, rep.rows,
+                     seeds[idx], note)
+        for idx, ((note, g), comb, rep) in enumerate(zip(instances, combs, reports))
+        if getattr(rep, attr) != comb
+    ]
     config = _config(norm=plane.spec_string(), trials=trials, seed=seed, **keys)
-    return SweepReport(name, config, agreements + len(disagreements), agreements,
+    return SweepReport(name, config, len(instances), len(instances) - len(disagreements),
                        tuple(disagreements), runtime=time.perf_counter() - t0)
 
 

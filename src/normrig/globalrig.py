@@ -50,7 +50,7 @@ from .graph import (
     numbered_lines,
 )
 from .norms import LpPlane
-from .rigidity import settled_rank, uv_generic_rank
+from .rigidity import settled_ranks
 from .sparsity import SparsityError, circuit_parts, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
@@ -167,7 +167,7 @@ def _check_step(
         minus_ok = res.rank == 2 * nxt.n - 2 and tuple(sorted((step.u, step.v))) not in coloops
         red_ok = minus_ok and not coloops
         if numeric:
-            num_ok = settled_rank(uv_generic_rank, nxt, plane, trials, seed).rigid
+            num_ok = settled_ranks([nxt], [seed], True, plane, trials)[0].rigid
     return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
 
 
@@ -194,9 +194,9 @@ def certify_sequence(
 
     Vertex additions need at least three distinct existing neighbors;
     splits get both regime verdicts (and, with numeric=True, a
-    randomized uv-rigidity cross-check, by rigidity.settled_rank, which
-    stops after trial 0 when it reaches the rank cap).  A step that
-    fails to apply aborts the replay and fails both regimes.
+    randomized uv-rigidity cross-check, by rigidity.settled_ranks on the
+    one graph, which stops after trial 0 when it reaches the rank cap).
+    A step that fails to apply aborts the replay and fails both regimes.
     """
     g = base_graph(seq.base)
     verdicts: list[StepVerdict] = []

@@ -18,20 +18,24 @@ designated pair shares a point.
 Generic ranks are estimated by sampling several random placements and
 keeping the best rank seen; coincident variants place the designated
 pair at one common point and work on the graph minus the pair edge.
-The trials are batched: placements, matrices and singular values of
-many trials come out of single numpy calls, in chunks of bounded size.
+One routine ranks every trial of many graphs at once: the matrices of
+one shape (m, 2|V|) share one stack, and its placements, matrices and
+singular values come out of single numpy calls, in chunks of bounded
+size.  generic_rank and uv_generic_rank are that routine on one graph,
+and run every trial they are asked for.
 
-generic_rank and uv_generic_rank run every trial they are asked for.
-Callers that read only the verdict go through settled_rank instead: no
+Callers that read only the verdict go through settled_ranks instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
 lie in the kernel, so a first trial at that cap already fixes rank,
-independence and rigidity.
+independence and rigidity.  settled_ranks runs trial 0 of all its
+graphs in one batch, then every trial of those below the cap in one
+more.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,21 +104,24 @@ def _endpoints(g: Graph):
 
 
 def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, a_idx, b_idx) -> np.ndarray:
-    """Rigidity matrices (T, m, 2n) of T placements (T, n, 2) of one edge list."""
+    """Rigidity matrices (T, m, 2n) of T placements (T, n, 2): row r of matrix
+    t is edge edges[t][r], its ends at positions a_idx[t, r] and b_idx[t, r];
+    one graph's edges and (m,) index arrays serve every placement."""
     trials, n = pts.shape[:2]
-    m = len(edges)
+    m = a_idx.shape[-1]
     mat = np.zeros((trials, m, n, 2))
     if m:
-        diffs = (pts[:, a_idx] - pts[:, b_idx]).reshape(-1, 2)
+        t_idx = np.arange(trials)[:, None]
+        diffs = (pts[t_idx, a_idx] - pts[t_idx, b_idx]).reshape(-1, 2)
         zero = ~diffs.any(axis=1).reshape(trials, m)  # zero length iff zero vector
         if zero.any():
-            t = int(np.argmax(zero.any(axis=1)))
-            a, b = edges[int(np.argmax(zero[t]))]
+            t, r = np.argwhere(zero)[0]
+            a, b = (edges[t] if a_idx.ndim > 1 else edges)[r]
             raise RigidityError(f"edge {a}-{b} joins two coincident points")
         phis = plane.support_batch(diffs).reshape(trials, m, 2)
         rows = np.arange(m)
-        mat[:, rows, a_idx] = phis
-        mat[:, rows, b_idx] = -phis
+        mat[t_idx, rows, a_idx] = phis
+        mat[t_idx, rows, b_idx] = -phis
     return mat.reshape(trials, m, 2 * n)
 
 
@@ -171,66 +178,81 @@ class RankReport:
 
     @property
     def at_rank_cap(self) -> bool:
-        """Rank min(rows, 2|V| - 2): no further trial can change rank,
-        independent or rigid."""
-        return self.rank == min(self.rows, 2 * self.n_vertices - 2)
+        """Rank min(rows, 2|V| - 2), or 0 with no vertex: no further trial
+        can change rank, independent or rigid."""
+        return self.rank == min(self.rows, max(0, 2 * self.n_vertices - 2))
 
 
-def _generic_rank(graph, plane, trials, seed, tol, coincident) -> RankReport:
-    """The rank report of both kinds, with every trial batched.
+def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankReport]:
+    """The rank reports of both kinds, one per graph and seed, with every
+    trial of every graph batched among the matrices of its shape (m, 2n).
 
-    Trial t places the vertices by default_rng([seed, t]) alone, so its
-    rank does not depend on the other trials or on the chunking.
+    Trial t of a graph places its vertices by default_rng([seed, t]) alone,
+    so its rank depends neither on the other trials and graphs nor on the
+    chunking.
     """
     plane = plane or DEFAULT_PLANE
-    seed = resolve_seed(seed)
+    seeds = [resolve_seed(s) for s in seeds]
     if trials < 1:
         raise RigidityError("need at least one trial")
-    had_pair_edge = coincident and graph.has_edge(*graph.require_pair())
-    work = delete_edge(graph, *graph.designated_pair) if had_pair_edge else graph
-    edges, a_idx, b_idx = _endpoints(work)
-    cols = 2 * work.n
-    if coincident:
-        u, v = (work.vertices.index(x) for x in work.designated_pair)
-    step = max(1, _BATCH_ENTRIES // max(1, len(edges) * cols))
-    ranks, notes = [], []
-    for start in range(0, trials, step):
-        ts = range(start, min(trials, start + step))
-        pts = np.stack([
-            np.random.default_rng([seed, t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(work.n, 2))
-            for t in ts
-        ])
-        if coincident:
-            pts[:, v] = pts[:, u]
-        sigmas = _singular_values(_matrix_stack(plane, pts, edges, a_idx, b_idx))
-        rank, tau, near = _ranks(sigmas, tol, len(edges), cols)
-        ranks += rank.tolist()
-        notes += [
-            f"trial {ts[i]}: smallest kept singular value {sigmas[i, rank[i] - 1]:.3e} "
-            f"within 10x of threshold {tau[i]:.3e}"
-            for i in np.flatnonzero(near)
-        ]
-    best = max(ranks)
-    return RankReport(
-        kind="coincident" if coincident else "plain",
-        n_vertices=graph.n,
-        total_edges=graph.m,
-        rows=work.m,
-        rank=best,
-        independent=not had_pair_edge and best == work.m,
-        rigid=graph.n <= 1 or best == 2 * graph.n - 2,
-        per_trial_ranks=tuple(ranks),
-        affine_span_full=graph.n - coincident >= 3,
-        pair=graph.designated_pair,
-        pair_edge_removed=had_pair_edge,
-        trials=trials,
-        seed=seed,
-        box_radius=_BOX_RADIUS,
-        tol_rel=tol.rel,
-        norm_spec=plane.spec_string(),
-        near_threshold=bool(notes),
-        notes=tuple(notes),
-    )
+    works, groups = [], {}
+    for i, g in enumerate(graphs):
+        had_pair_edge = coincident and g.has_edge(*g.require_pair())
+        work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
+        pair = [work.vertices.index(x) for x in work.designated_pair] if coincident else None
+        works.append((work, had_pair_edge, pair, *_endpoints(work)))
+        groups.setdefault((work.m, work.n), []).append(i)
+    ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
+    for (m, n), members in groups.items():
+        jobs = [(i, t) for i in members for t in range(trials)]
+        step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
+        for start in range(0, len(jobs), step):
+            chunk = jobs[start:start + step]
+            pts = np.stack([
+                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))
+                for i, t in chunk
+            ])
+            if coincident:
+                for j, (i, _) in enumerate(chunk):
+                    u, v = works[i][2]
+                    pts[j, v] = pts[j, u]
+            _, _, _, edges, a_idx, b_idx = works[chunk[0][0]]
+            if chunk[-1][0] != chunk[0][0]:  # several graphs: stack, else one graph's broadcast
+                _, _, _, edges, a_idx, b_idx = zip(*(works[i] for i, _ in chunk))
+                a_idx, b_idx = np.stack(a_idx), np.stack(b_idx)
+            sigmas = _singular_values(_matrix_stack(plane, pts, edges, a_idx, b_idx))
+            rank, tau, near = _ranks(sigmas, tol, m, 2 * n)
+            for (i, _), r in zip(chunk, rank.tolist()):
+                ranks[i].append(r)
+            for j in np.flatnonzero(near):
+                notes[chunk[j][0]].append(
+                    f"trial {chunk[j][1]}: smallest kept singular value "
+                    f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
+                )
+    reports = []
+    for g, (work, had_pair_edge, *_), seed, tried, noted in zip(graphs, works, seeds, ranks, notes):
+        best = max(tried)
+        reports.append(RankReport(
+            kind="coincident" if coincident else "plain",
+            n_vertices=g.n,
+            total_edges=g.m,
+            rows=work.m,
+            rank=best,
+            independent=not had_pair_edge and best == work.m,
+            rigid=g.n <= 1 or best == 2 * g.n - 2,
+            per_trial_ranks=tuple(tried),
+            affine_span_full=g.n - coincident >= 3,
+            pair=g.designated_pair,
+            pair_edge_removed=had_pair_edge,
+            trials=trials,
+            seed=seed,
+            box_radius=_BOX_RADIUS,
+            tol_rel=tol.rel,
+            norm_spec=plane.spec_string(),
+            near_threshold=bool(noted),
+            notes=tuple(noted),
+        ))
+    return reports
 
 
 def generic_rank(
@@ -247,7 +269,7 @@ def generic_rank(
     aggregate.  Rigidity is rank 2|V| - 2, which needs |V| >= 3; graphs
     on at most one vertex are rigid by convention.
     """
-    return _generic_rank(graph, plane, trials, seed, tol, coincident=False)
+    return _generic_ranks([graph], plane, trials, [seed], tol, coincident=False)[0]
 
 
 def uv_generic_rank(
@@ -264,27 +286,31 @@ def uv_generic_rank(
     the pair edge to be absent from G in the first place; uv-rigidity
     is rank 2|V| - 2.
     """
-    return _generic_rank(graph, plane, trials, seed, tol, coincident=True)
+    return _generic_ranks([graph], plane, trials, [seed], tol, coincident=True)[0]
 
 
-def settled_rank(
-    rank_fn: Callable[..., RankReport],
-    graph: Graph,
+def settled_ranks(
+    graphs: Sequence[Graph],
+    seeds: Sequence[int | None],
+    coincident: bool = False,
     plane: LpPlane | None = None,
     trials: int = 10,
-    seed: int | None = None,
-) -> RankReport:
-    """rank_fn's report, stopped after trial 0 when that trial is at the cap.
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> list[RankReport]:
+    """The plain or coincident report of each graph under its seed, each
+    stopped after trial 0 when that trial is at the cap.
 
-    rank_fn is generic_rank or uv_generic_rank (or a stand-in with their
-    signature).  A settled report is a one-trial report; otherwise all
-    of the trials run again from trial 0.  Trial t draws from the same
-    seed stream either way, so the verdict fields equal those of the
-    full report.
+    Trial 0 of every graph runs in one batch, and every trial of the
+    graphs below the cap in one more.  A settled report is a one-trial
+    report; trial t draws from the same seed stream either way, so the
+    verdict fields equal those of the full report.
     """
     if trials < 1:
         raise RigidityError("need at least one trial")
-    first = rank_fn(graph, plane, trials=1, seed=seed)
-    if trials == 1 or first.at_rank_cap:
-        return first
-    return rank_fn(graph, plane, trials=trials, seed=seed)
+    reports = _generic_ranks(graphs, plane, 1, seeds, tol, coincident)
+    redo = [i for i, rep in enumerate(reports) if trials > 1 and not rep.at_rank_cap]
+    full = _generic_ranks([graphs[i] for i in redo], plane, trials, [seeds[i] for i in redo],
+                          tol, coincident)
+    for i, rep in zip(redo, full):
+        reports[i] = rep
+    return reports

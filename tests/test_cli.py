@@ -388,6 +388,7 @@ def test_certify_global_numeric_flags_checked_first(capsys, monkeypatch, tmp_pat
 @pytest.mark.parametrize("argv", [
     ["certify-global", "left.seq", "--numeric"],
     ["experiment", "rigidity", "--max-n", "4"],
+    ["experiment", "rigidity", "--max-n", "0"],  # no instance, still an input error
 ])
 def test_no_trials_exit_1(files, capsys, argv):
     argv = [files.get(a, a) for a in argv]

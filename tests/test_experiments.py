@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from normrig import experiments
+from normrig import experiments, rigidity
 from normrig.experiments import (
     MAX_RETRIES,
     OP_VARIANTS,
@@ -23,7 +23,7 @@ from normrig.experiments import (
     rigidity_sweep,
 )
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
-from normrig.rigidity import generic_rank, uv_generic_rank
+from normrig.rigidity import settled_ranks, uv_generic_rank
 from normrig.sparsity import (
     cover_rank_bound,
     is_rigid_comb,
@@ -109,15 +109,19 @@ def test_sweep_registry_runs():
 
 
 def test_sweeps_stop_at_the_rank_cap(monkeypatch):
-    trials = []
+    trials, batches = [], []
+    batched = rigidity._generic_ranks
 
-    def counted(g, *args, **kwargs):
-        trials.append(kwargs["trials"])
-        return generic_rank(g, *args, **kwargs)
+    def counted(graphs, plane, n_trials, *args):
+        trials.extend([n_trials] * len(graphs))
+        batches.append(len(graphs))
+        return batched(graphs, plane, n_trials, *args)
 
-    monkeypatch.setattr(experiments, "generic_rank", counted)
+    monkeypatch.setattr(rigidity, "_generic_ranks", counted)
     rep = rigidity_sweep(5, seed=9)
     assert rep.ok and set(trials) <= {1, 10}
+    # every trial 0 in one batch, every rerun in one more, no retry left
+    assert batches[:2] == [rep.instances, trials.count(10)] and not any(batches[2:])
     # each instance runs trial 0 alone, and the full ten only off the cap
     assert trials.count(1) == rep.instances > trials.count(10)
 
@@ -198,11 +202,13 @@ def _flip_cover(g):
     return dataclasses.replace(bound, value=bound.value + _flipped(g))
 
 
-def _flip_independent(g, *args, **kwargs):
+def _flip_independent(graphs, *args, **kwargs):
     # The operation suite's counting side is a constant (its hosts meet
     # the hypotheses by construction), so it flips the numerical side.
-    rep = uv_generic_rank(g, *args, **kwargs)
-    return dataclasses.replace(rep, independent=rep.independent != _flipped(g))
+    return [
+        dataclasses.replace(rep, independent=rep.independent != _flipped(g))
+        for g, rep in zip(graphs, settled_ranks(graphs, *args, **kwargs))
+    ]
 
 
 # sweep -> (patched name in experiments, replacement, run, instances,
@@ -226,7 +232,7 @@ FORCED = {
         18, 6, "b2b6b229f3c5a554",
     ),
     "operations": (
-        "uv_generic_rank", _flip_independent,
+        "settled_ranks", _flip_independent,
         lambda: operation_preservation_suite(samples=3, seed=9), 21, 4,
         "d1b4eae47644e43f",
     ),

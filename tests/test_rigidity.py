@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from normrig import rigidity
 from normrig.enumeration import enumerate_graphs
 from normrig.graph import Graph, delete_edge
-from normrig.norms import LpPlane
+from normrig.norms import LpPlane, parse_norm
 from normrig.rigidity import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -18,7 +17,7 @@ from normrig.rigidity import (
     generic_rank,
     RankReport,
     resolve_seed,
-    settled_rank,
+    settled_ranks,
     uv_generic_rank,
 )
 
@@ -288,10 +287,15 @@ def test_collinear_points_stay_below_rigidity(small_graphs):
 
 
 # ---------------------------------------------------------------------------
-# settled_rank: verdict-only queries stop after trial 0 at the rank cap
+# settled_ranks: verdict-only queries stop after trial 0 at the rank cap
 # ---------------------------------------------------------------------------
 
 VERDICT_FIELDS = ("rank", "independent", "rigid", "affine_span_full", "rows")
+
+
+def settled_one(fn, g, plane, trials, seed, tol=DEFAULT_TOL):
+    """settled_ranks on the one graph g, of the kind of fn."""
+    return settled_ranks([g], [seed], fn is uv_generic_rank, plane, trials, tol)[0]
 
 
 def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
@@ -300,7 +304,7 @@ def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
     settled = 0
     for fn, g in cases:
         full = fn(g, plane4, trials=10, seed=23)
-        got = settled_rank(fn, g, plane4, trials=10, seed=23)
+        got = settled_one(fn, g, plane4, 10, 23)
         assert [getattr(got, f) for f in VERDICT_FIELDS] == [
             getattr(full, f) for f in VERDICT_FIELDS
         ], g
@@ -312,13 +316,14 @@ def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
 
 
 def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
-    # n <= 2 plain, or three vertices with two of them coincident: never a span
-    cases = [(generic_rank, g) for g in small_graphs if g.n <= 2]
+    # n <= 2 plain, or three vertices with two of them coincident: never a
+    # span; the graph on no vertex has rank cap 0, not 2 * 0 - 2
+    cases = [(generic_rank, g) for g in [Graph.from_edges([])] + small_graphs if g.n <= 2]
     cases += [(uv_generic_rank, g) for g in enumerate_graphs(3, pair=True)
               if not g.has_edge(*g.designated_pair)]
-    assert len(cases) == 6
+    assert len(cases) == 7
     for fn, g in cases:
-        got = settled_rank(fn, g, plane4, trials=10, seed=23)
+        got = settled_one(fn, g, plane4, 10, 23)
         full = fn(g, plane4, trials=10, seed=23)
         assert got.trials == 1 and not got.affine_span_full, g
         assert [getattr(got, f) for f in VERDICT_FIELDS] == [
@@ -328,10 +333,10 @@ def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
 
 def test_trial_zero_below_the_cap_runs_every_trial(k23):
     # a loose tolerance puts trial 0 one below the cap, which trial 1 reaches
-    rank_fn = functools.partial(generic_rank, tol=TolerancePolicy(rel=3e-3))
-    full = rank_fn(k23, LpPlane(1.5), trials=10, seed=6)
+    loose = TolerancePolicy(rel=3e-3)
+    full = generic_rank(k23, LpPlane(1.5), trials=10, seed=6, tol=loose)
     assert full.per_trial_ranks[:2] == (5, 6) and full.at_rank_cap and full.independent
-    assert settled_rank(rank_fn, k23, LpPlane(1.5), 10, 6) == full
+    assert settled_one(generic_rank, k23, LpPlane(1.5), 10, 6, loose) == full
 
 
 def test_rank_functions_run_every_trial_at_the_cap(two_k4, plane4):
@@ -341,9 +346,37 @@ def test_rank_functions_run_every_trial_at_the_cap(two_k4, plane4):
         assert full.trials == len(full.per_trial_ranks) == 10
 
 
-def test_settled_rank_rejects_no_trials(two_k4):
+def test_settled_rank_rejects_no_trials(monkeypatch, two_k4):
     def no_work(*args, **kwargs):
-        raise AssertionError("rank function called with no trials")
+        raise AssertionError("placement drawn with no trials")
 
-    with pytest.raises(RigidityError, match="need at least one trial"):
-        settled_rank(no_work, two_k4, trials=0, seed=1)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    for graphs, seeds in (([two_k4], [1]), ([], [])):
+        with pytest.raises(RigidityError, match="need at least one trial"):
+            settled_ranks(graphs, seeds, True, trials=0)
+
+
+def _batch_cases():
+    """Every plain graph on at most 5 vertices, every pair class on at most
+    6, and the graphs on no and on one vertex, shuffled."""
+    graphs = [Graph.from_edges([]), Graph.from_edges([0])]
+    graphs += [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_graphs(n, pair=True)]
+    order = np.random.default_rng(5).permutation(len(graphs))
+    return [graphs[i] for i in order]
+
+
+@pytest.mark.parametrize("desc,rel", [("lp:4", 1e-9), ("lp:3", 1e-9), ("lp:1.5", 3e-3)])
+def test_batched_reports_equal_one_graph_reports(desc, rel):
+    # plain ranks of the plain graphs, coincident ranks of the pair classes
+    plane, tol, batch = parse_norm(desc), TolerancePolicy(rel=rel), _batch_cases()
+    for fn, coincident in ((generic_rank, False), (uv_generic_rank, True)):
+        graphs = [g for g in batch if (g.designated_pair is not None) == coincident]
+        seeds = [1000 + i for i in range(len(graphs))]
+        full = rigidity._generic_ranks(graphs, plane, 10, seeds, tol, coincident)
+        settled = settled_ranks(graphs, seeds, coincident, plane, 10, tol)
+        for g, s, got_full, got in zip(graphs, seeds, full, settled):
+            assert got_full == fn(g, plane, trials=10, seed=s, tol=tol), g
+            assert got == settled_one(fn, g, plane, 10, s, tol), g
+        if rel > 1e-9:
+            assert any(rep.notes for rep in settled) and any(rep.notes for rep in full)
