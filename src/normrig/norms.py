@@ -10,6 +10,10 @@ Concretely
 acting on points by the dot product.  p = 2 is excluded on purpose:
 the Euclidean plane obeys a different edge-count arithmetic and none
 of the equivalences in this package apply to it.
+
+norm_batch and support_batch act on the rows of an (N, 2) array in one
+pass: their divisions skip zero rows rather than mask them out, so the
+zero vector, which has no support functional, maps to zero.
 """
 
 from __future__ import annotations
@@ -43,31 +47,19 @@ class LpPlane:
     def norm_batch(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=np.float64)
         a = np.abs(zs)
-        mx = a.max(axis=-1)
-        out = np.zeros_like(mx)
-        nz = mx > 0
-        scaled = a[nz] / mx[nz, None]
-        out[nz] = mx[nz] * (scaled ** self.exponent).sum(axis=-1) ** (
-            1.0 / self.exponent
-        )
-        return out
+        mx = a.max(axis=-1, keepdims=True)
+        scaled = np.divide(a, mx, out=np.zeros_like(a), where=mx > 0)
+        return mx[..., 0] * (scaled ** self.exponent).sum(axis=-1) ** (1.0 / self.exponent)
 
     def support_batch(self, zs: np.ndarray) -> np.ndarray:
         """Row-wise support functionals; the zero vector maps to zero."""
         zs = np.asarray(zs, dtype=np.float64)
-        norms = self.norm_batch(zs)
-        out = np.zeros_like(zs)
-        nz = norms > 0
+        norms = self.norm_batch(zs)[..., None]
         # Degree-1 homogeneity: evaluate on the unit sphere, then
         # rescale.  Keeps p = 7 well-behaved for very short and very
         # long vectors alike.
-        unit = zs[nz] / norms[nz, None]
-        out[nz] = (
-            norms[nz, None]
-            * np.sign(unit)
-            * np.abs(unit) ** (self.exponent - 1.0)
-        )
-        return out
+        unit = np.divide(zs, norms, out=np.zeros_like(zs), where=norms > 0)
+        return norms * np.sign(unit) * np.abs(unit) ** (self.exponent - 1.0)
 
     def spec_string(self) -> str:
         p = self.exponent

@@ -16,13 +16,15 @@ span flag depends on the graph alone: |V| >= 3, or |V| >= 4 when the
 designated pair shares a point.
 
 Generic ranks are estimated by sampling several random placements and
-keeping the best rank seen; coincident variants place the designated
-pair at one common point and work on the graph minus the pair edge.
-One routine ranks every trial of many graphs at once: the matrices of
-one shape (m, 2|V|) share one stack, and its placements, matrices and
-singular values come out of single numpy calls, in chunks of bounded
-size.  generic_rank and uv_generic_rank are that routine on one graph,
-and run every trial they are asked for.
+keeping the best rank seen.  Coincident variants work on the graph
+minus the pair edge, and their placement map sends v to u's point: a
+trial's points are its random draw read through that map, which is the
+identity for plain ranks.  One routine ranks every trial of many graphs
+at once: the matrices of one shape (m, 2|V|) share one stack, each
+placement with its own graph's edges and (m, 2) end positions, and the
+stack's matrices and singular values come out of single numpy calls, in
+chunks of bounded size.  generic_rank and uv_generic_rank are that
+routine on one graph, and run every trial they are asked for.
 
 Callers that read only the verdict go through settled_ranks instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
@@ -95,28 +97,29 @@ DEFAULT_TOL = TolerancePolicy()
 
 
 def _endpoints(g: Graph):
-    """Sorted edges and the vertex positions of their two ends."""
+    """Sorted edges and the (m, 2) vertex positions of their two ends."""
     edges = tuple(g.sorted_edges())
     index = {v: i for i, v in enumerate(g.vertices)}
-    a_idx = np.array([index[a] for a, _ in edges], dtype=np.intp)
-    b_idx = np.array([index[b] for _, b in edges], dtype=np.intp)
-    return edges, a_idx, b_idx
+    return edges, np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
 
 
-def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, a_idx, b_idx) -> np.ndarray:
+def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, ends) -> np.ndarray:
     """Rigidity matrices (T, m, 2n) of T placements (T, n, 2): row r of matrix
-    t is edge edges[t][r], its ends at positions a_idx[t, r] and b_idx[t, r];
-    one graph's edges and (m,) index arrays serve every placement."""
+    t is edge edges[t][r], its ends at positions ends[t, r] of the (T, m, 2)
+    array, so placements of different graphs of one shape share the stack.
+    A coincident pair arrives already placed at one point (the placement
+    map), and a zero-length edge is named by its own graph's labels."""
     trials, n = pts.shape[:2]
-    m = a_idx.shape[-1]
+    m = ends.shape[1]
     mat = np.zeros((trials, m, n, 2))
     if m:
         t_idx = np.arange(trials)[:, None]
+        a_idx, b_idx = ends[..., 0], ends[..., 1]
         diffs = (pts[t_idx, a_idx] - pts[t_idx, b_idx]).reshape(-1, 2)
         zero = ~diffs.any(axis=1).reshape(trials, m)  # zero length iff zero vector
         if zero.any():
             t, r = np.argwhere(zero)[0]
-            a, b = (edges[t] if a_idx.ndim > 1 else edges)[r]
+            a, b = edges[t][r]
             raise RigidityError(f"edge {a}-{b} joins two coincident points")
         phis = plane.support_batch(diffs).reshape(trials, m, 2)
         rows = np.arange(m)
@@ -199,8 +202,11 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankRe
     for i, g in enumerate(graphs):
         had_pair_edge = coincident and g.has_edge(*g.require_pair())
         work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
-        pair = [work.vertices.index(x) for x in work.designated_pair] if coincident else None
-        works.append((work, had_pair_edge, pair, *_endpoints(work)))
+        at = np.arange(work.n)  # placement map: v sits at u's point
+        if coincident:
+            u, v = (work.vertices.index(x) for x in work.designated_pair)
+            at[v] = u
+        works.append((work, had_pair_edge, at, *_endpoints(work)))
         groups.setdefault((work.m, work.n), []).append(i)
     ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
     for (m, n), members in groups.items():
@@ -208,19 +214,12 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankRe
         step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
         for start in range(0, len(jobs), step):
             chunk = jobs[start:start + step]
+            _, _, ats, edges, ends = zip(*(works[i] for i, _ in chunk))
             pts = np.stack([
-                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))
-                for i, t in chunk
+                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))[at]
+                for (i, t), at in zip(chunk, ats)
             ])
-            if coincident:
-                for j, (i, _) in enumerate(chunk):
-                    u, v = works[i][2]
-                    pts[j, v] = pts[j, u]
-            _, _, _, edges, a_idx, b_idx = works[chunk[0][0]]
-            if chunk[-1][0] != chunk[0][0]:  # several graphs: stack, else one graph's broadcast
-                _, _, _, edges, a_idx, b_idx = zip(*(works[i] for i, _ in chunk))
-                a_idx, b_idx = np.stack(a_idx), np.stack(b_idx)
-            sigmas = _singular_values(_matrix_stack(plane, pts, edges, a_idx, b_idx))
+            sigmas = _singular_values(_matrix_stack(plane, pts, edges, np.stack(ends)))
             rank, tau, near = _ranks(sigmas, tol, m, 2 * n)
             for (i, _), r in zip(chunk, rank.tolist()):
                 ranks[i].append(r)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .graph import Graph, contract_pair, delete_edge, induced_edge_count
+from .graph import Graph, contract_pair, delete_edge
 
 
 # Largest graph the brute-force uv-sparsity checker accepts.
@@ -189,40 +189,30 @@ class UvSparseVerdict:
     witness: UvWitness | None
 
 
-def _subset_scan(g: Graph, u: int, v: int) -> tuple[int, frozenset[int] | None]:
-    """Max deficiency i(U) - val(U) over all |U| >= 2, brute force."""
-    verts = g.vertices
-    best, best_set = 0, None
-    for mask in range(1, 1 << g.n):
-        if mask & (mask - 1) == 0:
-            continue  # singletons
-        s = frozenset(verts[i] for i in range(g.n) if (mask >> i) & 1)
-        d = induced_edge_count(g, s) - val_set(s, u, v)
-        if d > best:
-            best, best_set = d, s
-    return best, best_set
+def _subset_scan(g: Graph, u: int, v: int):
+    """One pass over the vertex subsets U, |U| >= 2, by ascending vertex mask.
 
-
-def _candidate_arrays(g: Graph, u: int, v: int):
-    """All candidate family sets {u, v} + C, C nonempty in V - {u, v}.
-
-    Returns (candidate parts as vertex tuples, induced-edge bitmask per
-    candidate, val term per candidate) in ascending part-mask order.
+    Returns the max deficiency i(U) - val(U) and its first U, then the
+    family candidates: each U holding u, v and a third vertex (so by
+    ascending mask over V - {u, v}), its induced-edge bitmask and val term.
     """
-    others = [x for x in g.vertices if x not in (u, v)]
-    edges = g.sorted_edges()
-    parts, masks, terms = [], [], []
-    for cmask in range(1, 1 << len(others)):
-        c = [others[i] for i in range(len(others)) if (cmask >> i) & 1]
-        x = set(c) | {u, v}
-        emask = 0
-        for j, (a, b) in enumerate(edges):
-            if a in x and b in x:
-                emask |= 1 << j
-        parts.append(tuple(c))
-        masks.append(emask)
-        terms.append(val_set(x, u, v) - 2)
-    return parts, masks, terms
+    verts = g.vertices
+    ends = [(1 << verts.index(a)) | (1 << verts.index(b)) for a, b in g.sorted_edges()]
+    pair = (1 << verts.index(u)) | (1 << verts.index(v))
+    best, best_set, parts, masks, terms = 0, None, [], [], []
+    for vmask in range(1, 1 << g.n):
+        if vmask & (vmask - 1) == 0:
+            continue  # singletons
+        s = frozenset(verts[i] for i in range(g.n) if (vmask >> i) & 1)
+        emask = sum(1 << j for j, ab in enumerate(ends) if vmask & ab == ab)
+        value = val_set(s, u, v)
+        if emask.bit_count() - value > best:
+            best, best_set = emask.bit_count() - value, s
+        if vmask & pair == pair and len(s) >= 3:
+            parts.append(s)
+            masks.append(emask)
+            terms.append(value - 2)
+    return best, best_set, parts, masks, terms
 
 
 def _violation(g: Graph, kind: str, sets: Sequence[frozenset[int]] = ()) -> UvSparseVerdict:
@@ -252,14 +242,13 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     if g.has_edge(u, v):
         return _violation(g, "pair-edge")
 
-    sub_def, sub_set = _subset_scan(g, u, v)
-    parts, masks, terms = _candidate_arrays(g, u, v)
+    sub_def, sub_set, parts, masks, terms = _subset_scan(g, u, v)
     fam_def, chosen = _kernels.family_best(masks, terms) if parts else (0, 0)
 
     if sub_def >= 1 and sub_def >= fam_def:
         return _violation(g, "subset", (sub_set,))
     if fam_def >= 1:
-        fam = [frozenset(c) | {u, v} for i, c in enumerate(parts) if (chosen >> i) & 1]
+        fam = [x for i, x in enumerate(parts) if (chosen >> i) & 1]
         return _violation(g, "family", fam)
     return UvSparseVerdict(True, None)
 

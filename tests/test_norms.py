@@ -88,3 +88,25 @@ def test_support_odd(z, p):
     assert plane.support_batch(-arr)[0] == pytest.approx(
         -plane.support_batch(arr)[0], rel=1e-9
     )
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 7.0])
+def test_mixed_batch_rows_are_independent(p):
+    # One batch holding zero, tiny, huge and ordinary rows: each row's
+    # functional is the one it gets alone, bit for bit, and zero rows
+    # map to exactly zero.
+    plane = LpPlane(p)
+    rng = np.random.default_rng(11)
+    zs = np.concatenate([
+        [[0.0, 0.0], [1e-200, -3e-200], [0.0, 2e-200], [1e200, 4e199], [-5e200, 0.0]],
+        rng.uniform(-10.0, 10.0, (6, 2)),
+        [[0.0, 0.0]],
+    ])
+    phis, norms = plane.support_batch(zs), plane.norm_batch(zs)
+    for z, phi, nrm in zip(zs, phis, norms):
+        assert phi.tobytes() == plane.support_batch(z[None])[0].tobytes()
+        if not z.any():
+            assert np.all(phi == 0.0) and nrm == 0.0
+        else:
+            # phi(z) = ||z||^2, divided by ||z|| so that 1e200 rows stay finite
+            assert float(phi @ (z / nrm)) == pytest.approx(nrm, rel=1e-10)

@@ -24,7 +24,8 @@ from normrig.rigidity import (
 
 def matrix_of(g, plane, pts):
     """The rigidity matrix of one placement (n, 2) of g."""
-    return rigidity._matrix_stack(plane, np.asarray(pts, float)[None], *rigidity._endpoints(g))[0]
+    edges, ends = rigidity._endpoints(g)
+    return rigidity._matrix_stack(plane, np.asarray(pts, float)[None], [edges], ends[None])[0]
 
 
 def rank_of(a, tol=DEFAULT_TOL):
@@ -40,8 +41,25 @@ def test_coincident_edge_named_from_first_bad_trial():
         [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]],  # 1 and 2 coincide
         [[3.0, 3.0], [3.0, 3.0], [0.0, 1.0]],  # 0 and 1 coincide, later trial
     ])
+    edges, ends = rigidity._endpoints(path)
     with pytest.raises(RigidityError, match="^edge 1-2 joins two coincident points$"):
-        rigidity._matrix_stack(LpPlane(4), pts, *rigidity._endpoints(path))
+        rigidity._matrix_stack(LpPlane(4), pts, [edges] * 3, np.stack([ends] * 3))
+
+
+def test_coincident_edge_named_from_its_own_graph():
+    # One stack, two graphs of one shape: the first zero-length row lies in
+    # the second graph's matrix, so its labels, not the first graph's, name it.
+    path = Graph.from_edges(range(3), [(0, 1), (1, 2)])
+    star = Graph.from_edges([5, 7, 9], [(5, 9), (7, 9)])
+    (p_edges, p_ends), (s_edges, s_ends) = rigidity._endpoints(path), rigidity._endpoints(star)
+    pts = np.array([
+        [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],  # path, no coincidence
+        [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]],  # star, 7 and 9 coincide
+        [[3.0, 3.0], [3.0, 3.0], [0.0, 1.0]],  # path, 0 and 1 coincide, later
+    ])
+    with pytest.raises(RigidityError, match="^edge 7-9 joins two coincident points$"):
+        rigidity._matrix_stack(LpPlane(4), pts, [p_edges, s_edges, p_edges],
+                               np.stack([p_ends, s_ends, p_ends]))
 
 
 def test_resolve_seed(monkeypatch):

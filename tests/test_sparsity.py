@@ -8,6 +8,8 @@ the family condition and the cover bound, on graphs of up to ten vertices.
 """
 from __future__ import annotations
 
+import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -247,6 +249,23 @@ def test_bruteforce_size_guard():
     g = random_graph(np.random.default_rng(1), BRUTEFORCE_MAX_N + 1, pair=True)
     with pytest.raises(SparsityError, match="brute force limited to 7 vertices"):
         is_uv_sparse_bruteforce(g)
+
+
+def test_bruteforce_witnesses_pinned_off_the_first_labels(pair_classes_6):
+    # Every pair class on at most 6 vertices, its vertices permuted by a
+    # seeded draw so the pair leaves (0, 1), where the CLI goldens keep it.
+    # The digest of every witness (kind, sets in order, covered, value)
+    # pins which of several violating sets or families the scan order picks.
+    rng = np.random.default_rng(2024)
+    digest, kinds = hashlib.sha256(), collections.Counter()
+    for g in pair_classes_6:
+        perm = [int(x) for x in rng.permutation(g.n)]
+        w = is_uv_sparse_bruteforce(g.relabel(dict(enumerate(perm)))).witness
+        kinds[w and w.kind] += 1
+        record = w and (w.kind, [sorted(s) for s in w.sets], w.covered, w.value)
+        digest.update(repr(record).encode())
+    assert kinds == {None: 591, "pair-edge": 664, "family": 37, "subset": 36}
+    assert digest.hexdigest() == "a9aae8da435c701e8aed20e3061f2f5979a0d7d3dd7e6dcbe8b1413093b1c445"
 
 
 def test_negative_witnesses_check_out():
