@@ -5,10 +5,10 @@ pebble_game is called only by sparsity.pebble_game, canonize_batch
 only by enumeration._class_masks, and family_best only by
 sparsity.is_uv_sparse_bruteforce.  The pebble game works on vertex
 labels and keeps the orientation as adjacency lists, so its cost
-follows the edges it searches and not n**2.  The canonizer is
-vectorised over numpy arrays of edge bitmasks.  The family search is a
-branch and bound over Python-int bitmasks; its cost follows the
-families it cannot rule out, not the 2**c families there are.
+follows the edges it searches and not n**2.  The canonizer is exact
+float64 matrix products over tiles of numpy edge bitmasks.  The family
+search is a branch and bound over Python-int bitmasks; its cost follows
+the families it cannot rule out, not the 2**c families there are.
 """
 
 from __future__ import annotations
@@ -105,17 +105,23 @@ def canonize_batch(masks, bitmaps):
     ``bitmaps[p, b]`` gives the image of edge-bit ``b`` under the p-th
     vertex permutation.  The canonical form of a mask is the smallest
     integer over all permutations; it is itself the edge mask of a
-    relabelled copy of the graph.  Expanding every mask into bits, each
-    permutation becomes one integer matvec; a running elementwise
-    minimum keeps memory at O(masks * bits).
+    relabelled copy of the graph.  A tile of bit-expanded masks under a
+    tile of permutations is one float64 matrix product.  Each entry is a
+    sum of distinct powers of two below 2**52, so every partial sum is an
+    exact integer below 2**53, in any summation order.
     """
     nperm, nbits = bitmaps.shape
-    bits = (masks[:, None] >> np.arange(nbits, dtype=np.int64)[None, :]) & np.int64(1)
-    weights = np.int64(1) << bitmaps  # [perm, bit] -> place value after relabel
-    best = masks.copy()
-    for p in range(nperm):
-        np.minimum(best, bits @ weights[p], out=best)
-    return best
+    if nbits > 52:
+        raise ValueError(f"{nbits}-bit masks exceed float64's exact integers")
+    bits = ((masks[:, None] >> np.arange(nbits)) & 1).astype(np.float64)
+    weights = (np.int64(1) << bitmaps.T).astype(np.float64)  # [bit, perm] place values
+    best = masks.astype(np.float64)
+    t = 256  # masks, and permutations, per tile: 512 KiB of float64
+    for i in range(0, len(masks), t):
+        for p in range(0, nperm, t):
+            tile = bits[i:i + t] @ weights[:, p:p + t]
+            np.minimum(best[i:i + t], tile.min(axis=1), out=best[i:i + t])
+    return best.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

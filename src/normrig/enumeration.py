@@ -9,14 +9,16 @@ relabelled copy.  Classes on n vertices extend those on n - 1: relabel
 a vertex of largest degree not in the designated pair to n - 1 and
 delete it, and what is left is a relabelled representative.  So only
 representatives plus a vertex n - 1 of largest degree outside the pair
-are canonized, in one batch per n.  Exhaustive enumeration stops at
+are canonized, in one batch per n, and decoded in one numpy pass; slot
+edges are normalised, distinct and in range, so each Graph is built
+directly, without from_edges' checks.  Exhaustive enumeration stops at
 EXHAUSTIVE_MAX_N = 7 vertices; beyond that, use random sampling.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 import numpy as np
 
@@ -31,9 +33,17 @@ def edge_slots(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def mask_to_graph(n: int, mask: int, pair: tuple[int, int] | None = None) -> Graph:
+def _edge_sets(n: int, masks: np.ndarray) -> list[frozenset[tuple[int, int]]]:
+    """The edge set of each mask over edge_slots(n), decoded in one numpy pass."""
     slots = edge_slots(n)
-    edges = [slots[b] for b in range(len(slots)) if (mask >> b) & 1]
+    rows = ((masks[:, None] >> np.arange(len(slots))) & 1).astype(bool).tolist()
+    return [frozenset(compress(slots, row)) for row in rows]
+
+
+def mask_to_graph(n: int, mask: int, pair: tuple[int, int] | None = None) -> Graph:
+    if not 0 <= mask < 1 << n * (n - 1) // 2:
+        raise GraphError(f"edge mask {mask} outside [0, 2**C({n}, 2))")
+    (edges,) = _edge_sets(n, np.array([mask], dtype=object))  # Python ints: any width
     return Graph.from_edges(range(n), edges, pair)
 
 
@@ -77,12 +87,9 @@ def enumerate_graphs(
     check_exhaustive(n)
     if pair and n < 2:
         raise GraphError("designated pair needs two vertices")
-    out = []
-    for mask in _class_masks(n, pair):
-        g = mask_to_graph(n, int(mask), (0, 1) if pair else None)
-        if connected is None or g.is_connected() == connected:
-            out.append(g)
-    return out
+    verts, marked = tuple(range(n)), (0, 1) if pair else None
+    graphs = (Graph(verts, edges, marked) for edges in _edge_sets(n, _class_masks(n, pair)))
+    return [g for g in graphs if connected is None or g.is_connected() == connected]
 
 
 def _class_masks(n: int, pair: bool) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Graph enumeration up to isomorphism, the batched canonizer against a
-permutation oracle, random instances."""
+permutation oracle and a per-permutation loop, the bulk mask decode,
+random instances."""
 from __future__ import annotations
 
 from itertools import combinations, permutations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normrig import _kernels
 from normrig._kernels import canonize_batch
 from normrig.enumeration import (
     _class_masks,
@@ -71,6 +73,59 @@ def test_pair_class_counts(n):
 def test_enumeration_size_cap():
     with pytest.raises(GraphError, match="capped at 7 vertices"):
         enumerate_graphs(8)
+
+
+def loop_canonize(masks, bitmaps):
+    """Reference canonizer: one int64 matvec per permutation, with a
+    running elementwise minimum."""
+    nbits = bitmaps.shape[1]
+    bits = (masks[:, None] >> np.arange(nbits, dtype=np.int64)[None, :]) & np.int64(1)
+    weights = np.int64(1) << bitmaps
+    best = masks.copy()
+    for row in weights:
+        np.minimum(best, bits @ row, out=best)
+    return best
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_canonize_batch_equals_loop_on_class_batches(pair, monkeypatch):
+    batches = []
+    real = _kernels.canonize_batch
+
+    def spy(masks, bitmaps):
+        batches.append((masks.copy(), bitmaps))
+        return real(masks, bitmaps)
+
+    monkeypatch.setattr(_kernels, "canonize_batch", spy)
+    _class_masks(7, pair)
+    assert [b.shape[1] for _, b in batches] == [3, 6, 10, 15, 21]  # n = 3..7
+    for masks, bitmaps in batches:
+        assert np.array_equal(real(masks, bitmaps), loop_canonize(masks, bitmaps))
+
+
+@pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 513])
+def test_canonize_batch_equals_loop_across_tile_edges(size):
+    rng = np.random.default_rng(size)
+    masks = rng.integers(0, 1 << 15, size=size, dtype=np.int64)
+    for pair in (False, True):  # 720 and 48 relabellings
+        bitmaps = _perm_bitmaps(6, pair)
+        got = canonize_batch(masks, bitmaps)
+        assert got.dtype == np.int64 and got.shape == (size,)
+        assert np.array_equal(got, loop_canonize(masks, bitmaps))
+
+
+def test_canonize_batch_exact_at_52_bits():
+    # 300 random bit permutations (not a multiple of the 256 tile) of
+    # masks spanning all 52 bits: the float64 products stay exact.
+    rng = np.random.default_rng(52)
+    bitmaps = np.array([rng.permutation(52) for _ in range(300)], dtype=np.int64)
+    masks = rng.integers(0, 1 << 52, size=600, dtype=np.int64)
+    assert np.array_equal(canonize_batch(masks, bitmaps), loop_canonize(masks, bitmaps))
+
+
+def test_canonize_batch_refuses_53_bits():
+    with pytest.raises(ValueError, match="53-bit masks"):
+        canonize_batch(np.array([1], dtype=np.int64), np.zeros((1, 53), dtype=np.int64))
 
 
 def full_mask_classes(n, pair):
@@ -143,6 +198,30 @@ def test_mask_round_trip():
         g = random_graph(rng, n, pair=bool(rng.integers(2)))
         back = mask_to_graph(n, mask_of(g), pair=g.designated_pair)
         assert back == g
+
+
+def test_mask_to_graph_rejects_masks_out_of_range():
+    assert mask_to_graph(3, 7) == Graph.complete(3)
+    for mask in (-1, 8):
+        with pytest.raises(GraphError, match="outside"):
+            mask_to_graph(3, mask)
+
+
+def test_direct_construction_equals_from_edges():
+    # enumerate_graphs builds each Graph without from_edges' checks; a
+    # per-bit decode through from_edges gives the same graphs.
+    for n in range(1, 8):
+        slots = edge_slots(n)
+        for pair in (False, True) if n > 1 else (False,):
+            marked = (0, 1) if pair else None
+            expected = [
+                Graph.from_edges(range(n), [e for b, e in enumerate(slots) if int(x) >> b & 1], marked)
+                for x in _class_masks(n, pair)
+            ]
+            for c in (None, True, False):
+                assert enumerate_graphs(n, connected=c, pair=pair) == [
+                    g for g in expected if c is None or g.is_connected() == c
+                ]
 
 
 def test_edge_slots_order():
