@@ -33,12 +33,10 @@ from .sparsity import (
     UvSparseVerdict,
     cover_rank_bound,
     is_kl_sparse,
-    is_kl_tight,
     is_rigid_comb,
     is_uv_rigid_comb,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
-    is_uv_tight,
     pebble_game,
 )
 
@@ -68,11 +66,9 @@ __all__ = [
     "SparsityError",
     "pebble_game",
     "is_kl_sparse",
-    "is_kl_tight",
     "is_rigid_comb",
     "is_uv_sparse",
     "is_uv_sparse_bruteforce",
-    "is_uv_tight",
     "is_uv_rigid_comb",
     "cover_rank_bound",
     "__version__",

@@ -19,15 +19,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .experiments import (
-    conjecture_probe,
-    cover_bound_sweep,
-    delete_contract_sweep,
-    equivalence_sweep,
-    format_report,
-    operation_preservation_suite,
-    rigidity_sweep,
-)
+from .experiments import SWEEPS, format_report
 from .globalrig import (
     BASE_TAGS,
     GenerationError,
@@ -48,7 +40,6 @@ from .graph import (
     delete_vertex,
     format_graph,
     graph_to_json,
-    induced_edge_count,
     one_extension,
     parse_graph,
     vertex_to_four_cycle,
@@ -70,6 +61,7 @@ from .sparsity import (
     is_uv_sparse,
     is_uv_sparse_bruteforce,
     cover_rank_bound,
+    covered_edge_count,
     pebble_game,
 )
 
@@ -168,7 +160,7 @@ def _cmd_check_sparse(args) -> int:
     record = {"sparse": sparse, "k": args.k, "l": args.l}
     if not sparse and res.witness is not None:
         u_set = res.witness
-        covered = induced_edge_count(g, u_set)
+        covered = covered_edge_count(g, [u_set])
         bound = args.k * len(u_set) - args.l
         lines.append(f"witness: {_fmt_set(u_set)} edges {covered} > {bound}")
         record["witness"] = {"set": u_set, "edges": covered, "bound": bound}
@@ -360,41 +352,35 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _given(value, default):
-    """An option's value, or its default when it was not given."""
-    return default if value is None else value
-
-
-# experiment name: the sweep it runs, with its --max-n/--samples defaults.
-_EXPERIMENT_RUNS = {
-    "equivalence": lambda a: equivalence_sweep(
-        _given(a.max_n, 8), _single_norm(a), trials=a.trials, seed=a.seed,
-        samples_per_large_n=_given(a.samples, 100),
-    ),
-    "delete-contract": lambda a: delete_contract_sweep(
-        _given(a.samples, 500), (4, _given(a.max_n, 8)), _single_norm(a),
-        trials=a.trials, seed=a.seed,
-    ),
-    "rigidity": lambda a: rigidity_sweep(
-        _given(a.max_n, 6), _single_norm(a), trials=a.trials, seed=a.seed
-    ),
-    "cover-bound": lambda a: cover_bound_sweep(
-        _given(a.max_n, 5), _single_norm(a), trials=a.trials, seed=a.seed
-    ),
-    "operations": lambda a: operation_preservation_suite(
-        _given(a.samples, 100), _single_norm(a), trials=a.trials, seed=a.seed
-    ),
-    "conjecture": lambda a: conjecture_probe(
-        a.norm or ["lp:1.2", "lp:1.5", "lp:3", "lp:7"], samples=_given(a.samples, 100),
-        max_n=_given(a.max_n, 5), trials=a.trials, seed=a.seed,
-    ),
+# experiment name: the sweep parameters --max-n and --samples set (None where
+# the sweep has none).  An option not given keeps the sweep's own default.
+_EXPERIMENT_OPTIONS = {
+    "equivalence": ("max_n", "samples_per_large_n"),
+    "delete-contract": ("n_range", "samples"),
+    "rigidity": ("max_n", None),
+    "cover-bound": ("max_n", None),
+    "operations": (None, "samples"),
+    "conjecture": ("max_n", "samples"),
 }
+
+
+def _experiment_kwargs(args) -> dict:
+    if args.name == "conjecture":
+        kw = {"desc_list": args.norm} if args.norm else {}
+    else:
+        kw = {"desc": _single_norm(args)}
+    max_n_key, samples_key = _EXPERIMENT_OPTIONS[args.name]
+    if max_n_key and args.max_n is not None:
+        kw[max_n_key] = (4, args.max_n) if max_n_key == "n_range" else args.max_n
+    if samples_key and args.samples is not None:
+        kw[samples_key] = args.samples
+    return kw
 
 
 def _cmd_experiment(args) -> int:
     if args.tol is not None:
         raise RigidityError("--tol: experiment always uses the default tolerance")
-    rep = _EXPERIMENT_RUNS[args.name](args)
+    rep = SWEEPS[args.name](trials=args.trials, seed=args.seed, **_experiment_kwargs(args))
     text = format_report(rep, verbose=args.verbose)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -423,10 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="norm descriptor (default lp:4); repeatable only for 'experiment conjecture'",
     )
     common.add_argument("--trials", type=int, default=10, help="random placements per rank query")
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed (default: NORMRIG_SEED env var, else 1729)",
-    )
+    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
     common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold (default 1e-9)")
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     common.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
@@ -494,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_generate)
 
     sp = sub.add_parser("experiment", parents=[common], help="cross-validation sweeps")
-    sp.add_argument("name", choices=list(_EXPERIMENT_RUNS))
+    sp.add_argument("name", choices=list(_EXPERIMENT_OPTIONS))
     sp.add_argument("--max-n", type=int, default=None, help="largest vertex count")
     sp.add_argument("--samples", type=int, default=None, help="random instances (where applicable)")
     sp.add_argument("--out", help="also write the report to this file")

@@ -49,20 +49,14 @@ def mask_to_graph(n: int, mask: int, pair: tuple[int, int] | None = None) -> Gra
 
 @lru_cache(maxsize=32)
 def _perm_bitmaps(n: int, fix_pair: bool) -> np.ndarray:
-    """bitmaps[p, b]: image of edge slot b under the p-th permutation."""
-    slots = edge_slots(n)
-    slot = {e: i for i, e in enumerate(slots)}
-    perms = [
-        sigma
-        for sigma in permutations(range(n))
-        if not fix_pair or {sigma[0], sigma[1]} == {0, 1}
-    ]
-    out = np.empty((len(perms), len(slots)), dtype=np.int64)
-    for p, sigma in enumerate(perms):
-        for b, (i, j) in enumerate(slots):
-            a, c = sigma[i], sigma[j]
-            out[p, b] = slot[(a, c) if a < c else (c, a)]
-    return out
+    """bitmaps[p, b]: image of edge slot b under the p-th permutation, read
+    from the (n, n) table of slot indices at the permuted slot ends."""
+    ends = np.array(edge_slots(n), dtype=np.intp).reshape(-1, 2)
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[ends[:, 0], ends[:, 1]] = slot[ends[:, 1], ends[:, 0]] = np.arange(len(ends))
+    perms = [s for s in permutations(range(n)) if not fix_pair or {*s[:2]} == {0, 1}]
+    perms = np.array(perms, dtype=np.intp).reshape(len(perms), n)
+    return slot[perms[:, ends[:, 0]], perms[:, ends[:, 1]]]
 
 
 def check_exhaustive(n: int) -> None:

@@ -155,7 +155,7 @@ def _pair_instances(max_n: int, samples_per_large_n: int, seed: int):
 
 
 def equivalence_sweep(
-    max_n: int,
+    max_n: int = 8,
     desc: LpPlane | str | None = None,
     trials: int = 10,
     seed: int | None = None,
@@ -176,7 +176,7 @@ def equivalence_sweep(
 
 
 def delete_contract_sweep(
-    samples: int,
+    samples: int = 500,
     n_range: tuple[int, int] = (4, 8),
     desc: LpPlane | str | None = None,
     trials: int = 10,
@@ -394,7 +394,7 @@ def operation_preservation_suite(
 
 
 def conjecture_probe(
-    desc_list: tuple[str, ...] | list[str],
+    desc_list: tuple[str, ...] | list[str] = ("lp:1.2", "lp:1.5", "lp:3", "lp:7"),
     samples: int = 100,
     seed: int | None = None,
     max_n: int = 5,

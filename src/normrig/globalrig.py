@@ -289,6 +289,9 @@ def parse_sequence(text: str) -> ConstructionSequence:
 # random generation
 # ---------------------------------------------------------------------------
 
+# Proposals one growth round may make before a split counts as not found.
+_SPLIT_TRIES = 40
+
 
 def random_certified_graph(
     target_size: int,
@@ -296,7 +299,6 @@ def random_certified_graph(
     base: str = "K5_MINUS_E",
     split_prob: float = 0.6,
     edge_prob: float = 0.15,
-    retries_per_step: int = 40,
 ) -> tuple[Graph, ConstructionSequence, CertificateReport]:
     """Grow a certified graph to target_size vertices.
 
@@ -329,7 +331,7 @@ def random_certified_graph(
             verdicts.append(verdict)
             continue
         if rng.random() < split_prob:
-            for _ in range(retries_per_step):
+            for _ in range(_SPLIT_TRIES):
                 z = int(rng.choice(g.vertices))
                 nbrs = list(g.neighbors(z))
                 side = rng.random(len(nbrs)) < 0.5
@@ -348,7 +350,7 @@ def random_certified_graph(
                     break
             else:
                 raise GenerationError(
-                    f"no certifiable split found in {retries_per_step} tries "
+                    f"no certifiable split found in {_SPLIT_TRIES} tries "
                     f"at {g.n} vertices",
                     ConstructionSequence(base, tuple(v.step for v in verdicts)),
                     g,

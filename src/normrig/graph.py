@@ -198,11 +198,6 @@ def delete_vertex(g: Graph, z: int) -> Graph:
     )
 
 
-def induced_edge_count(g: Graph, vs: Iterable[int]) -> int:
-    keep = set(vs)
-    return sum(1 for a, b in g.edges if a in keep and b in keep)
-
-
 def zero_extension(g: Graph, a: int, b: int, z: int) -> Graph:
     """Add a new vertex z adjacent to the two existing vertices a, b."""
     if a == b:
@@ -335,7 +330,7 @@ def contract_pair(g: Graph, u: int | None = None, v: int | None = None) -> Graph
     doubled edges onto a common neighbor merge.  The result carries no
     designated pair.
     """
-    if u is None or v is None:
+    if u is None and v is None:
         u, v = g.require_pair()
     if u == v or not (g.has_vertex(u) and g.has_vertex(v)):
         raise GraphError("contraction needs two distinct existing vertices")

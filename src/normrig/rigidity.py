@@ -36,7 +36,6 @@ more.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -46,7 +45,6 @@ from .graph import Graph, delete_edge
 from .norms import DEFAULT_PLANE, LpPlane
 
 DEFAULT_SEED = 1729
-_SEED_ENV = "NORMRIG_SEED"
 
 # Placements are drawn uniformly from the square [-r, r]^2 of this r.
 _BOX_RADIUS = 1.0
@@ -61,21 +59,14 @@ class RigidityError(ValueError):
 
 
 def resolve_seed(seed: int | None) -> int:
-    """Explicit seed, else NORMRIG_SEED from the environment, else 1729.
+    """The explicit seed, else DEFAULT_SEED (1729).
 
     numpy's generators take no negative seed, so one is an input error.
     """
-    name = "seed"
     if seed is None:
-        raw = os.environ.get(_SEED_ENV, "").strip()
-        if not raw:
-            return DEFAULT_SEED
-        try:
-            name, seed = _SEED_ENV, int(raw)
-        except ValueError:
-            raise RigidityError(f"{_SEED_ENV} must be an integer, got {raw!r}")
+        return DEFAULT_SEED
     if int(seed) < 0:
-        raise RigidityError(f"{name} must be a non-negative integer, got {seed}")
+        raise RigidityError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 
 

@@ -132,10 +132,6 @@ def is_kl_sparse(g: Graph, k: int = 2, l: int = 2) -> bool:
     return pebble_game(g, k, l).rank == g.m
 
 
-def is_kl_tight(g: Graph, k: int = 2, l: int = 2) -> bool:
-    return g.m == k * g.n - l and is_kl_sparse(g, k, l)
-
-
 def is_rigid_comb(g: Graph) -> bool:
     """Combinatorial rigidity: the (2,2)-matroid rank reaches 2|V| - 2.
 
@@ -286,10 +282,6 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
         x = frozenset((u, v)).union(*con.reaches[: 3 - len(common)])
         fam = (x,) + tuple(frozenset((c, u, v)) for c in common if c not in x)
     return _violation(g, "family", sorted(fam, key=sorted))
-
-
-def is_uv_tight(g: Graph) -> bool:
-    return g.m == 2 * g.n - 2 and is_uv_sparse(g).sparse
 
 
 def _uv_games(g: Graph) -> tuple[PebbleResult, PebbleResult]:

@@ -13,6 +13,7 @@ import pytest
 import normrig
 from normrig import __version__, cli, globalrig
 from normrig.cli import main
+from normrig.experiments import SWEEPS, format_report
 from normrig.graph import format_graph, parse_graph
 from normrig.sparsity import PebbleResult, pebble_rank
 
@@ -188,7 +189,7 @@ def test_tol_rejected_where_unused(files, capsys, monkeypatch, argv, where):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --tol was rejected")
 
-    monkeypatch.setattr(cli, "rigidity_sweep", no_work)
+    monkeypatch.setitem(cli.SWEEPS, "rigidity", no_work)
     monkeypatch.setattr(cli, "parse_sequence", no_work)
     argv = [files.get(a, a) for a in argv]
     rc, out, err = run(capsys, *argv, "--tol", "0.9")
@@ -473,6 +474,13 @@ def test_experiment_explicit_sizes_honoured(capsys, argv, config, instances):
     assert f"instances: {instances}\n" in out
 
 
+@pytest.mark.parametrize("name", ["rigidity", "cover-bound"])
+def test_bare_experiment_is_library_default(capsys, name):
+    """With no options the CLI report is the sweep's own default call."""
+    rc, out, _ = run(capsys, "experiment", name)
+    assert rc == 0 and out == format_report(SWEEPS[name]())
+
+
 def test_experiment_empty_range_exit_1(capsys):
     rc, out, err = run(capsys, "experiment", "delete-contract", "--max-n", "3")
     assert (rc, out, err) == (1, "", "error: empty vertex-count range 4..3\n")
@@ -501,26 +509,19 @@ def test_experiment_out_file(capsys, tmp_path):
 
 
 def test_seed_env_var(files, capsys, monkeypatch):
+    """The seed comes from --seed alone: NORMRIG_SEED is not read."""
     monkeypatch.setenv("NORMRIG_SEED", "77")
-    _, out_env, _ = run(capsys, "uv-rank", files["two_k4.graph"])
-    monkeypatch.delenv("NORMRIG_SEED")
-    _, out_explicit, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--seed", "77")
-    assert out_env == out_explicit
+    rc, out, _ = run(capsys, "uv-rank", files["k23.graph"], "--json")
+    assert rc == 0 and json.loads(out)["result"]["seed"] == 1729
 
 
-@pytest.mark.parametrize("argv,env,message", [
-    pytest.param(["rank", "k23.graph", "--seed", "-1"], None,
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["rank", "k23.graph", "--seed", "-1"],
                  "seed must be a non-negative integer, got -1", id="flag"),
-    pytest.param(["generate-global", "--size", "8", "--seed", "-3"], None,
+    pytest.param(["generate-global", "--size", "8", "--seed", "-3"],
                  "seed must be a non-negative integer, got -3", id="generate-global"),
-    pytest.param(["uv-rank", "k23.graph"], "-4",
-                 "NORMRIG_SEED must be a non-negative integer, got -4", id="env"),
 ])
-def test_negative_seed_exit_1(files, capsys, monkeypatch, argv, env, message):
-    if env is None:
-        monkeypatch.delenv("NORMRIG_SEED", raising=False)
-    else:
-        monkeypatch.setenv("NORMRIG_SEED", env)
+def test_negative_seed_exit_1(files, capsys, argv, message):
     argv = [files.get(a, a) for a in argv]
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
@@ -537,9 +538,9 @@ PUBLIC_NAMES = [
     "GraphFormatError", "LpPlane", "NormError", "PebbleResult", "RankReport",
     "RigidityError", "SparsityError", "TolerancePolicy", "UvSparseVerdict",
     "__version__", "cover_rank_bound", "format_graph", "generic_rank",
-    "graph_from_json", "graph_to_json", "is_kl_sparse", "is_kl_tight",
-    "is_rigid_comb", "is_uv_rigid_comb", "is_uv_sparse", "is_uv_sparse_bruteforce",
-    "is_uv_tight", "parse_graph", "parse_norm", "pebble_game", "uv_generic_rank",
+    "graph_from_json", "graph_to_json", "is_kl_sparse", "is_rigid_comb",
+    "is_uv_rigid_comb", "is_uv_sparse", "is_uv_sparse_bruteforce", "parse_graph",
+    "parse_norm", "pebble_game", "uv_generic_rank",
 ]
 
 

@@ -138,8 +138,7 @@ def golden():
 
 
 @pytest.mark.parametrize("case", [pytest.param(c, id=c[0]) for c in cases()])
-def test_rank_output_matches_golden(case, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv("NORMRIG_SEED", raising=False)
+def test_rank_output_matches_golden(case, golden, tmp_path):
     key, *rest = case
     assert run_case(tmp_path, *rest) == golden[key]
 
@@ -151,7 +150,6 @@ def golden_all():
 
 @pytest.mark.parametrize("key,argv", [pytest.param(*c, id=c[0]) for c in all_cases()])
 def test_command_output_matches_golden(key, argv, golden_all, tmp_path, monkeypatch):
-    monkeypatch.delenv("NORMRIG_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     write_files(tmp_path)
     assert run_command(argv) == golden_all[key]
@@ -161,7 +159,6 @@ if __name__ == "__main__":
     import os
     import tempfile
 
-    os.environ.pop("NORMRIG_SEED", None)
     with tempfile.TemporaryDirectory() as tmp:
         record = {key: run_case(Path(tmp), *rest) for key, *rest in cases()}
         write_files(Path(tmp))

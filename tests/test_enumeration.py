@@ -128,6 +128,27 @@ def test_canonize_batch_refuses_53_bits():
         canonize_batch(np.array([1], dtype=np.int64), np.zeros((1, 53), dtype=np.int64))
 
 
+def loop_perm_bitmaps(n, fix_pair):
+    """Oracle: the relabelling table filled one permutation and slot at a time."""
+    slots = edge_slots(n)
+    slot = {e: i for i, e in enumerate(slots)}
+    perms = [s for s in permutations(range(n)) if not fix_pair or {*s[:2]} == {0, 1}]
+    out = np.empty((len(perms), len(slots)), dtype=np.int64)
+    for p, sigma in enumerate(perms):
+        for b, (i, j) in enumerate(slots):
+            a, c = sigma[i], sigma[j]
+            out[p, b] = slot[(a, c) if a < c else (c, a)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("fix_pair", [False, True])
+def test_perm_bitmaps_equal_loop(n, fix_pair):
+    got = _perm_bitmaps(n, fix_pair)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, loop_perm_bitmaps(n, fix_pair))
+
+
 def full_mask_classes(n, pair):
     """Oracle: canonize every one of the 2**C(n, 2) edge masks."""
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)

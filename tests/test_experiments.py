@@ -29,7 +29,6 @@ from normrig.sparsity import (
     is_rigid_comb,
     is_uv_rigid_comb,
     is_uv_sparse,
-    is_uv_tight,
 )
 
 
@@ -149,7 +148,7 @@ def test_min_uv_tight_h_properties():
     h = min_uv_tight_h()
     assert (h.n, h.m) == (5, 8)
     assert h.designated_pair == (0, 1)
-    assert is_uv_tight(h)
+    assert h.m == 2 * h.n - 2 and is_uv_sparse(h).sparse
     assert uv_generic_rank(h, trials=6, seed=3).rigid
 
 

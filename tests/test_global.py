@@ -423,10 +423,10 @@ def test_generator_applies_each_step_once(monkeypatch):
         assert len({id(step) for step in seen}) == len(seen) >= len(seq.steps)
 
 
-def test_generation_error_carries_partial():
-    with pytest.raises(GenerationError) as ei:
-        random_certified_graph(7, seed=0, base="K5_MINUS_E", split_prob=1.0,
-                               retries_per_step=0)
+def test_generation_error_carries_partial(monkeypatch):
+    monkeypatch.setattr(globalrig, "_SPLIT_TRIES", 0)
+    with pytest.raises(GenerationError, match="no certifiable split found in 0 tries at 5") as ei:
+        random_certified_graph(7, seed=0, base="K5_MINUS_E", split_prob=1.0)
     assert ei.value.partial is not None
     assert ei.value.graph.n >= 5
 

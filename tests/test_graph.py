@@ -23,7 +23,6 @@ from normrig.graph import (
     generalized_vertex_split,
     graph_from_json,
     graph_to_json,
-    induced_edge_count,
     one_extension,
     parse_graph,
     vertex_to_four_cycle,
@@ -51,7 +50,6 @@ def test_basic_queries():
     assert g.degree(0) == 3
     assert g.has_edge(2, 1)
     assert g.is_connected()
-    assert induced_edge_count(g, [0, 1, 2]) == 3
 
 
 def test_connected_components():
@@ -162,6 +160,14 @@ def test_contract_pair(k23):
     assert (c2.n, c2.m) == (3, 3)
     with pytest.raises(GraphError):
         contract_pair(Graph.complete(3))
+
+
+def test_contract_pair_refuses_one_vertex():
+    g = Graph.complete(4, pair=(0, 1))
+    for args in [(2,), (2, None), (None, 3)]:
+        with pytest.raises(GraphError, match="two distinct existing vertices"):
+            contract_pair(g, *args)
+    assert contract_pair(g, 2, 3).vertices == (0, 1, 2)
 
 
 def test_contract_pair_equals_from_edges_construction():

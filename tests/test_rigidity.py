@@ -64,10 +64,10 @@ def test_coincident_edge_named_from_its_own_graph():
 
 def test_resolve_seed(monkeypatch):
     assert resolve_seed(7) == 7
-    monkeypatch.delenv("NORMRIG_SEED", raising=False)
-    assert resolve_seed(None) == DEFAULT_SEED
-    monkeypatch.setenv("NORMRIG_SEED", "99")
-    assert resolve_seed(None) == 99
+    monkeypatch.setenv("NORMRIG_SEED", "77")  # not read
+    assert resolve_seed(None) == DEFAULT_SEED == 1729
+    with pytest.raises(RigidityError, match="seed must be a non-negative integer, got -2"):
+        resolve_seed(-2)
 
 
 def test_pinned_single_edge_row(plane4):

@@ -29,12 +29,10 @@ from normrig.sparsity import (
     cover_rank_bound,
     covered_edge_count,
     is_kl_sparse,
-    is_kl_tight,
     is_rigid_comb,
     is_uv_rigid_comb,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
-    is_uv_tight,
     pebble_game,
     pebble_rank,
     uv_rank_comb,
@@ -143,10 +141,11 @@ def test_pebble_witness_violates_count():
 
 
 def test_kl_sparse_tight_pinned():
-    assert is_kl_tight(Graph.complete(4))
-    assert not is_kl_sparse(Graph.complete(4), 2, 3)
+    k4 = Graph.complete(4)
+    assert k4.m == 2 * k4.n - 2 and is_kl_sparse(k4)
+    assert not is_kl_sparse(k4, 2, 3)
     tri = Graph.complete(3)
-    assert is_kl_sparse(tri) and not is_kl_tight(tri)
+    assert is_kl_sparse(tri) and tri.m < 2 * tri.n - 2
     assert not is_kl_sparse(Graph.complete(5))
 
 
@@ -199,8 +198,8 @@ def test_pair_edge_witness():
 
 def test_k4_minus_uv_sparse_but_short(k4_minus_uv, two_k4):
     assert is_uv_sparse(k4_minus_uv).sparse
-    assert not is_uv_tight(k4_minus_uv)  # 5 edges, one short of 2n-2
-    assert is_uv_tight(two_k4)
+    assert k4_minus_uv.m == 2 * k4_minus_uv.n - 3  # one short of 2n-2
+    assert two_k4.m == 2 * two_k4.n - 2 and is_uv_sparse(two_k4).sparse
 
 
 def test_reduced_matches_bruteforce_small():
