@@ -280,10 +280,7 @@ def _cmd_op(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-    if args.json:
-        return _emit(args, [], {"result": out})
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, text.splitlines(), {"result": out})
 
 
 def _cmd_certify(args) -> int:
@@ -337,23 +334,19 @@ def _cmd_generate(args) -> int:
     if args.graph_out:
         with open(args.graph_out, "w", encoding="ascii") as fh:
             fh.write(format_graph(g))
+    text = format_sequence(seq)
     trailer = (
         f"# final: {g.n} vertices {g.m} edges;"
         f" minus-pair={_yesno(rep.pass_minus_pair_regime)}"
         f" redundant={_yesno(rep.pass_redundant_regime)}"
     )
-    if args.json:
-        return _emit(
-            args,
-            [],
-            {"graph": g, "sequence": format_sequence(seq), "result": rep},
-        )
-    sys.stdout.write(format_sequence(seq) + trailer + "\n")
-    return 0
+    return _emit(args, [*text.splitlines(), trailer],
+                 {"graph": g, "sequence": text, "result": rep})
 
 
 # experiment name: the sweep parameters --max-n and --samples set (None where
-# the sweep has none).  An option not given keeps the sweep's own default.
+# the sweep has none, and giving the option is an input error).  An option
+# not given keeps the sweep's own default.
 _EXPERIMENT_OPTIONS = {
     "equivalence": ("max_n", "samples_per_large_n"),
     "delete-contract": ("n_range", "samples"),
@@ -370,10 +363,13 @@ def _experiment_kwargs(args) -> dict:
     else:
         kw = {"desc": _single_norm(args)}
     max_n_key, samples_key = _EXPERIMENT_OPTIONS[args.name]
-    if max_n_key and args.max_n is not None:
-        kw[max_n_key] = (4, args.max_n) if max_n_key == "n_range" else args.max_n
-    if samples_key and args.samples is not None:
-        kw[samples_key] = args.samples
+    for flag, key, value in (("--max-n", max_n_key, args.max_n),
+                             ("--samples", samples_key, args.samples)):
+        if value is None:
+            continue
+        if key is None:
+            raise RigidityError(f"{flag}: experiment {args.name} has no such parameter")
+        kw[key] = (4, value) if key == "n_range" else value
     return kw
 
 
@@ -387,12 +383,8 @@ def _cmd_experiment(args) -> int:
             fh.write(text)
     if args.verbose:
         print(f"runtime: {rep.runtime:.3f}s", file=sys.stderr)
-    if args.json:
-        record = _jsonable({"result": rep})
-        record["result"].pop("runtime", None)
-        return _emit(args, [], record)
-    sys.stdout.write(text)
-    return 0
+    result = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "runtime"}
+    return _emit(args, text.splitlines(), {"result": result})
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@
 Each sweep walks a stream of instances (exhaustive up to isomorphism
 where feasible, random beyond), computes a combinatorial verdict and a
 randomized numerical one, and reports disagreements.  All of them run
-through one loop, ``_run``, and one retry policy: a numerical verdict
-that contradicts the combinatorial side is retried up to MAX_RETRIES
-= 3 times, each attempt with a placement seed derived from (seed,
-instance index, attempt), before it counts as a disagreement; the
-disagreement lists every seed tried.  Unlucky placements can sit below
-generic rank, never above it.
+through one loop, ``_run``, which decides every instance once: instance
+i is placed under the seed derived from (seed, i, 0), and a numerical
+verdict that contradicts the combinatorial side is a disagreement that
+carries that seed.  The numerical verdict is already the best of
+``trials`` placements, and unlucky placements can sit below generic
+rank, never above it, so no rerun is made.
 
-Only the verdict is read, so the numerical verdicts come from
-rigidity.settled_ranks, one call per attempt over every instance still
-to decide: a first trial that reaches the rank cap min(rows, 2|V| - 2)
-decides an instance, and otherwise every trial runs.  The rank commands
-of the CLI run every trial.
+Only the verdict is read, so the numerical verdicts come from one
+rigidity.settled_ranks call over every instance: a first trial that
+reaches the rank cap min(rows, 2|V| - 2) decides an instance, and
+otherwise every trial runs.  The rank commands of the CLI run every
+trial.
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
@@ -49,7 +49,6 @@ from .sparsity import (
     pebble_game,
 )
 
-MAX_RETRIES = 3
 _PAIR_EXHAUSTIVE_MAX_N = 6  # n = 7 has 13128 pair classes, ten times those below
 
 
@@ -61,7 +60,7 @@ class Disagreement:
     numeric: int | bool
     rank: int
     rows: int
-    seeds: tuple[int, ...]
+    seed: int
     note: str = ""
 
 
@@ -99,40 +98,24 @@ def _derive_seed(seed: int, *keys: int) -> int:
     return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 
-def _verdicts_with_retry(combs, rank_fn, attr: str, seed: int):
-    """The retry policy: rank_fn(indices, seeds) -> the RankReports of
-    those instances under those seeds, retried for every instance whose
-    field attr differs from its combs entry.  Returns each instance's
-    last report and every seed tried for it."""
-    reports, seeds = [None] * len(combs), [[] for _ in combs]
-    todo = list(range(len(combs)))
-    for attempt in range(MAX_RETRIES + 1):
-        for idx in todo:
-            seeds[idx].append(_derive_seed(seed, idx, attempt))
-        for idx, rep in zip(todo, rank_fn(todo, [seeds[idx][-1] for idx in todo])):
-            reports[idx] = rep
-        todo = [idx for idx in todo if getattr(reports[idx], attr) != combs[idx]]
-    return reports, [tuple(s) for s in seeds]
-
-
 def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepReport:
     """The sweep loop: items(seed) yields (note, graph) pairs, and each
     comb_fn(graph) is checked against the field attr of the graph's
-    plain or coincident RankReport (kind), one settled_ranks call per
-    attempt over the instances still in disagreement.  keys join norm,
-    trials and seed in the report's config."""
+    plain or coincident RankReport (kind).  One settled_ranks call ranks
+    every instance, instance i under the seed _derive_seed(seed, i, 0).
+    keys join norm, trials and seed in the report's config."""
     t0 = time.perf_counter()
     plane = _plane(desc)
     seed = resolve_seed(seed)
     instances = list(items(seed))
     graphs = [g for _, g in instances]
     combs = [comb_fn(g) for g in graphs]
-    reports, seeds = _verdicts_with_retry(combs, lambda idx, s: settled_ranks(
-        [graphs[i] for i in idx], s, kind == "coincident", plane, trials), attr, seed)
+    seeds = [_derive_seed(seed, idx, 0) for idx in range(len(graphs))]
+    reports = settled_ranks(graphs, seeds, kind == "coincident", plane, trials)
     disagreements = [
         Disagreement(idx, format_graph(g), comb, getattr(rep, attr), rep.rank, rep.rows,
-                     seeds[idx], note)
-        for idx, ((note, g), comb, rep) in enumerate(zip(instances, combs, reports))
+                     s, note)
+        for idx, ((note, g), comb, rep, s) in enumerate(zip(instances, combs, reports, seeds))
         if getattr(rep, attr) != comb
     ]
     config = _config(norm=plane.spec_string(), trials=trials, seed=seed, **keys)

@@ -214,48 +214,43 @@ def test_criterion_10_support_identities():
 
 if __name__ == "__main__":
     # The full seven-vertex runs, too slow for tier-1: criterion 08,
-    # counting against numerical uv-independence (the equivalence sweep's
-    # retry policy, with one-graph 10-trial ranks) on every pair class on
-    # 7 vertices, the verdict fields of one settled_ranks batch over those
-    # classes against one-graph 10-trial ranks, and the counting uv-rank
-    # against greedy insertion under the brute-force checker on every pair
-    # class on 6 and 7 vertices.  Exits 1 on any mismatch.
+    # then one pass of one-graph 10-trial ranks over every pair class on
+    # 7 vertices, each under the placement seed the equivalence sweep
+    # gives it, read twice: counting against numerical uv-independence,
+    # and the verdict fields of one settled_ranks batch over those classes
+    # against those ranks.  Last, the counting uv-rank against greedy
+    # insertion under the brute-force checker on every pair class on 6
+    # and 7 vertices.  Exits 1 on any mismatch.
     # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
     import sys
 
     from test_rigidity import VERDICT_FIELDS
     from test_sparsity import _greedy_uv_rank
 
-    from normrig.experiments import _derive_seed, _verdicts_with_retry
+    from normrig.experiments import _derive_seed
     from normrig.rigidity import settled_ranks, uv_generic_rank
     from normrig.sparsity import uv_rank_comb
 
     classes = enumerate_graphs(7, pair=True)
     t0 = time.perf_counter()
-    brute_bad = sum(is_uv_sparse(g).sparse != is_uv_sparse_bruteforce(g).sparse for g in classes)
+    combs = [is_uv_sparse(g).sparse for g in classes]
+    brute_bad = sum(c != is_uv_sparse_bruteforce(g).sparse for g, c in zip(classes, combs))
     print(f"bruteforce vs reduced: graphs {len(classes)} mismatches {brute_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
-    combs = [is_uv_sparse(g).sparse for g in classes]
-    reps, seeds = _verdicts_with_retry(
-        combs,
-        lambda idx, s: [uv_generic_rank(classes[i], trials=10, seed=x) for i, x in zip(idx, s)],
-        "independent", SEED,
-    )
-    bad = sum(rep.independent != comb for rep, comb in zip(reps, combs))
-    retried = sum(len(s) > 1 for s in seeds)
-    print(f"counting vs numerical: graphs {len(classes)} mismatches {bad} "
-          f"retried {retried} time {time.perf_counter() - t0:.1f} s")
-    t0 = time.perf_counter()
     seeds = [_derive_seed(SEED, idx, 0) for idx in range(len(classes))]
+    full = [uv_generic_rank(g, trials=10, seed=s) for g, s in zip(classes, seeds)]
+    bad = sum(rep.independent != c for rep, c in zip(full, combs))
+    print(f"counting vs numerical (one-graph 10-trial ranks): graphs {len(classes)} "
+          f"mismatches {bad} time {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
     batch = settled_ranks(classes, seeds, coincident=True)
-    batch_s = time.perf_counter() - t0
-    batch_bad = 0
-    for g, s, got in zip(classes, seeds, batch):
-        full = uv_generic_rank(g, trials=10, seed=s)
-        batch_bad += any(getattr(got, f) != getattr(full, f) for f in VERDICT_FIELDS)
+    batch_bad = sum(
+        any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
+        for got, rep in zip(batch, full)
+    )
     print(f"settled batch vs one-graph ranks: graphs {len(classes)} mismatches {batch_bad} "
-          f"time {batch_s:.1f} s (batch), {time.perf_counter() - t0:.1f} s (with the oracle)")
+          f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     greedy_classes = enumerate_graphs(6, pair=True) + classes
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)

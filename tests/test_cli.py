@@ -481,6 +481,23 @@ def test_bare_experiment_is_library_default(capsys, name):
     assert rc == 0 and out == format_report(SWEEPS[name]())
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["operations", "--max-n", "3", "--samples", "2", "--seed", "1"], "--max-n"),
+    (["rigidity", "--max-n", "3", "--samples", "99", "--seed", "1"], "--samples"),
+    (["cover-bound", "--samples", "1"], "--samples"),
+])
+def test_experiment_unread_option_exit_1(capsys, monkeypatch, argv, flag):
+    """An option the sweep has no parameter for is refused before any work."""
+    name = argv[0]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setitem(cli.SWEEPS, name, no_work)
+    rc, out, err = run(capsys, "experiment", *argv)
+    assert (rc, out, err) == (1, "", f"error: {flag}: experiment {name} has no such parameter\n")
+
+
 def test_experiment_empty_range_exit_1(capsys):
     rc, out, err = run(capsys, "experiment", "delete-contract", "--max-n", "3")
     assert (rc, out, err) == (1, "", "error: empty vertex-count range 4..3\n")

@@ -8,7 +8,6 @@ import pytest
 
 from normrig import experiments, rigidity
 from normrig.experiments import (
-    MAX_RETRIES,
     OP_VARIANTS,
     SWEEPS,
     SweepReport,
@@ -119,8 +118,8 @@ def test_sweeps_stop_at_the_rank_cap(monkeypatch):
     monkeypatch.setattr(rigidity, "_generic_ranks", counted)
     rep = rigidity_sweep(5, seed=9)
     assert rep.ok and set(trials) <= {1, 10}
-    # every trial 0 in one batch, every rerun in one more, no retry left
-    assert batches[:2] == [rep.instances, trials.count(10)] and not any(batches[2:])
+    # every trial 0 in one batch, every rerun in one more
+    assert batches == [rep.instances, trials.count(10)]
     # each instance runs trial 0 alone, and the full ten only off the cap
     assert trials.count(1) == rep.instances > trials.count(10)
 
@@ -243,6 +242,23 @@ FORCED = {
 }
 
 
+def test_disagreements_are_decided_once(monkeypatch):
+    """A sweep whose counting side disagrees still ranks in one
+    settled_ranks call: trial 0 of every instance, then the full trials
+    of those off the cap.  Nothing reruns the disagreeing instances."""
+    batches = []
+    batched = rigidity._generic_ranks
+
+    def counted(graphs, *args):
+        batches.append(len(graphs))
+        return batched(graphs, *args)
+
+    monkeypatch.setattr(rigidity, "_generic_ranks", counted)
+    monkeypatch.setattr(experiments, "is_rigid_comb", _flip_rigid)
+    rep = rigidity_sweep(4, seed=9)
+    assert rep.disagreements and len(batches) <= 2 and batches[0] == rep.instances
+
+
 @pytest.mark.parametrize("name", sorted(FORCED))
 def test_forced_disagreements_pinned(monkeypatch, name):
     attr, flip, run, instances, count, digest = FORCED[name]
@@ -265,7 +281,7 @@ def test_forced_disagreements_pinned(monkeypatch, name):
         )
         return
     for d in rep.disagreements:
-        assert d.seeds == tuple(_derive_seed(9, d.index, a) for a in range(MAX_RETRIES + 1))
+        assert d.seed == _derive_seed(9, d.index, 0)
     if name == "operations":
         assert [d.note for d in rep.disagreements] == [
             OP_VARIANTS[d.index // 3] for d in rep.disagreements
