@@ -369,6 +369,8 @@ def _experiment_kwargs(args) -> dict:
             continue
         if key is None:
             raise RigidityError(f"{flag}: experiment {args.name} has no such parameter")
+        if value < 0:
+            raise RigidityError(f"{flag} must be a non-negative integer, got {value}")
         kw[key] = (4, value) if key == "n_range" else value
     return kw
 

@@ -20,11 +20,15 @@ keeping the best rank seen.  Coincident variants work on the graph
 minus the pair edge, and their placement map sends v to u's point: a
 trial's points are its random draw read through that map, which is the
 identity for plain ranks.  One routine ranks every trial of many graphs
-at once: the matrices of one shape (m, 2|V|) share one stack, each
-placement with its own graph's edges and (m, 2) end positions, and the
-stack's matrices and singular values come out of single numpy calls, in
-chunks of bounded size.  generic_rank and uv_generic_rank are that
-routine on one graph, and run every trial they are asked for.
+at once: the matrices of one shape (m, 2|V|) are built by one numpy call,
+each placement with its own graph's edges and (m, 2) end positions, and
+neighbouring shapes, in (|V|, m) order, share one zero-padded stack whose
+singular values come out of one call, in chunks of bounded size.  Zero
+rows and columns add only zero singular values, and the rank threshold
+takes each matrix's own size, so the padding changes no rank.
+generic_rank and uv_generic_rank are that routine on one graph, whose
+chunks each hold one shape and are never padded, and run every trial
+they are asked for.
 
 Callers that read only the verdict go through settled_ranks instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
@@ -49,8 +53,10 @@ DEFAULT_SEED = 1729
 # Placements are drawn uniformly from the square [-r, r]^2 of this r.
 _BOX_RADIUS = 1.0
 
-# Most matrix entries one batched SVD holds (512 KiB of float64); larger
-# trial counts run in chunks, so memory does not grow with --trials.
+# Most matrix entries one batched SVD holds (512 KiB of float64), counted
+# with each matrix padded to its chunk's largest rows and columns; larger
+# batches run in chunks, so memory grows neither with --trials nor with
+# the number of graphs.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -80,8 +86,9 @@ class TolerancePolicy:
         if not (np.isfinite(self.rel) and self.rel >= 0):
             raise RigidityError(f"tolerance must be finite and non-negative, got {self.rel}")
 
-    def threshold(self, sigma_max, rows: int, cols: int):
-        return self.rel * sigma_max * max(rows, cols)
+    def threshold(self, sigma_max, rows, cols):
+        """Of one matrix, or elementwise of arrays of them."""
+        return self.rel * sigma_max * np.maximum(rows, cols)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -131,8 +138,24 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows: int, cols: int):
-    """Rank, threshold and near-threshold flag of each row of singular values."""
+def _padded_singular_values(stacks):
+    """Singular values of the matrix stacks in one call, and the rows and
+    columns of each matrix.  Stacks of several shapes are copied, each into
+    the top-left corner of one zero stack; one stack is decomposed as it is."""
+    if len(stacks) == 1:
+        return _singular_values(stacks[0]), *stacks[0].shape[1:]
+    counts = [len(a) for a in stacks]
+    rows, cols = np.repeat([a.shape[1:] for a in stacks], counts, axis=0).T
+    out, start = np.zeros((sum(counts), rows.max(), cols.max())), 0
+    for a in stacks:
+        out[start:start + len(a), :a.shape[1], :a.shape[2]] = a
+        start += len(a)
+    return _singular_values(out), rows, cols
+
+
+def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows, cols):
+    """Rank, threshold and near-threshold flag of each row of singular values,
+    of matrices with the given rows and cols (one count, or one per row)."""
     count, k = sigmas.shape
     if k == 0:
         return np.zeros(count, dtype=int), np.zeros(count), np.zeros(count, dtype=bool)
@@ -179,7 +202,18 @@ class RankReport:
 
 def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankReport]:
     """The rank reports of both kinds, one per graph and seed, with every
-    trial of every graph batched among the matrices of its shape (m, 2n).
+    trial of every graph batched among the matrices of its shape (m, 2n),
+    and neighbouring shapes merged into zero-padded chunks.
+
+    Each shape's jobs are cut into pieces of at most _BATCH_ENTRIES
+    entries, and the pieces, sorted by (n, m), are merged while the
+    chunk padded to its largest rows M and columns 2N stays within that
+    budget.  A piece sits in the top-left corner of its chunk's
+    (B, M, 2N) stack, whose zero rows and columns add only zero singular
+    values; the threshold takes each matrix's own rows and 2n, so the
+    padding changes no rank, threshold or note.  A chunk of one piece,
+    which is every chunk of a one-graph call, is decomposed as it is
+    built.
 
     Trial t of a graph places its vertices by default_rng([seed, t]) alone,
     so its rank depends neither on the other trials and graphs nor on the
@@ -198,27 +232,41 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankRe
             u, v = (work.vertices.index(x) for x in work.designated_pair)
             at[v] = u
         works.append((work, had_pair_edge, at, *_endpoints(work)))
-        groups.setdefault((work.m, work.n), []).append(i)
-    ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
-    for (m, n), members in groups.items():
+        groups.setdefault((work.n, work.m), []).append(i)
+    chunks, count, height = [], 0, 0  # pieces (n, jobs); the last chunk's B and M
+    for (n, m), members in sorted(groups.items()):
         jobs = [(i, t) for i in members for t in range(trials)]
         step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
         for start in range(0, len(jobs), step):
-            chunk = jobs[start:start + step]
-            _, _, ats, edges, ends = zip(*(works[i] for i, _ in chunk))
-            pts = np.stack([
-                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))[at]
-                for (i, t), at in zip(chunk, ats)
-            ])
-            sigmas = _singular_values(_matrix_stack(plane, pts, edges, np.stack(ends)))
-            rank, tau, near = _ranks(sigmas, tol, m, 2 * n)
-            for (i, _), r in zip(chunk, rank.tolist()):
-                ranks[i].append(r)
-            for j in np.flatnonzero(near):
-                notes[chunk[j][0]].append(
-                    f"trial {chunk[j][1]}: smallest kept singular value "
-                    f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
-                )
+            part = jobs[start:start + step]
+            count, height = count + len(part), max(height, m)
+            if chunks and count * height * 2 * n <= _BATCH_ENTRIES:
+                chunks[-1].append((n, part))
+            else:
+                chunks.append([(n, part)])
+                count, height = len(part), m
+
+    def matrices(n, piece):
+        _, _, ats, edges, ends = zip(*(works[i] for i, _ in piece))
+        pts = np.stack([
+            np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))[at]
+            for (i, t), at in zip(piece, ats)
+        ])
+        return _matrix_stack(plane, pts, edges, np.stack(ends))
+
+    ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
+    for chunk in chunks:
+        # the matrices die with the call, before the next chunk is built
+        sigmas, rows, cols = _padded_singular_values([matrices(n, piece) for n, piece in chunk])
+        rank, tau, near = _ranks(sigmas, tol, rows, cols)
+        jobs = [job for _, piece in chunk for job in piece]
+        for (i, _), r in zip(jobs, rank.tolist()):
+            ranks[i].append(r)
+        for j in np.flatnonzero(near):
+            notes[jobs[j][0]].append(
+                f"trial {jobs[j][1]}: smallest kept singular value "
+                f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
+            )
     reports = []
     for g, (work, had_pair_edge, *_), seed, tried, noted in zip(graphs, works, seeds, ranks, notes):
         best = max(tried)

@@ -498,6 +498,25 @@ def test_experiment_unread_option_exit_1(capsys, monkeypatch, argv, flag):
     assert (rc, out, err) == (1, "", f"error: {flag}: experiment {name} has no such parameter\n")
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["equivalence", "--max-n", "7", "--samples", "-3"], "--samples", -3),
+    (["rigidity", "--max-n", "-1"], "--max-n", -1),
+    (["delete-contract", "--max-n", "-2"], "--max-n", -2),
+    (["operations", "--samples", "-1"], "--samples", -1),
+    (["conjecture", "--max-n", "-5", "--samples", "2"], "--max-n", -5),
+])
+def test_experiment_negative_size_exit_1(capsys, monkeypatch, argv, flag, value):
+    """A negative --max-n or --samples is refused before the sweep runs."""
+    name = argv[0]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setitem(cli.SWEEPS, name, no_work)
+    rc, out, err = run(capsys, "experiment", *argv)
+    assert (rc, out, err) == (1, "", f"error: {flag} must be a non-negative integer, got {value}\n")
+
+
 def test_experiment_empty_range_exit_1(capsys):
     rc, out, err = run(capsys, "experiment", "delete-contract", "--max-n", "3")
     assert (rc, out, err) == (1, "", "error: empty vertex-count range 4..3\n")

@@ -284,6 +284,70 @@ def test_batch_memory_is_bounded(plane4):
     assert peak < 4 * 2**20
 
 
+def test_mixed_batch_memory_is_bounded(plane4, small_graphs):
+    g = Graph.from_edges(range(100), [(i, (i + 1) % 100) for i in range(100)])
+    # 200 small matrices padded to the cycle's shape would take 32 MB too
+    graphs = [g] + small_graphs[:200]
+    tracemalloc.start()
+    try:
+        reps = rigidity._generic_ranks(graphs, plane4, 1, range(len(graphs)), DEFAULT_TOL, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reps[0].rank == g.m and len(reps) == 201
+    assert peak < 4 * 2**20
+
+
+def test_small_shapes_share_one_svd_call(monkeypatch, k23, two_k4, plane4):
+    graphs = [Graph.complete(3), Graph.complete(4), k23, two_k4, Graph.from_edges([0, 1], [(0, 1)])]
+    calls = []
+    svd = rigidity._singular_values
+    monkeypatch.setattr(rigidity, "_singular_values", lambda a: calls.append(a.shape) or svd(a))
+    reps = rigidity._generic_ranks(graphs, plane4, 2, [5] * len(graphs), DEFAULT_TOL, False)
+    assert calls == [(10, 12, 14)]  # five shapes, two trials each, padded to two_k4's
+    monkeypatch.undo()
+    assert reps == [generic_rank(g, plane4, trials=2, seed=5) for g in graphs]
+
+
+@pytest.mark.parametrize("desc,rel", [("lp:4", 1e-9), ("lp:1.5", 3e-3)])
+def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_k4):
+    """Chunks of several shapes, padded to their largest, rank as one-graph
+    calls do: the threshold (printed in the notes) takes each matrix's own
+    rows and 2n, not the padded shape."""
+    plane, tol = parse_norm(desc), TolerancePolicy(rel=rel)
+    big = Graph.complete(8, pair=(2, 5))  # 28 x 16 entries, over the budget alone
+    graphs = [
+        Graph.from_edges([]),
+        Graph.from_edges([0]),
+        Graph.from_edges(range(4), pair=(0, 3)),  # edgeless
+        Graph.complete(4, pair=(0, 1)),  # the pair edge is present
+        Graph.complete(6, pair=(0, 1)),  # more rows than columns
+        k23, two_k4, big,
+        *(g for n in range(2, 6) for g in enumerate_graphs(n, pair=True)),
+    ]
+    monkeypatch.setattr(rigidity, "_BATCH_ENTRIES", 400)
+    padded, alone = [], []
+    pad, svd = rigidity._padded_singular_values, rigidity._singular_values
+    monkeypatch.setattr(rigidity, "_padded_singular_values",
+                        lambda stacks: padded.append(stacks) or pad(stacks))
+    monkeypatch.setattr(rigidity, "_singular_values", lambda a: alone.append(a.shape) or svd(a))
+    runs = []
+    for fn, coincident in ((generic_rank, False), (uv_generic_rank, True)):
+        batch = [g for g in graphs if not coincident or g.designated_pair is not None]
+        seeds = [70 + i for i in range(len(batch))]
+        runs.append((fn, batch, seeds, rigidity._generic_ranks(batch, plane, 3, seeds, tol, coincident)))
+    monkeypatch.undo()
+    # the big matrix (28 rows, 27 without the pair edge), one a chunk, unpadded
+    assert alone.count((1, 28, 16)) == alone.count((1, 27, 16)) == 3
+    assert any(len({a.shape[2] for a in stacks}) > 1 for stacks in padded)  # mixed widths
+    assert any(len({a.shape[1] for a in stacks}) > 1 for stacks in padded)  # mixed rows
+    for fn, batch, seeds, got in runs:
+        for g, s, rep in zip(batch, seeds, got):
+            assert rep == fn(g, plane, trials=3, seed=s, tol=tol), g
+        if rel > 1e-9:
+            assert any(rep.notes for rep in got)
+
+
 def test_collinear_points_stay_below_rigidity(small_graphs):
     # On a line of direction d every row is phi(d) (x) x with sum(x) = 0,
     # so rank 2n - 2 needs points that span the plane.
