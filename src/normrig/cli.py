@@ -53,6 +53,7 @@ from .rigidity import (
     TolerancePolicy,
     generic_rank,
     resolve_seed,
+    settled_ranks,
     uv_generic_rank,
 )
 from .sparsity import (
@@ -135,8 +136,14 @@ _RANK_COMMANDS = {
 def _cmd_rank(args) -> int:
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
-    rank = uv_generic_rank if coincident else generic_rank
-    rep = rank(g, _single_norm(args), trials=args.trials, seed=args.seed, tol=_tol(args))
+    plane, tol = _single_norm(args), _tol(args)
+    if args.json or args.verbose:
+        # per-trial data is printed: the full report of every trial
+        rank = uv_generic_rank if coincident else generic_rank
+        rep = rank(g, plane, trials=args.trials, seed=args.seed, tol=tol)
+    else:
+        # verdict fields only, which a trial 0 at the rank cap already fixes
+        rep = settled_ranks([g], [args.seed], coincident, plane, args.trials, tol)[0]
     values = {
         "rank": rep.rank,
         "rows": rep.rows,
@@ -402,7 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="lp:P",
         help="norm descriptor (default lp:4); repeatable only for 'experiment conjecture'",
     )
-    common.add_argument("--trials", type=int, default=10, help="random placements per rank query")
+    common.add_argument(
+        "--trials",
+        type=int,
+        default=10,
+        help="random placements per rank query (default 10); text-mode rank commands,"
+        " experiment and certify-global --numeric stop after a trial 0 at the rank cap,"
+        " while the rank commands' --json and --verbose run every trial",
+    )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
     common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold (default 1e-9)")
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")

@@ -13,8 +13,8 @@ rank, never above it, so no rerun is made.
 Only the verdict is read, so the numerical verdicts come from one
 rigidity.settled_ranks call over every instance: a first trial that
 reaches the rank cap min(rows, 2|V| - 2) decides an instance, and
-otherwise every trial runs.  The rank commands of the CLI run every
-trial.
+otherwise the remaining trials run.  The CLI's text-mode rank commands
+take the same path; their --json and --verbose run every trial.
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded

@@ -34,8 +34,12 @@ Callers that read only the verdict go through settled_ranks instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
 lie in the kernel, so a first trial at that cap already fixes rank,
 independence and rigidity.  settled_ranks runs trial 0 of all its
-graphs in one batch, then every trial of those below the cap in one
-more.
+graphs in one batch, then trials 1 to T - 1 of those below the cap in
+one more, behind the trial 0 already drawn: a graph's rerun report
+equals its full report, and no trial is drawn twice.  The sweeps,
+certify-global --numeric and the text-mode rank commands take this
+path; the rank commands' --json and --verbose print per-trial data and
+run every trial.
 """
 
 from __future__ import annotations
@@ -200,10 +204,14 @@ class RankReport:
         return self.rank == min(self.rows, max(0, 2 * self.n_vertices - 2))
 
 
-def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankReport]:
+def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> list[RankReport]:
     """The rank reports of both kinds, one per graph and seed, with every
     trial of every graph batched among the matrices of its shape (m, 2n),
     and neighbouring shapes merged into zero-padded chunks.
+
+    done, when given, holds one earlier report per graph, of its first
+    trials under the same seed, plane and tolerance: those trials are not
+    drawn again, and their ranks and notes lead the report's own.
 
     Each shape's jobs are cut into pieces of at most _BATCH_ENTRIES
     entries, and the pieces, sorted by (n, m), are merged while the
@@ -233,9 +241,12 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankRe
             at[v] = u
         works.append((work, had_pair_edge, at, *_endpoints(work)))
         groups.setdefault((work.n, work.m), []).append(i)
+    done = done or [None] * len(graphs)
+    ranks = [list(rep.per_trial_ranks) if rep else [] for rep in done]
+    notes = [list(rep.notes) if rep else [] for rep in done]
     chunks, count, height = [], 0, 0  # pieces (n, jobs); the last chunk's B and M
     for (n, m), members in sorted(groups.items()):
-        jobs = [(i, t) for i in members for t in range(trials)]
+        jobs = [(i, t) for i in members for t in range(len(ranks[i]), trials)]
         step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
         for start in range(0, len(jobs), step):
             part = jobs[start:start + step]
@@ -254,7 +265,6 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident) -> list[RankRe
         ])
         return _matrix_stack(plane, pts, edges, np.stack(ends))
 
-    ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
     for chunk in chunks:
         # the matrices die with the call, before the next chunk is built
         sigmas, rows, cols = _padded_singular_values([matrices(n, piece) for n, piece in chunk])
@@ -338,17 +348,19 @@ def settled_ranks(
     """The plain or coincident report of each graph under its seed, each
     stopped after trial 0 when that trial is at the cap.
 
-    Trial 0 of every graph runs in one batch, and every trial of the
-    graphs below the cap in one more.  A settled report is a one-trial
-    report; trial t draws from the same seed stream either way, so the
-    verdict fields equal those of the full report.
+    Trial 0 of every graph runs in one batch, and trials 1 to T - 1 of
+    the graphs below the cap in one more, whose reports carry trial 0's
+    rank and notes first and so equal the full reports field for field.
+    A settled report is a one-trial report; trial t draws from the same
+    seed stream either way, so its verdict fields equal those of the
+    full report.
     """
     if trials < 1:
         raise RigidityError("need at least one trial")
     reports = _generic_ranks(graphs, plane, 1, seeds, tol, coincident)
     redo = [i for i, rep in enumerate(reports) if trials > 1 and not rep.at_rank_cap]
     full = _generic_ranks([graphs[i] for i in redo], plane, trials, [seeds[i] for i in redo],
-                          tol, coincident)
+                          tol, coincident, [reports[i] for i in redo])
     for i, rep in zip(redo, full):
         reports[i] = rep
     return reports

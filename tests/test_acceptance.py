@@ -217,10 +217,12 @@ if __name__ == "__main__":
     # then one pass of one-graph 10-trial ranks over every pair class on
     # 7 vertices, each under the placement seed the equivalence sweep
     # gives it, read twice: counting against numerical uv-independence,
-    # and the verdict fields of one settled_ranks batch over those classes
-    # against those ranks.  Last, the counting uv-rank against greedy
-    # insertion under the brute-force checker on every pair class on 6
-    # and 7 vertices.  Exits 1 on any mismatch.
+    # and one settled_ranks batch over those classes against those
+    # reports, in every field where trial 0 falls short of the rank cap
+    # (the batch reruns them) and in the verdict fields elsewhere.  Last,
+    # the counting uv-rank against greedy insertion under the brute-force
+    # checker on every pair class on 6 and 7 vertices.  Exits 1 on any
+    # mismatch.
     # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
     import sys
 
@@ -245,12 +247,13 @@ if __name__ == "__main__":
           f"mismatches {bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     batch = settled_ranks(classes, seeds, coincident=True)
+    short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2) for rep in full]
     batch_bad = sum(
-        any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
-        for got, rep in zip(batch, full)
+        got != rep if rerun else any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
+        for got, rep, rerun in zip(batch, full, short)
     )
-    print(f"settled batch vs one-graph ranks: graphs {len(classes)} mismatches {batch_bad} "
-          f"time {time.perf_counter() - t0:.1f} s")
+    print(f"settled batch vs one-graph ranks: graphs {len(classes)} rerun {sum(short)} "
+          f"mismatches {batch_bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     greedy_classes = enumerate_graphs(6, pair=True) + classes
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import normrig
-from normrig import __version__, cli, globalrig
+from normrig import __version__, cli, globalrig, rigidity
 from normrig.cli import main
 from normrig.experiments import SWEEPS, format_report
 from normrig.graph import format_graph, parse_graph
+from normrig.norms import parse_norm
+from normrig.rigidity import DEFAULT_TOL, TolerancePolicy, generic_rank, uv_generic_rank
 from normrig.sparsity import PebbleResult, pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
@@ -166,6 +168,76 @@ def test_rigid_and_rank(files, capsys):
     rc, out, _ = run(capsys, "rank", files["k4.graph"], "--seed", "1")
     assert rc == 0
     assert "rank: 6" in out and "independent: yes" in out
+
+
+# K5 on 2..6, then 0~{2,3}, 1~4 and 7~5: 2n - 2 = 14 edges but rank 12,
+# below the cap at every trial, plain or with 0 and 1 coincident
+NEAR_TIGHT = (
+    "8 14 0 1\n2 3\n2 4\n2 5\n2 6\n3 4\n3 5\n3 6\n4 5\n4 6\n5 6\n"
+    "0 2\n0 3\n1 4\n7 5\n"
+)
+
+
+def _full_report_text(cmd, text, norm, trials, seed, tol):
+    """The text of a rank command, built from the full one-graph report."""
+    g = parse_graph(text)
+    rank = uv_generic_rank if cmd.startswith("uv-") else generic_rank
+    rep = rank(g, parse_norm(norm), trials=trials, seed=seed, tol=tol)
+    yes = {True: "yes", False: "no"}
+    lines = {
+        "rank": [f"rank: {rep.rank}", f"rows: {rep.rows}", f"edges: {g.m}",
+                 f"independent: {yes[rep.independent]}", f"rigid: {yes[rep.rigid]}"],
+        "uv-rank": [f"rank: {rep.rank}", f"rows: {rep.rows}", f"edges: {g.m}",
+                    f"pair-edge-removed: {yes[rep.pair_edge_removed]}",
+                    f"uv-independent: {yes[rep.independent]}", f"uv-rigid: {yes[rep.rigid]}"],
+        "rigid": [f"rigid: {yes[rep.rigid]}", f"rank: {rep.rank}", f"target: {2 * g.n - 2}"],
+        "uv-rigid": [f"uv-rigid: {yes[rep.rigid]}", f"rank: {rep.rank}",
+                     f"target: {2 * g.n - 2}"],
+    }[cmd]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("norm,tol", [("lp:4", None), ("lp:1.5", "3e-3")])
+def test_text_rank_commands_equal_the_full_report(tmp_path, capsys, norm, tol):
+    # the text modes stop after a trial 0 at the cap.  At lp:4 two K4s sit
+    # there, K2,3 is below it with its pair coincident and NEAR_TIGHT always
+    # is; at lp:1.5 the loose tolerance leaves most trial-0 ranks short, and
+    # some later trials rank higher (two K4s and NEAR_TIGHT at seed 3)
+    policy = DEFAULT_TOL if tol is None else TolerancePolicy(rel=float(tol))
+    extra = [] if tol is None else ["--tol", tol]
+    for name, text in (("two_k4", TWO_K4), ("k23", K23), ("near_tight", NEAR_TIGHT)):
+        path = tmp_path / f"{name}.graph"
+        path.write_text(text)
+        for cmd in ("rank", "uv-rank", "rigid", "uv-rigid"):
+            for seed in (1729, 3):
+                for trials in (1, 2, 10):
+                    rc, out, _ = run(capsys, cmd, str(path), "--norm", norm, "--seed", str(seed),
+                                     "--trials", str(trials), *extra)
+                    want = _full_report_text(cmd, text, norm, trials, seed, policy)
+                    assert (rc, out) == (0, want), (name, cmd, seed, trials)
+
+
+@pytest.fixture
+def matrices_built(monkeypatch):
+    """How many rigidity matrices rigidity._matrix_stack has built."""
+    built = []
+    stack = rigidity._matrix_stack
+
+    def counted(plane, pts, edges, ends):
+        built.append(len(pts))
+        return stack(plane, pts, edges, ends)
+
+    monkeypatch.setattr(rigidity, "_matrix_stack", counted)
+    return built
+
+
+@pytest.mark.parametrize("cmd", ["rank", "uv-rank", "rigid", "uv-rigid"])
+def test_text_rank_commands_stop_at_the_cap(files, capsys, matrices_built, cmd):
+    # two K4s sharing a vertex: trial 0 reaches rank 12 = 2n - 2 either way
+    for flags, built in (([], 1), (["--json"], 10), (["--verbose"], 10)):
+        matrices_built.clear()
+        rc, _, _ = run(capsys, cmd, files["two_k4.graph"], "--seed", "1729", *flags)
+        assert rc == 0 and sum(matrices_built) == built, flags
 
 
 @pytest.mark.parametrize("cmd", ["rank", "uv-rigid"])

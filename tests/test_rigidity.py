@@ -462,3 +462,28 @@ def test_batched_reports_equal_one_graph_reports(desc, rel):
             assert got == settled_one(fn, g, plane, 10, s, tol), g
         if rel > 1e-9:
             assert any(rep.notes for rep in settled) and any(rep.notes for rep in full)
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
+    # at lp:1.5 with rel 3e-3 many trial-0 ranks fall short of the cap, and
+    # most of those carry notes, which a rerun must keep in front of its own
+    plane, tol, trials = LpPlane(1.5), TolerancePolicy(rel=3e-3), 10
+    fn = uv_generic_rank if coincident else generic_rank
+    graphs = [g for g in _batch_cases() if (g.designated_pair is not None) == coincident]
+    seeds = [2000 + i for i in range(len(graphs))]
+    first = rigidity._generic_ranks(graphs, plane, 1, seeds, tol, coincident)
+    below = [not rep.at_rank_cap for rep in first]
+    assert 0 < sum(below) < len(graphs)
+    assert any(rep.notes for rep, short in zip(first, below) if short)
+    built, stack = [], rigidity._matrix_stack
+    monkeypatch.setattr(rigidity, "_matrix_stack",
+                        lambda plane, pts, *rest: built.append(len(pts)) or stack(plane, pts, *rest))
+    settled = settled_ranks(graphs, seeds, coincident, plane, trials, tol)
+    monkeypatch.undo()
+    assert sum(built) == len(graphs) + (trials - 1) * sum(below)
+    for g, s, got, short in zip(graphs, seeds, settled, below):
+        if short:
+            assert got == fn(g, plane, trials=trials, seed=s, tol=tol), g
+        else:
+            assert got.trials == 1, g
