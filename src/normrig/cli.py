@@ -470,11 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="also write the resulting graph to this file")
     sp.set_defaults(fn=_cmd_op)
 
-    sp = sub.add_parser("certify-global", parents=[common], help="replay and certify a construction sequence")
+    sp = sub.add_parser(
+        "certify-global", parents=[common], help="replay and certify a construction sequence",
+        description="Check the side condition of each step. A sequence that passes builds a "
+        "graph globally rigid in every analytic normed plane: among lp planes, those of even "
+        "integer p (lp:4, lp:6, ...). At lp:3 or lp:1.5 only the side conditions are checked.",
+    )
     sp.add_argument("sequence", help="sequence file ('base TAG' header plus step lines)")
     sp.add_argument(
         "--numeric", action="store_true",
-        help="cross-check each split with a randomized coincident rank",
+        help="cross-check each split with a randomized coincident rank in the --norm plane; "
+        "global rigidity follows only where it is analytic (lp with even integer p)",
     )
     sp.set_defaults(fn=_cmd_certify)
 

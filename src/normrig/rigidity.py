@@ -30,6 +30,15 @@ generic_rank and uv_generic_rank are that routine on one graph, whose
 chunks each hold one shape and are never padded, and run every trial
 they are asked for.
 
+Trial t of a graph under seed s draws its points from
+numpy.random.default_rng([s, t]), whatever the batch.  A chunk of at
+least _STREAM_JOBS trials computes those streams together through
+_kernels.uniform_streams, a numpy port of SeedSequence and PCG64 that
+gives the same bits; smaller chunks, which hold every one-graph call of
+fewer trials, and chunks whose seeds differ in their count of uint32
+words, call numpy's generator, which is also the tests' oracle.  So
+per-trial ranks do not depend on the path.
+
 Callers that read only the verdict go through settled_ranks instead: no
 placement's rank exceeds min(rows, 2|V| - 2), since translations always
 lie in the kernel, so a first trial at that cap already fixes rank,
@@ -49,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .graph import Graph, delete_edge
 from .norms import DEFAULT_PLANE, LpPlane
 
@@ -62,6 +72,19 @@ _BOX_RADIUS = 1.0
 # batches run in chunks, so memory grows neither with --trials nor with
 # the number of graphs.
 _BATCH_ENTRIES = 1 << 16
+
+# Chunks of at least this many trials draw their placements through
+# _kernels.uniform_streams, smaller ones through numpy's own generator,
+# which is faster below about ten trials; both give the same bits.
+_STREAM_JOBS = 24
+
+
+def seed_words(seed: int) -> tuple[int, ...]:
+    """The uint32 words, lowest first, that numpy's SeedSequence reads
+    from the non-negative int seed."""
+    if seed >> 32 == 0:
+        return (seed,)
+    return tuple(seed >> b & 0xFFFFFFFF for b in range(0, seed.bit_length(), 32))
 
 
 class RigidityError(ValueError):
@@ -225,12 +248,17 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> 
 
     Trial t of a graph places its vertices by default_rng([seed, t]) alone,
     so its rank depends neither on the other trials and graphs nor on the
-    chunking.
+    chunking.  A chunk of at least _STREAM_JOBS trials draws all of them
+    in one _kernels.uniform_streams call, the same bits computed for every
+    stream at once; a smaller one, or one whose seeds differ in uint32
+    word count, builds one default_rng per trial.  An edgeless job counts
+    one row against the budget, for the 2n coordinates it draws.
     """
     plane = plane or DEFAULT_PLANE
     seeds = [resolve_seed(s) for s in seeds]
     if trials < 1:
         raise RigidityError("need at least one trial")
+    words = [seed_words(s) for s in seeds]
     works, groups = [], {}
     for i, g in enumerate(graphs):
         had_pair_edge = coincident and g.has_edge(*g.require_pair())
@@ -247,6 +275,7 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> 
     chunks, count, height = [], 0, 0  # pieces (n, jobs); the last chunk's B and M
     for (n, m), members in sorted(groups.items()):
         jobs = [(i, t) for i in members for t in range(len(ranks[i]), trials)]
+        m = max(m, 1)  # an edgeless job still draws its 2n coordinates
         step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
         for start in range(0, len(jobs), step):
             part = jobs[start:start + step]
@@ -257,19 +286,32 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> 
                 chunks.append([(n, part)])
                 count, height = len(part), m
 
-    def matrices(n, piece):
+    def placements(chunk, jobs):
+        """Each piece's (jobs, n, 2) random draws, before the placement map."""
+        if len(jobs) < _STREAM_JOBS or len({len(words[i]) for i, _ in jobs}) > 1:
+            return [np.stack([
+                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))
+                for i, t in piece
+            ]) for n, piece in chunk]
+        entropy = np.array([words[i] + (t,) for i, t in jobs], dtype=np.uint32)
+        sizes = [2 * n * len(piece) for n, piece in chunk]
+        counts = np.repeat([2 * n for n, _ in chunk], [len(piece) for _, piece in chunk])
+        flat = _kernels.uniform_streams(entropy, counts, -_BOX_RADIUS, _BOX_RADIUS)
+        return [part.reshape(len(piece), n, 2)
+                for (n, piece), part in zip(chunk, np.split(flat, np.cumsum(sizes)[:-1]))]
+
+    def matrices(n, piece, draws):
         _, _, ats, edges, ends = zip(*(works[i] for i, _ in piece))
-        pts = np.stack([
-            np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))[at]
-            for (i, t), at in zip(piece, ats)
-        ])
+        pts = draws[np.arange(len(piece))[:, None], np.stack(ats)]
         return _matrix_stack(plane, pts, edges, np.stack(ends))
 
     for chunk in chunks:
-        # the matrices die with the call, before the next chunk is built
-        sigmas, rows, cols = _padded_singular_values([matrices(n, piece) for n, piece in chunk])
-        rank, tau, near = _ranks(sigmas, tol, rows, cols)
         jobs = [job for _, piece in chunk for job in piece]
+        # the matrices die with the call, before the next chunk is built
+        sigmas, rows, cols = _padded_singular_values([
+            matrices(n, piece, draws) for (n, piece), draws in zip(chunk, placements(chunk, jobs))
+        ])
+        rank, tau, near = _ranks(sigmas, tol, rows, cols)
         for (i, _), r in zip(jobs, rank.tolist()):
             ranks[i].append(r)
         for j in np.flatnonzero(near):

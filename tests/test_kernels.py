@@ -1,5 +1,6 @@
 """Kernel oracles: the pebble game against greedy insertion with brute-force
-counts, and the family search against a plain subset scan.  Also pins that
+counts, the family search against a plain subset scan, and the seed-stream
+kernels against numpy's own SeedSequence and default_rng.  Also pins that
 each kernel is reached through exactly one adapter."""
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import pytest
 
 import normrig
 from normrig import _kernels
+from normrig.experiments import _derive_seeds
+from normrig.rigidity import seed_words
 from normrig.sparsity import pebble_game
 
 
@@ -89,11 +92,47 @@ def test_family_best_matches_subset_scan():
         assert _kernels.family_best(edge_masks, val_terms) == (expect, smallest)
 
 
-# each _kernels function and the one function in src/normrig that calls it
+# the seeds the stream kernels are checked on: edges of the uint32 words
+# numpy reads from an int, and 50 random ones of one and two words
+STREAM_SEEDS = [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5] + [
+    int(x) for x in np.random.default_rng(26).integers(0, 2**40, 50)
+]
+
+
+def test_uniform_streams_equal_default_rng():
+    """Draws of many streams in one ragged call, bit for bit numpy's."""
+    rows = [(s, t, n) for s in STREAM_SEEDS for t in (0, 1, 9, 199) for n in (0, 1, 2, 7, 100)]
+    by_width = {}
+    for s, t, n in rows:
+        by_width.setdefault(len(seed_words(s)), []).append((s, t, n))
+    assert sorted(by_width) == [1, 2, 3]
+    for group in by_width.values():
+        entropy = [seed_words(s) + (t,) for s, t, _ in group]
+        got = _kernels.uniform_streams(entropy, [2 * n for *_, n in group], -1.0, 1.0)
+        expect = np.concatenate([
+            np.random.default_rng([s, t]).uniform(-1, 1, (n, 2)).ravel() for s, t, n in group
+        ])
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    assert _kernels.uniform_streams([(5, 0)], [0], -1.0, 1.0).shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 5, 2**100])
+def test_derive_seeds_equal_seed_sequence(seed):
+    # 2**100 reads as four words, so [seed, i, 0] overflows the 4-word pool
+    count = 300
+    assert _derive_seeds(seed, count) == [
+        int(np.random.SeedSequence([seed, i, 0]).generate_state(1)[0]) for i in range(count)
+    ]
+    assert _derive_seeds(seed, 0) == []
+
+
+# each public _kernels function and the one function in src/normrig that calls it
 ADAPTERS = {
     "pebble_game": ("sparsity", "pebble_game"),
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
+    "seed_states": ("experiments", "_derive_seeds"),
+    "uniform_streams": ("rigidity", "_generic_ranks"),
 }
 
 
@@ -102,7 +141,7 @@ def test_each_kernel_has_one_adapter():
     kernels = {
         node.name
         for node in ast.parse((src / "_kernels.py").read_text()).body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
     assert kernels == set(ADAPTERS)
     refs = {name: [] for name in kernels}
@@ -129,5 +168,5 @@ def test_each_kernel_has_one_adapter():
                 ):
                     where = top.name if isinstance(top, ast.FunctionDef) else None
                     refs[node.attr].append((module, where))
-    assert importers == {"sparsity", "enumeration"}
+    assert importers == {"sparsity", "enumeration", "experiments", "rigidity"}
     assert refs == {name: [adapter] for name, adapter in ADAPTERS.items()}

@@ -487,3 +487,74 @@ def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
             assert got == fn(g, plane, trials=trials, seed=s, tol=tol), g
         else:
             assert got.trials == 1, g
+
+
+def _count_default_rng(monkeypatch):
+    """Count the generators built through np.random.default_rng."""
+    calls, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or make(*a))
+    return calls
+
+
+def test_batches_draw_through_the_port_and_one_graph_calls_through_numpy(monkeypatch, k23):
+    # Both paths stay live: a batch's chunks hold at least _STREAM_JOBS
+    # trials and draw through _kernels.uniform_streams, and a one-graph
+    # ten-trial call through numpy's generator; both give the same reports.
+    plane, seeds = LpPlane(4.0), [3000 + i for i in range(len(PAIR_CLASSES))]
+    calls = _count_default_rng(monkeypatch)
+    batch = settled_ranks(PAIR_CLASSES, seeds, True, plane, 10)
+    assert calls == [] and sum(rep.trials > 1 for rep in batch) >= 3
+    one = uv_generic_rank(k23, plane, trials=10, seed=7)
+    assert len(calls) == 10
+    monkeypatch.undo()
+    for g, s, got in zip(PAIR_CLASSES, seeds, batch):
+        assert got == settled_one(uv_generic_rank, g, plane, 10, s), g
+    assert one == rigidity._generic_ranks([k23] * 30, plane, 10, [7] * 30, DEFAULT_TOL, True)[0]
+
+
+def _drawn_placements(monkeypatch):
+    """Record the bytes of every placement _matrix_stack is given."""
+    seen, stack = [], rigidity._matrix_stack
+    monkeypatch.setattr(rigidity, "_matrix_stack",
+                        lambda plane, pts, *rest: seen.extend(p.tobytes() for p in pts)
+                        or stack(plane, pts, *rest))
+    return seen
+
+
+def _numpy_placements(graphs, seeds, trials):
+    """The bytes of each coincident placement as numpy's generator draws it."""
+    out = []
+    for g, s in zip(graphs, seeds):
+        u, v = (g.vertices.index(x) for x in g.designated_pair)
+        for t in range(trials):
+            pts = np.random.default_rng([s, t]).uniform(-1, 1, (g.n, 2))
+            pts[v] = pts[u]
+            out.append(pts.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("seeds,port", [
+    ([2**32 + i for i in range(40)], True),  # two words each
+    ([2**64 + i for i in range(40)], True),  # three words each
+    ([i if i % 2 else 2**32 + i for i in range(40)], False),  # one and two words
+])
+def test_multi_word_seeds(monkeypatch, seeds, port, k23, two_k4):
+    plane, graphs = LpPlane(4.0), [k23, two_k4] * 20
+    calls, drawn = _count_default_rng(monkeypatch), _drawn_placements(monkeypatch)
+    got = rigidity._generic_ranks(graphs, plane, 2, seeds, DEFAULT_TOL, True)
+    assert (calls == []) == port
+    monkeypatch.undo()
+    assert sorted(drawn) == sorted(_numpy_placements(graphs, seeds, 2))
+    assert got == [uv_generic_rank(g, plane, trials=2, seed=s) for g, s in zip(graphs, seeds)]
+
+
+def test_edgeless_chunks_stay_within_the_budget(monkeypatch, plane4):
+    # an edgeless job has no matrix entry but draws 2n coordinates, which
+    # count against _BATCH_ENTRIES as one row would
+    graphs, sizes = [Graph.from_edges(range(8))] * 600, []
+    streams = rigidity._kernels.uniform_streams
+    monkeypatch.setattr(rigidity._kernels, "uniform_streams",
+                        lambda e, counts, *r: sizes.append(sum(counts)) or streams(e, counts, *r))
+    reps = rigidity._generic_ranks(graphs, plane4, 10, range(600), DEFAULT_TOL, False)
+    assert sum(sizes) == 600 * 10 * 16 and max(sizes) <= rigidity._BATCH_ENTRIES
+    assert all(rep.rank == 0 and rep.per_trial_ranks == (0,) * 10 for rep in reps)
