@@ -3,16 +3,21 @@
 Each kernel has one adapter, which turns a graph or a seed into its
 input: pebble_game is called only by sparsity.pebble_game,
 canonize_batch only by enumeration._class_masks, family_best only by
-sparsity.is_uv_sparse_bruteforce, seed_states only by
-experiments._derive_seeds, and uniform_streams only by
-rigidity._generic_ranks.  The pebble game works on vertex labels and
-keeps the orientation as adjacency lists, so its cost follows the edges
-it searches and not n**2.  The canonizer is exact float64 matrix
-products over tiles of numpy edge bitmasks.  The family search is a
-branch and bound over Python-int bitmasks; its cost follows the families
-it cannot rule out, not the 2**c families there are.  The two seed-stream
-kernels reproduce numpy's SeedSequence and PCG64 generator bit for bit
-over many seeds at once, in uint32 lanes and exact float64 products.
+sparsity.is_uv_sparse_bruteforce, derive_seeds only by experiments._run,
+and uniform_streams only by rigidity._chunk_singular_values.  The pebble
+game works on vertex labels and keeps the orientation as adjacency
+lists, so its cost follows the edges it searches and not n**2.  The
+canonizer is exact float64 matrix products over tiles of numpy edge
+bitmasks.  The family search is a branch and bound over Python-int
+bitmasks; its cost follows the families it cannot rule out, not the
+2**c families there are.
+
+The two seed kernels take plain ints, and this module alone knows how
+numpy reads them: derive_seeds hashes the rows [seed, i, 0], and
+uniform_streams draws from default_rng([seed, t]).  Both run a port of
+numpy's SeedSequence and PCG64 generator that gives the same bits over
+many seeds at once, in uint32 lanes and exact float64 products;
+uniform_streams calls numpy's own generator instead for a few streams.
 """
 
 from __future__ import annotations
@@ -185,8 +190,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Most padded draws uniform_streams carries at once (512 KiB of column sums).
+# Most padded draws the port carries at once (512 KiB of column sums).
 _BLOCK_DRAWS = 1 << 13
+
+# Jobs below this count draw through numpy's own generator, which is
+# faster there: one stream takes it about 30 us, and the port over 200 us.
+_STREAM_JOBS = 24
 
 
 @lru_cache(maxsize=None)
@@ -209,32 +218,51 @@ def _mix(x, y):
     return out ^ out >> 16
 
 
-def seed_states(entropy, words):
-    """SeedSequence(row).generate_state(words) of each row of entropy.
+def _seed_words(seed):
+    """The uint32 words, lowest first, that numpy's SeedSequence reads
+    from the non-negative int seed."""
+    if seed >> 32 == 0:
+        return (seed,)
+    return tuple(seed >> b & 0xFFFFFFFF for b in range(0, seed.bit_length(), 32))
+
+
+def _seed_states(entropy, lengths, words):
+    """SeedSequence(row[:length]).generate_state(words) of each row of
+    entropy and its length (one count, or one per row).
 
     A row holds the uint32 words numpy reads from its entropy, lowest
-    word of each int first, and all rows hold the same number of words.
-    Returns a (rows, words) uint32 array.  The pool is mixed as numpy
-    mixes it, one pool word per lane: hashmix each entropy word into the
-    pool, mix every pool word into every other, then mix each entropy
-    word past the fourth into all four.
+    word of each int first, zero-padded to the widest row.  Returns a
+    (rows, words) uint32 array.  The pool is mixed as numpy mixes it, one
+    pool word per lane: hashmix the first four entropy words into the
+    pool (a missing word hashes as 0, as a padded one does), mix every
+    pool word into every other, then mix each entropy word past the
+    fourth, where the row has one, into all four.
     """
     entropy = np.asarray(entropy, dtype=np.uint32).T
-    length = len(entropy)
-    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, length - 4))
+    width = len(entropy)
+    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, width - 4))
     pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
-    pool[:length] = entropy[:4]
+    pool[:width] = entropy[:4]
     pool = _hashmix(pool, h[:4], h[1:5])
     at = 4
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[at:at + 3], h[at + 1:at + 4]))
         at += 3
-    for src in range(4, length):
-        pool = _mix(pool, _hashmix(entropy[src], h[at:at + 4], h[at + 1:at + 5]))
+    for src in range(4, width):
+        mixed = _mix(pool, _hashmix(entropy[src], h[at:at + 4], h[at + 1:at + 5]))
+        pool = np.where(src < np.asarray(lengths), mixed, pool)
         at += 4
     c = _hash_constants(_INIT_B, _MULT_B, words)
     return _hashmix(pool[np.arange(words) % 4], c[:-1], c[1:]).T
+
+
+def derive_seeds(seed, count):
+    """SeedSequence([seed, i, 0]).generate_state(1)[0] for each i < count,
+    hashed in one batch, as a list of ints."""
+    entropy = np.tile(np.array(_seed_words(seed) + (0, 0), dtype=np.uint32), (count, 1))
+    entropy[:, -2] = np.arange(count)
+    return _seed_states(entropy, entropy.shape[1], 1)[:, 0].tolist()
 
 
 @lru_cache(maxsize=32)
@@ -269,9 +297,10 @@ def _doubles(sums, counts):
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-def uniform_streams(entropy, counts, low, high):
+def _uniform_port(entropy, lengths, counts, low, high):
     """The first counts[j] draws of default_rng(row j).uniform(low, high),
-    for each row j of entropy (as in seed_states), concatenated.
+    for each row j of entropy and its length (as in _seed_states),
+    concatenated.
 
     PCG64 seeds from generate_state(4, uint64): state s and increment
     inc = 2 seq + 1, then state 0 is (s + inc) M + inc.  Draw k comes from
@@ -287,7 +316,7 @@ def uniform_streams(entropy, counts, low, high):
     draws = int(counts.max(initial=0))
     if draws == 0:
         return np.zeros(0)
-    w = seed_states(entropy, 8).astype(np.uint64)
+    w = _seed_states(entropy, lengths, 8).astype(np.uint64)
     init_lo, init_hi = w[:, 2] | w[:, 3] << 32, w[:, 0] | w[:, 1] << 32
     seq_lo, seq_hi = w[:, 6] | w[:, 7] << 32, w[:, 4] | w[:, 5] << 32
     inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
@@ -302,3 +331,22 @@ def uniform_streams(entropy, counts, low, high):
         for i in range(0, len(counts), step)
     ])
     return low + (high - low) * doubles
+
+
+def uniform_streams(jobs, counts, low, high):
+    """The first counts[j] draws of default_rng([seed, t]).uniform(low, high)
+    for each job j = (seed, t) of non-negative ints, concatenated.
+
+    Fewer than _STREAM_JOBS jobs draw through numpy's own generator, more
+    through the port, in one call whatever the seeds' widths.  Both give
+    the same bits.
+    """
+    if len(jobs) < _STREAM_JOBS:
+        return np.concatenate([
+            np.random.default_rng([s, t]).uniform(low, high, c) for (s, t), c in zip(jobs, counts)
+        ])
+    rows = [_seed_words(s) + _seed_words(t) for s, t in jobs]
+    lengths = np.array([len(row) for row in rows])
+    width = lengths.max()
+    entropy = np.array([row + (0,) * (width - len(row)) for row in rows], dtype=np.uint32)
+    return _uniform_port(entropy, lengths, counts, low, high)

@@ -51,10 +51,8 @@ from .rigidity import (
     DEFAULT_TOL,
     RigidityError,
     TolerancePolicy,
-    generic_rank,
+    _generic_ranks,
     resolve_seed,
-    settled_ranks,
-    uv_generic_rank,
 )
 from .sparsity import (
     SparsityError,
@@ -137,13 +135,8 @@ def _cmd_rank(args) -> int:
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
     plane, tol = _single_norm(args), _tol(args)
-    if args.json or args.verbose:
-        # per-trial data is printed: the full report of every trial
-        rank = uv_generic_rank if coincident else generic_rank
-        rep = rank(g, plane, trials=args.trials, seed=args.seed, tol=tol)
-    else:
-        # verdict fields only, which a trial 0 at the rank cap already fixes
-        rep = settled_ranks([g], [args.seed], coincident, plane, args.trials, tol)[0]
+    settle = not (args.json or args.verbose)  # text shows only verdicts, fixed at the cap
+    rep = _generic_ranks([g], plane, args.trials, [args.seed], tol, coincident, settle)[0]
     values = {
         "rank": rep.rank,
         "rows": rep.rows,

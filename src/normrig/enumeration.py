@@ -40,13 +40,6 @@ def _edge_sets(n: int, masks: np.ndarray) -> list[frozenset[tuple[int, int]]]:
     return [frozenset(compress(slots, row)) for row in rows]
 
 
-def mask_to_graph(n: int, mask: int, pair: tuple[int, int] | None = None) -> Graph:
-    if not 0 <= mask < 1 << n * (n - 1) // 2:
-        raise GraphError(f"edge mask {mask} outside [0, 2**C({n}, 2))")
-    (edges,) = _edge_sets(n, np.array([mask], dtype=object))  # Python ints: any width
-    return Graph.from_edges(range(n), edges, pair)
-
-
 @lru_cache(maxsize=32)
 def _perm_bitmaps(n: int, fix_pair: bool) -> np.ndarray:
     """bitmaps[p, b]: image of edge slot b under the p-th permutation, read

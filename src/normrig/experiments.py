@@ -4,18 +4,13 @@ Each sweep walks a stream of instances (exhaustive up to isomorphism
 where feasible, random beyond), computes a combinatorial verdict and a
 randomized numerical one, and reports disagreements.  All of them run
 through one loop, ``_run``, which decides every instance once: instance
-i is placed under the seed derived from (seed, i, 0) by numpy's
-SeedSequence, all of a sweep's seeds in one batch, and a numerical
-verdict that contradicts the combinatorial side is a disagreement that
-carries that seed.  The numerical verdict is already the best of
-``trials`` placements, and unlucky placements can sit below generic
-rank, never above it, so no rerun is made.
-
-Only the verdict is read, so the numerical verdicts come from one
-rigidity.settled_ranks call over every instance: a first trial that
-reaches the rank cap min(rows, 2|V| - 2) decides an instance, and
-otherwise the remaining trials run.  The CLI's text-mode rank commands
-take the same path; their --json and --verbose run every trial.
+i is placed under the seed numpy's SeedSequence derives from
+[seed, i, 0], and a numerical verdict that contradicts the
+combinatorial side is a disagreement that carries that seed.  The
+numerical verdict is already the best of ``trials`` placements, and
+unlucky placements can sit below generic rank, never above it, so no
+rerun is made.  Only the verdict is read, so every instance is ranked
+in one settled batch (rigidity.settled_ranks).
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
@@ -42,7 +37,7 @@ from .graph import (
     zero_extension,
 )
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
-from .rigidity import resolve_seed, seed_words, settled_ranks
+from .rigidity import resolve_seed, settled_ranks
 from .sparsity import (
     cover_rank_bound,
     is_uv_rigid_comb,
@@ -96,32 +91,21 @@ def _config(**kw) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(kw.items()))
 
 
-def _derive_seeds(seed: int, count: int) -> list[int]:
-    """SeedSequence([seed, i, 0]).generate_state(1)[0] for each i < count,
-    hashed in one batch."""
-    words = seed_words(seed)
-    entropy = np.zeros((count, len(words) + 2), dtype=np.uint32)
-    entropy[:, :-2] = words
-    entropy[:, -2] = np.arange(count)
-    return _kernels.seed_states(entropy, 1)[:, 0].tolist()
-
-
 def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepReport:
     """The sweep loop: items(seed) yields (note, graph) pairs, and each
     comb_fn(graph) is checked against the field attr of the graph's
     plain or coincident RankReport (kind).  One settled_ranks call ranks
-    every instance, instance i under the seed that
-    SeedSequence([seed, i, 0]).generate_state(1)[0] gives; _derive_seeds
-    hashes all of them in one call of a numpy port of SeedSequence, and
-    numpy's own SeedSequence, the tests' oracle, gives the same seeds.
-    keys join norm, trials and seed in the report's config."""
+    every instance, instance i under the seed
+    SeedSequence([seed, i, 0]).generate_state(1)[0], all of them hashed
+    by one _kernels.derive_seeds call.  keys join norm, trials and seed
+    in the report's config."""
     t0 = time.perf_counter()
     plane = _plane(desc)
     seed = resolve_seed(seed)
     instances = list(items(seed))
     graphs = [g for _, g in instances]
     combs = [comb_fn(g) for g in graphs]
-    seeds = _derive_seeds(seed, len(graphs))
+    seeds = _kernels.derive_seeds(seed, len(graphs))
     reports = settled_ranks(graphs, seeds, kind == "coincident", plane, trials)
     disagreements = [
         Disagreement(idx, format_graph(g), comb, getattr(rep, attr), rep.rank, rep.rows,

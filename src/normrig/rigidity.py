@@ -30,31 +30,26 @@ generic_rank and uv_generic_rank are that routine on one graph, whose
 chunks each hold one shape and are never padded, and run every trial
 they are asked for.
 
-Trial t of a graph under seed s draws its points from
-numpy.random.default_rng([s, t]), whatever the batch.  A chunk of at
-least _STREAM_JOBS trials computes those streams together through
-_kernels.uniform_streams, a numpy port of SeedSequence and PCG64 that
-gives the same bits; smaller chunks, which hold every one-graph call of
-fewer trials, and chunks whose seeds differ in their count of uint32
-words, call numpy's generator, which is also the tests' oracle.  So
-per-trial ranks do not depend on the path.
+Trial t of a graph under seed s draws its points from numpy's generator
+seeded with [s, t], whatever the batch: _kernels.uniform_streams draws a
+chunk's streams together, and gives the same bits however it computes
+them.  So per-trial ranks do not depend on the path.
 
-Callers that read only the verdict go through settled_ranks instead: no
-placement's rank exceeds min(rows, 2|V| - 2), since translations always
-lie in the kernel, so a first trial at that cap already fixes rank,
-independence and rigidity.  settled_ranks runs trial 0 of all its
-graphs in one batch, then trials 1 to T - 1 of those below the cap in
-one more, behind the trial 0 already drawn: a graph's rerun report
-equals its full report, and no trial is drawn twice.  The sweeps,
-certify-global --numeric and the text-mode rank commands take this
-path; the rank commands' --json and --verbose print per-trial data and
-run every trial.
+Callers that read only the verdict settle: no placement's rank exceeds
+min(rows, 2|V| - 2), since translations always lie in the kernel, so a
+first trial at that cap already fixes rank, independence and rigidity.
+A settled batch runs trial 0 of all its graphs, then trials 1 to T - 1
+of those below the cap, and a graph's report then equals its full
+report.  The sweeps, certify-global --numeric and the text-mode rank
+commands settle; the rank commands' --json and --verbose print
+per-trial data and run every trial.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -72,20 +67,6 @@ _BOX_RADIUS = 1.0
 # batches run in chunks, so memory grows neither with --trials nor with
 # the number of graphs.
 _BATCH_ENTRIES = 1 << 16
-
-# Chunks of at least this many trials draw their placements through
-# _kernels.uniform_streams, smaller ones through numpy's own generator,
-# which is faster below about ten trials; both give the same bits.
-_STREAM_JOBS = 24
-
-
-def seed_words(seed: int) -> tuple[int, ...]:
-    """The uint32 words, lowest first, that numpy's SeedSequence reads
-    from the non-negative int seed."""
-    if seed >> 32 == 0:
-        return (seed,)
-    return tuple(seed >> b & 0xFFFFFFFF for b in range(0, seed.bit_length(), 32))
-
 
 class RigidityError(ValueError):
     """Degenerate placement or inconsistent framework data."""
@@ -199,6 +180,12 @@ def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows, cols):
 # ---------------------------------------------------------------------------
 
 
+def _rank_cap(n: int, rows: int) -> int:
+    """The highest rank any placement gives a matrix of rows edges on n
+    vertices: min(rows, 2n - 2), or 0 with no vertex."""
+    return min(rows, max(0, 2 * n - 2))
+
+
 @dataclass(frozen=True)
 class RankReport:
     kind: str  # "plain" or "coincident"
@@ -222,103 +209,110 @@ class RankReport:
 
     @property
     def at_rank_cap(self) -> bool:
-        """Rank min(rows, 2|V| - 2), or 0 with no vertex: no further trial
-        can change rank, independent or rigid."""
-        return self.rank == min(self.rows, max(0, 2 * self.n_vertices - 2))
+        """Rank at the cap (_rank_cap): no further trial can change rank,
+        independent or rigid."""
+        return self.rank == _rank_cap(self.n_vertices, self.rows)
 
 
-def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> list[RankReport]:
-    """The rank reports of both kinds, one per graph and seed, with every
-    trial of every graph batched among the matrices of its shape (m, 2n),
-    and neighbouring shapes merged into zero-padded chunks.
+def _prepared(g: Graph, coincident: bool):
+    """What a placement of g needs: the graph whose matrix is built (g less
+    the pair edge, for a coincident rank), whether that edge was removed,
+    the placement map and the sorted edges with their end positions."""
+    had_pair_edge = coincident and g.has_edge(*g.require_pair())
+    work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
+    at = np.arange(work.n)  # placement map: v sits at u's point
+    if coincident:
+        u, v = (work.vertices.index(x) for x in work.designated_pair)
+        at[v] = u
+    return (work, had_pair_edge, at, *_endpoints(work))
 
-    done, when given, holds one earlier report per graph, of its first
-    trials under the same seed, plane and tolerance: those trials are not
-    drawn again, and their ranks and notes lead the report's own.
+
+def _chunks(jobs, shapes):
+    """Cut the jobs (graph i, trial t), in order of their graph's shape
+    (n, m) = shapes[i], into chunks of pieces (n, jobs).
 
     Each shape's jobs are cut into pieces of at most _BATCH_ENTRIES
-    entries, and the pieces, sorted by (n, m), are merged while the
-    chunk padded to its largest rows M and columns 2N stays within that
-    budget.  A piece sits in the top-left corner of its chunk's
-    (B, M, 2N) stack, whose zero rows and columns add only zero singular
-    values; the threshold takes each matrix's own rows and 2n, so the
-    padding changes no rank, threshold or note.  A chunk of one piece,
-    which is every chunk of a one-graph call, is decomposed as it is
-    built.
-
-    Trial t of a graph places its vertices by default_rng([seed, t]) alone,
-    so its rank depends neither on the other trials and graphs nor on the
-    chunking.  A chunk of at least _STREAM_JOBS trials draws all of them
-    in one _kernels.uniform_streams call, the same bits computed for every
-    stream at once; a smaller one, or one whose seeds differ in uint32
-    word count, builds one default_rng per trial.  An edgeless job counts
-    one row against the budget, for the 2n coordinates it draws.
+    entries, and the pieces are merged while the chunk padded to its
+    largest rows M and columns 2N stays within that budget.  An edgeless
+    job counts one row, for the 2n coordinates it draws.
     """
-    plane = plane or DEFAULT_PLANE
-    seeds = [resolve_seed(s) for s in seeds]
-    if trials < 1:
-        raise RigidityError("need at least one trial")
-    words = [seed_words(s) for s in seeds]
-    works, groups = [], {}
-    for i, g in enumerate(graphs):
-        had_pair_edge = coincident and g.has_edge(*g.require_pair())
-        work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
-        at = np.arange(work.n)  # placement map: v sits at u's point
-        if coincident:
-            u, v = (work.vertices.index(x) for x in work.designated_pair)
-            at[v] = u
-        works.append((work, had_pair_edge, at, *_endpoints(work)))
-        groups.setdefault((work.n, work.m), []).append(i)
-    done = done or [None] * len(graphs)
-    ranks = [list(rep.per_trial_ranks) if rep else [] for rep in done]
-    notes = [list(rep.notes) if rep else [] for rep in done]
-    chunks, count, height = [], 0, 0  # pieces (n, jobs); the last chunk's B and M
-    for (n, m), members in sorted(groups.items()):
-        jobs = [(i, t) for i in members for t in range(len(ranks[i]), trials)]
-        m = max(m, 1)  # an edgeless job still draws its 2n coordinates
+    chunks, count, height = [], 0, 0  # the last chunk's B and M
+    for (n, m), same in groupby(jobs, key=lambda job: shapes[job[0]]):
+        same = list(same)
+        m = max(m, 1)
         step = max(1, _BATCH_ENTRIES // max(1, m * 2 * n))
-        for start in range(0, len(jobs), step):
-            part = jobs[start:start + step]
+        for start in range(0, len(same), step):
+            part = same[start:start + step]
             count, height = count + len(part), max(height, m)
             if chunks and count * height * 2 * n <= _BATCH_ENTRIES:
                 chunks[-1].append((n, part))
             else:
                 chunks.append([(n, part)])
                 count, height = len(part), m
+    return chunks
 
-    def placements(chunk, jobs):
-        """Each piece's (jobs, n, 2) random draws, before the placement map."""
-        if len(jobs) < _STREAM_JOBS or len({len(words[i]) for i, _ in jobs}) > 1:
-            return [np.stack([
-                np.random.default_rng([seeds[i], t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, size=(n, 2))
-                for i, t in piece
-            ]) for n, piece in chunk]
-        entropy = np.array([words[i] + (t,) for i, t in jobs], dtype=np.uint32)
-        sizes = [2 * n * len(piece) for n, piece in chunk]
-        counts = np.repeat([2 * n for n, _ in chunk], [len(piece) for _, piece in chunk])
-        flat = _kernels.uniform_streams(entropy, counts, -_BOX_RADIUS, _BOX_RADIUS)
-        return [part.reshape(len(piece), n, 2)
-                for (n, piece), part in zip(chunk, np.split(flat, np.cumsum(sizes)[:-1]))]
 
-    def matrices(n, piece, draws):
+def _chunk_singular_values(chunk, works, seeds, plane):
+    """Draw, build and decompose one chunk: the singular values of its
+    matrices, in job order, and each matrix's rows and columns.
+
+    Each piece sits in the top-left corner of the chunk's (B, M, 2N)
+    stack, whose zero rows and columns add only zero singular values; a
+    chunk of one piece, which is every chunk of a one-graph call, is
+    decomposed as it is built.  The matrices die with the call, before
+    the next chunk is built.
+    """
+    jobs = [(seeds[i], t) for _, piece in chunk for i, t in piece]
+    counts = [2 * n for n, piece in chunk for _ in piece]
+    draws = _kernels.uniform_streams(jobs, counts, -_BOX_RADIUS, _BOX_RADIUS)
+    stacks, start = [], 0
+    for n, piece in chunk:
+        size = 2 * n * len(piece)
         _, _, ats, edges, ends = zip(*(works[i] for i, _ in piece))
-        pts = draws[np.arange(len(piece))[:, None], np.stack(ats)]
-        return _matrix_stack(plane, pts, edges, np.stack(ends))
+        pts = draws[start:start + size].reshape(len(piece), n, 2)
+        pts = pts[np.arange(len(piece))[:, None], np.stack(ats)]
+        stacks.append(_matrix_stack(plane, pts, edges, np.stack(ends)))
+        start += size
+    return _padded_singular_values(stacks)
 
-    for chunk in chunks:
-        jobs = [job for _, piece in chunk for job in piece]
-        # the matrices die with the call, before the next chunk is built
-        sigmas, rows, cols = _padded_singular_values([
-            matrices(n, piece, draws) for (n, piece), draws in zip(chunk, placements(chunk, jobs))
-        ])
-        rank, tau, near = _ranks(sigmas, tol, rows, cols)
-        for (i, _), r in zip(jobs, rank.tolist()):
-            ranks[i].append(r)
-        for j in np.flatnonzero(near):
-            notes[jobs[j][0]].append(
-                f"trial {jobs[j][1]}: smallest kept singular value "
-                f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
-            )
+
+def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=False) -> list[RankReport]:
+    """The rank reports of both kinds, one per graph and seed: the jobs
+    (graph, trial) are planned into chunks, each chunk is drawn, built and
+    decomposed, and the tolerance rule turns its singular values into
+    ranks and notes.
+
+    With settle, trial 0 of every graph runs first, and trials 1 to T - 1
+    only for the graphs below the rank cap; a report holds the trials it
+    ran, in order.
+    """
+    plane = plane or DEFAULT_PLANE
+    seeds = [resolve_seed(s) for s in seeds]
+    if trials < 1:
+        raise RigidityError("need at least one trial")
+    works = [_prepared(g, coincident) for g in graphs]
+    shapes = [(work.n, work.m) for work, *_ in works]
+    order = sorted(range(len(graphs)), key=shapes.__getitem__)  # graph order within a shape
+    ranks, notes = [[] for _ in graphs], [[] for _ in graphs]
+
+    def run(jobs):
+        for chunk in _chunks(jobs, shapes):
+            sigmas, rows, cols = _chunk_singular_values(chunk, works, seeds, plane)
+            rank, tau, near = _ranks(sigmas, tol, rows, cols)
+            ran = [job for _, piece in chunk for job in piece]
+            for (i, _), r in zip(ran, rank.tolist()):
+                ranks[i].append(r)
+            for j in np.flatnonzero(near):
+                notes[ran[j][0]].append(
+                    f"trial {ran[j][1]}: smallest kept singular value "
+                    f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
+                )
+
+    first = 1 if settle else trials
+    run([(i, t) for i in order for t in range(first)])
+    if first < trials:
+        run([(i, t) for i in order if ranks[i][0] < _rank_cap(*shapes[i])
+             for t in range(first, trials)])
     reports = []
     for g, (work, had_pair_edge, *_), seed, tried, noted in zip(graphs, works, seeds, ranks, notes):
         best = max(tried)
@@ -334,7 +328,7 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, done=None) -> 
             affine_span_full=g.n - coincident >= 3,
             pair=g.designated_pair,
             pair_edge_removed=had_pair_edge,
-            trials=trials,
+            trials=len(tried),
             seed=seed,
             box_radius=_BOX_RADIUS,
             tol_rel=tol.rel,
@@ -387,22 +381,7 @@ def settled_ranks(
     trials: int = 10,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[RankReport]:
-    """The plain or coincident report of each graph under its seed, each
-    stopped after trial 0 when that trial is at the cap.
-
-    Trial 0 of every graph runs in one batch, and trials 1 to T - 1 of
-    the graphs below the cap in one more, whose reports carry trial 0's
-    rank and notes first and so equal the full reports field for field.
-    A settled report is a one-trial report; trial t draws from the same
-    seed stream either way, so its verdict fields equal those of the
-    full report.
-    """
-    if trials < 1:
-        raise RigidityError("need at least one trial")
-    reports = _generic_ranks(graphs, plane, 1, seeds, tol, coincident)
-    redo = [i for i, rep in enumerate(reports) if trials > 1 and not rep.at_rank_cap]
-    full = _generic_ranks([graphs[i] for i in redo], plane, trials, [seeds[i] for i in redo],
-                          tol, coincident, [reports[i] for i in redo])
-    for i, rep in zip(redo, full):
-        reports[i] = rep
-    return reports
+    """The plain or coincident report of each graph under its seed,
+    settled: one that reaches the rank cap at trial 0 is a one-trial
+    report, and any other is the full report."""
+    return _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=True)

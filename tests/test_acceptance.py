@@ -229,7 +229,7 @@ if __name__ == "__main__":
     from test_rigidity import VERDICT_FIELDS
     from test_sparsity import _greedy_uv_rank
 
-    from normrig.experiments import _derive_seeds
+    from normrig._kernels import derive_seeds
     from normrig.rigidity import settled_ranks, uv_generic_rank
     from normrig.sparsity import uv_rank_comb
 
@@ -240,7 +240,7 @@ if __name__ == "__main__":
     print(f"bruteforce vs reduced: graphs {len(classes)} mismatches {brute_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
-    seeds = _derive_seeds(SEED, len(classes))
+    seeds = derive_seeds(SEED, len(classes))
     full = [uv_generic_rank(g, trials=10, seed=s) for g, s in zip(classes, seeds)]
     bad = sum(rep.independent != c for rep, c in zip(full, combs))
     print(f"counting vs numerical (one-graph 10-trial ranks): graphs {len(classes)} "

@@ -14,10 +14,10 @@ from normrig import _kernels
 from normrig._kernels import canonize_batch
 from normrig.enumeration import (
     _class_masks,
+    _edge_sets,
     _perm_bitmaps,
     edge_slots,
     enumerate_graphs,
-    mask_to_graph,
     random_graph,
 )
 from normrig.graph import Graph, GraphError
@@ -161,7 +161,7 @@ def full_mask_classes(n, pair):
 def test_extension_equals_full_mask_oracle(n, pair):
     oracle = full_mask_classes(n, pair)
     assert np.array_equal(_class_masks(n, pair), oracle)
-    reps = [mask_to_graph(n, int(x), (0, 1) if pair else None) for x in oracle]
+    reps = [Graph.from_edges(range(n), e, (0, 1) if pair else None) for e in _edge_sets(n, oracle)]
     for c in (None, True, False):
         assert enumerate_graphs(n, connected=c, pair=pair) == [
             g for g in reps if c is None or g.is_connected() == c
@@ -217,15 +217,8 @@ def test_mask_round_trip():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         g = random_graph(rng, n, pair=bool(rng.integers(2)))
-        back = mask_to_graph(n, mask_of(g), pair=g.designated_pair)
-        assert back == g
-
-
-def test_mask_to_graph_rejects_masks_out_of_range():
-    assert mask_to_graph(3, 7) == Graph.complete(3)
-    for mask in (-1, 8):
-        with pytest.raises(GraphError, match="outside"):
-            mask_to_graph(3, mask)
+        (edges,) = _edge_sets(n, np.array([mask_of(g)]))
+        assert Graph.from_edges(range(n), edges, g.designated_pair) == g
 
 
 def test_direct_construction_equals_from_edges():

@@ -106,22 +106,24 @@ def test_sweep_registry_runs():
     }
 
 
+def _planned_jobs(monkeypatch):
+    """The jobs (instance, trial) of each pass rigidity._chunks plans."""
+    passes, plan = [], rigidity._chunks
+    monkeypatch.setattr(rigidity, "_chunks", lambda jobs, *a: passes.append(jobs) or plan(jobs, *a))
+    return passes
+
+
 def test_sweeps_stop_at_the_rank_cap(monkeypatch):
-    trials, batches = [], []
-    batched = rigidity._generic_ranks
-
-    def counted(graphs, plane, n_trials, *args):
-        trials.extend([n_trials] * len(graphs))
-        batches.append(len(graphs))
-        return batched(graphs, plane, n_trials, *args)
-
-    monkeypatch.setattr(rigidity, "_generic_ranks", counted)
+    passes = _planned_jobs(monkeypatch)
     rep = rigidity_sweep(5, seed=9)
-    assert rep.ok and set(trials) <= {1, 10}
+    assert rep.ok and len(passes) == 2
     # every trial 0 in one batch, every rerun in one more
-    assert batches == [rep.instances, trials.count(10)]
+    first, rerun = passes
+    assert sorted(first) == [(i, 0) for i in range(rep.instances)]
+    below = sorted({i for i, _ in rerun})
+    assert sorted(rerun) == [(i, t) for i in below for t in range(1, 10)]
     # each instance runs trial 0 alone, and the full ten only off the cap
-    assert trials.count(1) == rep.instances > trials.count(10)
+    assert len(below) < rep.instances
 
 
 def test_report_invariant_enforced():
@@ -243,20 +245,22 @@ FORCED = {
 
 
 def test_disagreements_are_decided_once(monkeypatch):
-    """A sweep whose counting side disagrees still ranks in one
-    settled_ranks call: trial 0 of every instance, then the full trials
-    of those off the cap.  Nothing reruns the disagreeing instances."""
+    """A sweep whose counting side disagrees still ranks in one settled
+    batch: trial 0 of every instance, then the full trials of those off
+    the cap.  Nothing reruns the disagreeing instances."""
     batches = []
     batched = rigidity._generic_ranks
 
-    def counted(graphs, *args):
-        batches.append(len(graphs))
-        return batched(graphs, *args)
+    def counted(graphs, *args, **kwargs):
+        batches.append((len(graphs), kwargs.get("settle")))
+        return batched(graphs, *args, **kwargs)
 
     monkeypatch.setattr(rigidity, "_generic_ranks", counted)
+    passes = _planned_jobs(monkeypatch)
     monkeypatch.setattr(experiments, "is_rigid_comb", _flip_rigid)
     rep = rigidity_sweep(4, seed=9)
-    assert rep.disagreements and len(batches) <= 2 and batches[0] == rep.instances
+    assert rep.disagreements and batches == [(rep.instances, True)]
+    assert len(passes) <= 2 and sorted(passes[0]) == [(i, 0) for i in range(rep.instances)]
 
 
 @pytest.mark.parametrize("name", sorted(FORCED))

@@ -13,8 +13,6 @@ import pytest
 
 import normrig
 from normrig import _kernels
-from normrig.experiments import _derive_seeds
-from normrig.rigidity import seed_words
 from normrig.sparsity import pebble_game
 
 
@@ -93,37 +91,44 @@ def test_family_best_matches_subset_scan():
 
 
 # the seeds the stream kernels are checked on: edges of the uint32 words
-# numpy reads from an int, and 50 random ones of one and two words
-STREAM_SEEDS = [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5] + [
+# numpy reads from an int, and 50 random ones of one and two words; with
+# the trial, 2**100 + 7 and 2**128 + 3 fill more than the 4-word pool
+STREAM_SEEDS = [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**128 + 3] + [
     int(x) for x in np.random.default_rng(26).integers(0, 2**40, 50)
 ]
 
 
+def _numpy_streams(rows):
+    """The draws of each (seed, t, count) row, numpy's generator, concatenated."""
+    return np.concatenate([
+        np.random.default_rng([s, t]).uniform(-1, 1, c) for s, t, c in rows
+    ])
+
+
 def test_uniform_streams_equal_default_rng():
-    """Draws of many streams in one ragged call, bit for bit numpy's."""
-    rows = [(s, t, n) for s in STREAM_SEEDS for t in (0, 1, 9, 199) for n in (0, 1, 2, 7, 100)]
-    by_width = {}
-    for s, t, n in rows:
-        by_width.setdefault(len(seed_words(s)), []).append((s, t, n))
-    assert sorted(by_width) == [1, 2, 3]
-    for group in by_width.values():
-        entropy = [seed_words(s) + (t,) for s, t, _ in group]
-        got = _kernels.uniform_streams(entropy, [2 * n for *_, n in group], -1.0, 1.0)
-        expect = np.concatenate([
-            np.random.default_rng([s, t]).uniform(-1, 1, (n, 2)).ravel() for s, t, n in group
-        ])
-        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    """Draws of many streams in one ragged call, bit for bit numpy's, with
+    seeds of one to five uint32 words mixed in one batch."""
+    rows = [(s, t, c) for s in STREAM_SEEDS for t in (0, 1, 9, 199) for c in (0, 2, 4, 14, 200)]
+    assert {len(_kernels._seed_words(s)) for s, *_ in rows} == {1, 2, 3, 4, 5}
+    got = _kernels.uniform_streams([(s, t) for s, t, _ in rows], [c for *_, c in rows], -1.0, 1.0)
+    assert np.array_equal(got.view(np.uint64), _numpy_streams(rows).view(np.uint64))
+    # few streams take numpy's own generator, and a zero count draws nothing
+    few = rows[:: len(rows) // 7]
+    assert len(few) < _kernels._STREAM_JOBS
+    got = _kernels.uniform_streams([(s, t) for s, t, _ in few], [c for *_, c in few], -1.0, 1.0)
+    assert np.array_equal(got.view(np.uint64), _numpy_streams(few).view(np.uint64))
     assert _kernels.uniform_streams([(5, 0)], [0], -1.0, 1.0).shape == (0,)
+    assert _kernels._uniform_port(np.array([[5, 0]], dtype=np.uint32), 2, [0], -1.0, 1.0).shape == (0,)
 
 
 @pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 5, 2**100])
 def test_derive_seeds_equal_seed_sequence(seed):
     # 2**100 reads as four words, so [seed, i, 0] overflows the 4-word pool
     count = 300
-    assert _derive_seeds(seed, count) == [
+    assert _kernels.derive_seeds(seed, count) == [
         int(np.random.SeedSequence([seed, i, 0]).generate_state(1)[0]) for i in range(count)
     ]
-    assert _derive_seeds(seed, 0) == []
+    assert _kernels.derive_seeds(seed, 0) == []
 
 
 # each public _kernels function and the one function in src/normrig that calls it
@@ -131,8 +136,8 @@ ADAPTERS = {
     "pebble_game": ("sparsity", "pebble_game"),
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
-    "seed_states": ("experiments", "_derive_seeds"),
-    "uniform_streams": ("rigidity", "_generic_ranks"),
+    "derive_seeds": ("experiments", "_run"),
+    "uniform_streams": ("rigidity", "_chunk_singular_values"),
 }
 
 
