@@ -13,7 +13,6 @@ from .graph import (
     GraphError,
     GraphFormatError,
     format_graph,
-    graph_from_json,
     graph_to_json,
     parse_graph,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "format_graph",
     "parse_graph",
     "graph_to_json",
-    "graph_from_json",
     "LpPlane",
     "DEFAULT_PLANE",
     "NormError",

@@ -4,7 +4,7 @@ Each kernel has one adapter, which turns a graph or a seed into its
 input: pebble_game is called only by sparsity.pebble_game,
 canonize_batch only by enumeration._class_masks, family_best only by
 sparsity.is_uv_sparse_bruteforce, derive_seeds only by experiments._run,
-and uniform_streams only by rigidity._chunk_singular_values.  The pebble
+and uniform_streams only by rigidity._chunk_matrices.  The pebble
 game works on vertex labels and keeps the orientation as adjacency
 lists, so its cost follows the edges it searches and not n**2.  The
 canonizer is exact float64 matrix products over tiles of numpy edge

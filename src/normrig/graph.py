@@ -6,14 +6,13 @@ and parallel edges are rejected everywhere.  The designated pair (u, v)
 marks the two vertices that coincident placements send to the same
 point; operations track or create it as documented per function.
 
-A one-line text format and a JSON mirror are provided for files and
-stdout.  Emission always relabels vertices to 0..n-1 in sorted order,
-so emitted files are canonical and byte-stable.
+A one-line text format is provided for files and stdout, and a JSON
+record for --json output.  Emission always relabels vertices to 0..n-1
+in sorted order, so emitted files are canonical and byte-stable.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -470,29 +469,3 @@ def graph_to_json(g: Graph) -> dict:
         "edges": [list(e) for e in gc.sorted_edges()],
         "designated_pair": list(gc.designated_pair) if gc.designated_pair else None,
     }
-
-
-def _is_int_pair(x) -> bool:
-    return isinstance(x, (list, tuple)) and [type(i) for i in x] == [int, int]
-
-
-def graph_from_json(data: dict | str) -> Graph:
-    """Inverse of graph_to_json; a malformed record raises GraphFormatError."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or not {"vertices", "edges"} <= data.keys():
-        raise GraphFormatError("graph record needs the keys 'vertices' and 'edges'")
-    n, edges, pair = data["vertices"], data["edges"], data.get("designated_pair")
-    if type(n) is not int or n < 0:
-        raise GraphFormatError(f"vertex count must be an integer >= 0, got {n!r}")
-    if not isinstance(edges, (list, tuple)) or not all(map(_is_int_pair, edges)):
-        raise GraphFormatError("edges must be a list of integer pairs")
-    if pair is not None and not _is_int_pair(pair):
-        raise GraphFormatError(f"designated pair must be an integer pair, got {pair!r}")
-    try:
-        return Graph.from_edges(range(n), map(tuple, edges), pair and tuple(pair))
-    except GraphError as exc:
-        raise GraphFormatError(str(exc)) from None

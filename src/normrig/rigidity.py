@@ -20,15 +20,16 @@ keeping the best rank seen.  Coincident variants work on the graph
 minus the pair edge, and their placement map sends v to u's point: a
 trial's points are its random draw read through that map, which is the
 identity for plain ranks.  One routine ranks every trial of many graphs
-at once: the matrices of one shape (m, 2|V|) are built by one numpy call,
-each placement with its own graph's edges and (m, 2) end positions, and
-neighbouring shapes, in (|V|, m) order, share one zero-padded stack whose
-singular values come out of one call, in chunks of bounded size.  Zero
-rows and columns add only zero singular values, and the rank threshold
-takes each matrix's own size, so the padding changes no rank.
-generic_rank and uv_generic_rank are that routine on one graph, whose
-chunks each hold one shape and are never padded, and run every trial
-they are asked for.
+at once.  It takes the trials in the (|V|, m) order of their graph's
+shape and cuts them into chunks of bounded size.  One numpy call writes
+each chunk's matrices, each with its own graph's edges and end
+positions, straight into the top-left corners of one stack, padded with
+zeros to the chunk's largest rows and columns, and one more call gives
+that stack's singular values.  Zero rows and columns add only zero
+singular values, and the rank threshold takes each matrix's own size,
+so the padding changes no rank.  generic_rank and uv_generic_rank are
+that routine on one graph, whose chunks each hold one shape and are
+never padded, and run every trial they are asked for.
 
 Trial t of a graph under seed s draws its points from numpy's generator
 seeded with [s, t], whatever the batch: _kernels.uniform_streams draws a
@@ -102,36 +103,37 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-def _endpoints(g: Graph):
-    """Sorted edges and the (m, 2) vertex positions of their two ends."""
-    edges = tuple(g.sorted_edges())
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return edges, np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
+def _matrix_stack(plane: LpPlane, pts: np.ndarray, preps):
+    """The rigidity matrices of B placements, each in the top-left corner of
+    its layer of one zero stack (B, M, 2N), and each matrix's rows and
+    columns.
 
-
-def _matrix_stack(plane: LpPlane, pts: np.ndarray, edges, ends) -> np.ndarray:
-    """Rigidity matrices (T, m, 2n) of T placements (T, n, 2): row r of matrix
-    t is edge edges[t][r], its ends at positions ends[t, r] of the (T, m, 2)
-    array, so placements of different graphs of one shape share the stack.
-    A coincident pair arrives already placed at one point (the placement
-    map), and a zero-length edge is named by its own graph's labels."""
-    trials, n = pts.shape[:2]
-    m = ends.shape[1]
-    mat = np.zeros((trials, m, n, 2))
-    if m:
-        t_idx = np.arange(trials)[:, None]
-        a_idx, b_idx = ends[..., 0], ends[..., 1]
-        diffs = (pts[t_idx, a_idx] - pts[t_idx, b_idx]).reshape(-1, 2)
-        zero = ~diffs.any(axis=1).reshape(trials, m)  # zero length iff zero vector
+    Job j places the graph of preps[j] (a _prepared record) at the next n_j
+    points of pts (P, 2), read through its placement map; M and N are the
+    largest rows and vertex count, so one-shape jobs fill the stack.  Rows
+    are built over the whole stack at once from flat job, row and end
+    indices, and a zero-length edge is named by its own graph's labels.
+    """
+    works, _, edges, ends, at = zip(*preps)
+    ns = np.array([work.n for work in works], dtype=np.intp)
+    ms = np.array([len(e) for e in edges], dtype=np.intp)
+    B, M, N = len(preps), ms.max(initial=0), ns.max(initial=0)
+    mat = np.zeros((B, M, N, 2))
+    if ms.any():
+        job = np.repeat(np.arange(B), ms)
+        row = np.arange(len(job)) - np.repeat(np.cumsum(ms) - ms, ms)
+        ends = np.concatenate(ends)
+        at = np.concatenate(at) + np.repeat(np.cumsum(ns) - ns, ms)[:, None]
+        diffs = pts[at[:, 0]] - pts[at[:, 1]]
+        zero = ~diffs.any(axis=1)  # zero length iff zero vector
         if zero.any():
-            t, r = np.argwhere(zero)[0]
-            a, b = edges[t][r]
+            k = np.argmax(zero)
+            a, b = edges[job[k]][row[k]]
             raise RigidityError(f"edge {a}-{b} joins two coincident points")
-        phis = plane.support_batch(diffs).reshape(trials, m, 2)
-        rows = np.arange(m)
-        mat[t_idx, rows, a_idx] = phis
-        mat[t_idx, rows, b_idx] = -phis
-    return mat.reshape(trials, m, 2 * n)
+        phis = plane.support_batch(diffs)
+        mat[job, row, ends[:, 0]] = phis
+        mat[job, row, ends[:, 1]] = -phis
+    return mat.reshape(B, M, 2 * N), ms, 2 * ns
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +148,9 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _padded_singular_values(stacks):
-    """Singular values of the matrix stacks in one call, and the rows and
-    columns of each matrix.  Stacks of several shapes are copied, each into
-    the top-left corner of one zero stack; one stack is decomposed as it is."""
-    if len(stacks) == 1:
-        return _singular_values(stacks[0]), *stacks[0].shape[1:]
-    counts = [len(a) for a in stacks]
-    rows, cols = np.repeat([a.shape[1:] for a in stacks], counts, axis=0).T
-    out, start = np.zeros((sum(counts), rows.max(), cols.max())), 0
-    for a in stacks:
-        out[start:start + len(a), :a.shape[1], :a.shape[2]] = a
-        start += len(a)
-    return _singular_values(out), rows, cols
-
-
 def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows, cols):
     """Rank, threshold and near-threshold flag of each row of singular values,
-    of matrices with the given rows and cols (one count, or one per row)."""
+    of the matrices with the given rows and cols, one count per row."""
     count, k = sigmas.shape
     if k == 0:
         return np.zeros(count, dtype=int), np.zeros(count), np.zeros(count, dtype=bool)
@@ -217,19 +204,24 @@ class RankReport:
 def _prepared(g: Graph, coincident: bool):
     """What a placement of g needs: the graph whose matrix is built (g less
     the pair edge, for a coincident rank), whether that edge was removed,
-    the placement map and the sorted edges with their end positions."""
+    its sorted edges, the (m, 2) vertex positions of their two ends, and
+    the positions of the points those ends sit at under the placement map,
+    which sends v to u's point."""
     had_pair_edge = coincident and g.has_edge(*g.require_pair())
     work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
+    index = {v: i for i, v in enumerate(work.vertices)}
     at = np.arange(work.n)  # placement map: v sits at u's point
     if coincident:
-        u, v = (work.vertices.index(x) for x in work.designated_pair)
+        u, v = (index[x] for x in work.designated_pair)
         at[v] = u
-    return (work, had_pair_edge, at, *_endpoints(work))
+    edges = tuple(work.sorted_edges())
+    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
+    return work, had_pair_edge, edges, ends, at[ends]
 
 
 def _chunks(jobs, shapes):
     """Cut the jobs (graph i, trial t), in order of their graph's shape
-    (n, m) = shapes[i], into chunks of pieces (n, jobs).
+    (n, m) = shapes[i], into chunks, lists of jobs.
 
     Each shape's jobs are cut into pieces of at most _BATCH_ENTRIES
     entries, and the pieces are merged while the chunk padded to its
@@ -245,35 +237,23 @@ def _chunks(jobs, shapes):
             part = same[start:start + step]
             count, height = count + len(part), max(height, m)
             if chunks and count * height * 2 * n <= _BATCH_ENTRIES:
-                chunks[-1].append((n, part))
+                chunks[-1] += part
             else:
-                chunks.append([(n, part)])
+                chunks.append(part)
                 count, height = len(part), m
     return chunks
 
 
-def _chunk_singular_values(chunk, works, seeds, plane):
-    """Draw, build and decompose one chunk: the singular values of its
-    matrices, in job order, and each matrix's rows and columns.
-
-    Each piece sits in the top-left corner of the chunk's (B, M, 2N)
-    stack, whose zero rows and columns add only zero singular values; a
-    chunk of one piece, which is every chunk of a one-graph call, is
-    decomposed as it is built.  The matrices die with the call, before
-    the next chunk is built.
-    """
-    jobs = [(seeds[i], t) for _, piece in chunk for i, t in piece]
-    counts = [2 * n for n, piece in chunk for _ in piece]
-    draws = _kernels.uniform_streams(jobs, counts, -_BOX_RADIUS, _BOX_RADIUS)
-    stacks, start = [], 0
-    for n, piece in chunk:
-        size = 2 * n * len(piece)
-        _, _, ats, edges, ends = zip(*(works[i] for i, _ in piece))
-        pts = draws[start:start + size].reshape(len(piece), n, 2)
-        pts = pts[np.arange(len(piece))[:, None], np.stack(ats)]
-        stacks.append(_matrix_stack(plane, pts, edges, np.stack(ends)))
-        start += size
-    return _padded_singular_values(stacks)
+def _chunk_matrices(chunk, works, seeds, plane):
+    """Draw and build one chunk: its jobs' placements, in one batch, and
+    their matrices in one _matrix_stack call, with each matrix's rows and
+    columns.  The stack is padded only where the chunk holds several
+    shapes, and every chunk of a one-graph call holds one."""
+    preps = [works[i] for i, _ in chunk]
+    counts = [2 * work.n for work, *_ in preps]
+    draws = _kernels.uniform_streams([(seeds[i], t) for i, t in chunk], counts,
+                                     -_BOX_RADIUS, _BOX_RADIUS)
+    return _matrix_stack(plane, draws.reshape(-1, 2), preps)
 
 
 def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=False) -> list[RankReport]:
@@ -297,14 +277,15 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=False) 
 
     def run(jobs):
         for chunk in _chunks(jobs, shapes):
-            sigmas, rows, cols = _chunk_singular_values(chunk, works, seeds, plane)
+            stack, rows, cols = _chunk_matrices(chunk, works, seeds, plane)
+            sigmas = _singular_values(stack)
+            del stack  # one chunk's matrices at a time: freed before the next is built
             rank, tau, near = _ranks(sigmas, tol, rows, cols)
-            ran = [job for _, piece in chunk for job in piece]
-            for (i, _), r in zip(ran, rank.tolist()):
+            for (i, _), r in zip(chunk, rank.tolist()):
                 ranks[i].append(r)
             for j in np.flatnonzero(near):
-                notes[ran[j][0]].append(
-                    f"trial {ran[j][1]}: smallest kept singular value "
+                notes[chunk[j][0]].append(
+                    f"trial {chunk[j][1]}: smallest kept singular value "
                     f"{sigmas[j, rank[j] - 1]:.3e} within 10x of threshold {tau[j]:.3e}"
                 )
 

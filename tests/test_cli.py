@@ -223,9 +223,9 @@ def matrices_built(monkeypatch):
     built = []
     stack = rigidity._matrix_stack
 
-    def counted(plane, pts, edges, ends):
-        built.append(len(pts))
-        return stack(plane, pts, edges, ends)
+    def counted(plane, pts, preps):
+        built.append(len(preps))
+        return stack(plane, pts, preps)
 
     monkeypatch.setattr(rigidity, "_matrix_stack", counted)
     return built
@@ -646,7 +646,7 @@ PUBLIC_NAMES = [
     "GraphFormatError", "LpPlane", "NormError", "PebbleResult", "RankReport",
     "RigidityError", "SparsityError", "TolerancePolicy", "UvSparseVerdict",
     "__version__", "cover_rank_bound", "format_graph", "generic_rank",
-    "graph_from_json", "graph_to_json", "is_kl_sparse", "is_rigid_comb",
+    "graph_to_json", "is_kl_sparse", "is_rigid_comb",
     "is_uv_rigid_comb", "is_uv_sparse", "is_uv_sparse_bruteforce", "parse_graph",
     "parse_norm", "pebble_game", "uv_generic_rank",
 ]

@@ -137,7 +137,7 @@ ADAPTERS = {
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
     "derive_seeds": ("experiments", "_run"),
-    "uniform_streams": ("rigidity", "_chunk_singular_values"),
+    "uniform_streams": ("rigidity", "_chunk_matrices"),
 }
 
 

@@ -24,8 +24,9 @@ from normrig.rigidity import (
 
 def matrix_of(g, plane, pts):
     """The rigidity matrix of one placement (n, 2) of g."""
-    edges, ends = rigidity._endpoints(g)
-    return rigidity._matrix_stack(plane, np.asarray(pts, float)[None], [edges], ends[None])[0]
+    prep = rigidity._prepared(g, False)
+    stack, _, _ = rigidity._matrix_stack(plane, np.asarray(pts, float), [prep])
+    return stack[0]
 
 
 def rank_of(a, tol=DEFAULT_TOL):
@@ -41,25 +42,34 @@ def test_coincident_edge_named_from_first_bad_trial():
         [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]],  # 1 and 2 coincide
         [[3.0, 3.0], [3.0, 3.0], [0.0, 1.0]],  # 0 and 1 coincide, later trial
     ])
-    edges, ends = rigidity._endpoints(path)
+    prep = rigidity._prepared(path, False)
     with pytest.raises(RigidityError, match="^edge 1-2 joins two coincident points$"):
-        rigidity._matrix_stack(LpPlane(4), pts, [edges] * 3, np.stack([ends] * 3))
+        rigidity._matrix_stack(LpPlane(4), pts.reshape(-1, 2), [prep] * 3)
 
 
 def test_coincident_edge_named_from_its_own_graph():
     # One stack, two graphs of one shape: the first zero-length row lies in
     # the second graph's matrix, so its labels, not the first graph's, name it.
-    path = Graph.from_edges(range(3), [(0, 1), (1, 2)])
-    star = Graph.from_edges([5, 7, 9], [(5, 9), (7, 9)])
-    (p_edges, p_ends), (s_edges, s_ends) = rigidity._endpoints(path), rigidity._endpoints(star)
+    path = rigidity._prepared(Graph.from_edges(range(3), [(0, 1), (1, 2)]), False)
+    star = rigidity._prepared(Graph.from_edges([5, 7, 9], [(5, 9), (7, 9)]), False)
     pts = np.array([
         [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],  # path, no coincidence
         [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]],  # star, 7 and 9 coincide
         [[3.0, 3.0], [3.0, 3.0], [0.0, 1.0]],  # path, 0 and 1 coincide, later
     ])
     with pytest.raises(RigidityError, match="^edge 7-9 joins two coincident points$"):
-        rigidity._matrix_stack(LpPlane(4), pts, [p_edges, s_edges, p_edges],
-                               np.stack([p_ends, s_ends, p_ends]))
+        rigidity._matrix_stack(LpPlane(4), pts.reshape(-1, 2), [path, star, path])
+    # Several shapes in one stack padded to K4's 6 rows and 4 points: the
+    # first zero-length row is the second row of the smaller star, flat
+    # row 2 + 6 + 1 = 9, which is neither row 9 % 6 of matrix 9 // 6 nor
+    # the path's zero-length first row after it.
+    k4 = rigidity._prepared(Graph.complete(4), False)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0],  # path, no coincidence
+                    [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],  # K4
+                    [0.0, 0.0], [1.0, 2.0], [1.0, 2.0],  # star, 7 and 9 coincide
+                    [3.0, 3.0], [3.0, 3.0], [0.0, 1.0]])  # path, 0 and 1 coincide
+    with pytest.raises(RigidityError, match="^edge 7-9 joins two coincident points$"):
+        rigidity._matrix_stack(LpPlane(4), pts, [path, k4, star, path])
 
 
 def test_resolve_seed(monkeypatch):
@@ -309,6 +319,24 @@ def test_small_shapes_share_one_svd_call(monkeypatch, k23, two_k4, plane4):
     assert reps == [generic_rank(g, plane4, trials=2, seed=5) for g in graphs]
 
 
+def test_mixed_chunk_is_built_once_and_decomposed_in_place(monkeypatch, k23, two_k4, plane4):
+    # one builder call writes every job of five shapes straight into the
+    # chunk's padded stack, and that very array is decomposed, not a copy
+    graphs = [Graph.complete(3), Graph.complete(4), k23, two_k4, Graph.from_edges([0, 1], [(0, 1)])]
+    built, decomposed = [], []
+    stack, svd = rigidity._matrix_stack, rigidity._singular_values
+    monkeypatch.setattr(rigidity, "_matrix_stack", lambda *a: built.append(stack(*a)) or built[-1])
+    monkeypatch.setattr(rigidity, "_singular_values", lambda a: decomposed.append(a) or svd(a))
+    rigidity._generic_ranks(graphs, plane4, 2, [5] * len(graphs), DEFAULT_TOL, False)
+    assert len(built) == len(decomposed) == 1
+    (mats, rows, cols), = built
+    assert decomposed[0] is mats and mats.shape == (10, 12, 14)
+    assert rows.tolist() == [1, 1, 3, 3, 6, 6, 6, 6, 12, 12]
+    assert cols.tolist() == [4, 4, 6, 6, 8, 8, 10, 10, 14, 14]
+    for mat, m, c in zip(mats, rows, cols):  # each matrix in its top-left corner
+        assert mat[:m, :c].any(axis=1).all() and not mat[m:].any() and not mat[:, c:].any()
+
+
 @pytest.mark.parametrize("desc,rel", [("lp:4", 1e-9), ("lp:1.5", 3e-3)])
 def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_k4):
     """Chunks of several shapes, padded to their largest, rank as one-graph
@@ -326,10 +354,9 @@ def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_
         *(g for n in range(2, 6) for g in enumerate_graphs(n, pair=True)),
     ]
     monkeypatch.setattr(rigidity, "_BATCH_ENTRIES", 400)
-    padded, alone = [], []
-    pad, svd = rigidity._padded_singular_values, rigidity._singular_values
-    monkeypatch.setattr(rigidity, "_padded_singular_values",
-                        lambda stacks: padded.append(stacks) or pad(stacks))
+    built, alone = [], []
+    stack, svd = rigidity._matrix_stack, rigidity._singular_values
+    monkeypatch.setattr(rigidity, "_matrix_stack", lambda *a: built.append(stack(*a)) or built[-1])
     monkeypatch.setattr(rigidity, "_singular_values", lambda a: alone.append(a.shape) or svd(a))
     runs = []
     for fn, coincident in ((generic_rank, False), (uv_generic_rank, True)):
@@ -339,8 +366,8 @@ def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_
     monkeypatch.undo()
     # the big matrix (28 rows, 27 without the pair edge), one a chunk, unpadded
     assert alone.count((1, 28, 16)) == alone.count((1, 27, 16)) == 3
-    assert any(len({a.shape[2] for a in stacks}) > 1 for stacks in padded)  # mixed widths
-    assert any(len({a.shape[1] for a in stacks}) > 1 for stacks in padded)  # mixed rows
+    assert any(len(set(cols.tolist())) > 1 for _, _, cols in built)  # mixed widths
+    assert any(len(set(rows.tolist())) > 1 for _, rows, _ in built)  # mixed rows
     for fn, batch, seeds, got in runs:
         for g, s, rep in zip(batch, seeds, got):
             assert rep == fn(g, plane, trials=3, seed=s, tol=tol), g
@@ -478,7 +505,7 @@ def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
     assert any(rep.notes for rep, short in zip(first, below) if short)
     built, stack = [], rigidity._matrix_stack
     monkeypatch.setattr(rigidity, "_matrix_stack",
-                        lambda plane, pts, *rest: built.append(len(pts)) or stack(plane, pts, *rest))
+                        lambda plane, pts, preps: built.append(len(preps)) or stack(plane, pts, preps))
     settled = settled_ranks(graphs, seeds, coincident, plane, trials, tol)
     monkeypatch.undo()
     assert sum(built) == len(graphs) + (trials - 1) * sum(below)
@@ -523,24 +550,23 @@ def test_batches_draw_through_the_port_and_one_graph_calls_through_numpy(monkeyp
 
 
 def _drawn_placements(monkeypatch):
-    """Record the bytes of every placement _matrix_stack is given."""
+    """Record the bytes of every placement _matrix_stack is given: job j's
+    is the next n_j points, which its placement map then reads."""
     seen, stack = [], rigidity._matrix_stack
-    monkeypatch.setattr(rigidity, "_matrix_stack",
-                        lambda plane, pts, *rest: seen.extend(p.tobytes() for p in pts)
-                        or stack(plane, pts, *rest))
+
+    def spy(plane, pts, preps):
+        cuts = np.cumsum([work.n for work, *_ in preps])[:-1]
+        seen.extend(p.tobytes() for p in np.split(pts, cuts))
+        return stack(plane, pts, preps)
+
+    monkeypatch.setattr(rigidity, "_matrix_stack", spy)
     return seen
 
 
 def _numpy_placements(graphs, seeds, trials):
-    """The bytes of each coincident placement as numpy's generator draws it."""
-    out = []
-    for g, s in zip(graphs, seeds):
-        u, v = (g.vertices.index(x) for x in g.designated_pair)
-        for t in range(trials):
-            pts = np.random.default_rng([s, t]).uniform(-1, 1, (g.n, 2))
-            pts[v] = pts[u]
-            out.append(pts.tobytes())
-    return out
+    """The bytes of each placement as numpy's generator draws it."""
+    return [np.random.default_rng([s, t]).uniform(-1, 1, (g.n, 2)).tobytes()
+            for g, s in zip(graphs, seeds) for t in range(trials)]
 
 
 @pytest.mark.parametrize("seeds", [
