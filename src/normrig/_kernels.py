@@ -1,14 +1,18 @@
 """Low-level kernels.
 
 Each kernel has one adapter, which turns a graph or a seed into its
-input: pebble_game is called only by sparsity.pebble_game,
+input: pebble_game is called only by sparsity.PebbleState,
 canonize_batch only by enumeration._class_masks, family_best only by
 sparsity.is_uv_sparse_bruteforce, derive_seeds only by experiments._run,
 and uniform_streams only by rigidity._chunk_matrices.  The pebble
 game works on vertex labels and keeps the orientation as adjacency
-lists, so its cost follows the edges it searches and not n**2.  The
-canonizer is exact float64 matrix products over tiles of numpy edge
-bitmasks.  The family search is a branch and bound over Python-int
+lists, so its cost follows the edges it searches and not n**2.  It
+plays on a (pebbles, out) state that a later call may continue from.
+PebbleState owns that state: sparsity.pebble_game reads one fresh game
+off it, and globalrig carries one through a construction sequence,
+offering only the edges each step adds or frees.  The canonizer is
+exact float64 matrix products over tiles of numpy edge bitmasks.  The
+family search is a branch and bound over Python-int
 bitmasks; its cost follows the families it cannot rule out, not the
 2**c families there are.
 
@@ -31,8 +35,8 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def pebble_game(verts, edges, k, l):
-    """(k, l)-pebble game over the vertex labels verts; sparsity.pebble_game adapts it.
+def pebble_game(verts, edges, k, l, state=None):
+    """(k, l)-pebble game over the vertex labels verts; sparsity.PebbleState adapts it.
 
     Pebbles and out-lists are keyed by label.  The edges, label pairs,
     are offered in list order.  Returns ``(accepted, reaches)``: the
@@ -40,6 +44,14 @@ def pebble_game(verts, edges, k, l):
     reach set (of labels) of its endpoints at its rejection, the first
     one being the non-sparsity witness.  The reach set U of a rejection
     always induces more than k|U| - l edges.
+
+    ``state`` is a ``(pebbles, out)`` pair of dicts that the game plays
+    on in place; it starts empty when left out.  verts join it with k
+    pebbles and no out-edge each, so a later call continues the same
+    orientation with more vertices and edges.  Any state in which every
+    vertex holds k pebbles less its out-degree and the out-edges are
+    (k, l)-sparse is a position of the game, so the caller may also drop
+    an edge from it by giving its pebble back to its tail.
 
     The result does not depend on the order in which searches scan
     out-neighbours: the accepted edges are those that greedy insertion
@@ -50,8 +62,10 @@ def pebble_game(verts, edges, k, l):
     on U, and any circuit through the rejected edge spans a tight set
     through both endpoints, which contains U.
     """
-    pebbles = dict.fromkeys(verts, k)
-    out = {x: [] for x in verts}  # out[x]: heads of the edges x -> y
+    pebbles, out = ({}, {}) if state is None else state  # out[x]: heads of the edges x -> y
+    for x in verts:
+        pebbles[x] = k
+        out[x] = []
     accepted = []
     reaches = []
 

@@ -12,15 +12,22 @@ certified for every split:
 * redundant regime:  G' is redundantly rigid (rigid after deleting any
   single edge), a stronger condition convenient for whole sequences.
 
-One pebble game on G' decides both: an edge can be deleted without
-losing rigidity exactly when it lies in a circuit, and
-sparsity.circuit_parts reads the coloops (edges in no circuit) off the
-game.  So G' - uv is rigid when G' is rigid and uv is not a coloop,
-and G' is redundantly rigid when it is rigid and has no coloop.  Global
-rigidity itself is not decided here — only the side conditions of each
-step are checked, by one routine that both certify_sequence and
-random_certified_graph run on every step, so a generated sequence's
-report is that routine's.
+Both come from one pebble game carried through the whole sequence
+(sparsity.PebbleState): an edge can be deleted without losing rigidity
+exactly when it lies in a circuit, and sparsity.circuit_parts reads the
+coloops (edges in no circuit) off the game.  So G' - uv is rigid when
+G' is rigid and uv is not a coloop, and G' is redundantly rigid when it
+is rigid and has no coloop.  An edge or vertex addition offers the game
+only its new edges.  A split drops z's edges, giving back their
+pebbles, and offers the rejected edges whose reach set held z, then z's
+replacement edges, and uv last; every other rejected edge keeps its
+fundamental circuit, which avoids z.  The accepted edges are then a
+basis of G', and those before uv a basis of G' - uv, whatever order
+they came in, so rank and coloops are those of a fresh game on G'.
+Global rigidity itself is not decided here — only the side conditions
+of each step are checked, by one routine that both certify_sequence
+and random_certified_graph run on every step, so a generated
+sequence's report is that routine's.
 
 Sequence files are line oriented::
 
@@ -46,12 +53,13 @@ from .graph import (
     GeneralizedVertexSplit,
     Graph,
     GraphError,
+    _norm_edge,
     apply_step,
     numbered_lines,
 )
 from .norms import LpPlane
 from .rigidity import settled_ranks
-from .sparsity import SparsityError, circuit_parts, pebble_game
+from .sparsity import PebbleState, SparsityError, circuit_parts, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -147,12 +155,14 @@ class CertificateReport:
 
 
 def _check_step(
-    g: Graph, index: int, step: ConstructionStep, numeric: bool = False,
+    g: Graph, index: int, step: ConstructionStep, game: PebbleState, numeric: bool = False,
     plane: LpPlane | None = None, trials: int = 10, seed: int | None = None,
 ) -> tuple[Graph, StepVerdict]:
     """The graph after one step (g if it fails to apply) and its verdict.
 
-    Both regimes of a split come from the coloops of its result G'.
+    game, the pebble game on g, is carried onto the new graph in place;
+    a step that fails to apply leaves it as it was.  Both regimes of a
+    split come from the coloops of its result G'.
     """
     try:
         if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
@@ -161,11 +171,23 @@ def _check_step(
     except GraphError as exc:
         return g, StepVerdict(index, step, False, str(exc), None, None)
     minus_ok = red_ok = num_ok = None
-    if isinstance(step, GeneralizedVertexSplit):
-        res = pebble_game(nxt, 2, 2)
-        coloops = circuit_parts(res)[1]
-        minus_ok = res.rank == 2 * nxt.n - 2 and tuple(sorted((step.u, step.v))) not in coloops
-        red_ok = minus_ok and not coloops
+    if isinstance(step, AddEdge):
+        game.offer([_norm_edge(step.a, step.b)])
+    elif isinstance(step, AddVertexWithNeighbors):
+        game.offer([_norm_edge(step.z, y) for y in step.neighbors], (step.z,))
+    else:
+        u, v = step.u, step.v
+        again = game.drop_vertex(step.z, g.neighbors(step.z))
+        new = [_norm_edge(u, y) for y in sorted({*step.n_u, step.w})]
+        new += [_norm_edge(v, y) for y in sorted(set(step.n_v))]
+        uv = _norm_edge(u, v)
+        # The freed rejects go first, while z's old neighbours hold its
+        # pebbles: the reach sets found then are smaller, so fewer of them
+        # hold a later split vertex.  uv comes last, so the edges accepted
+        # before it are a basis of G' - uv.
+        accepted = game.offer(again + new + [uv], (u, v))
+        minus_ok = game.rank - (accepted[-1:] == [uv]) == 2 * nxt.n - 2
+        red_ok = minus_ok and not circuit_parts(game.result())[1]
         if numeric:
             num_ok = settled_ranks([nxt], [seed], True, plane, trials)[0].rigid
     return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
@@ -199,9 +221,10 @@ def certify_sequence(
     A step that fails to apply aborts the replay and fails both regimes.
     """
     g = base_graph(seq.base)
+    game = PebbleState(g)
     verdicts: list[StepVerdict] = []
     for i, step in enumerate(seq.steps):
-        g, verdict = _check_step(g, i, step, numeric, plane, trials, seed)
+        g, verdict = _check_step(g, i, step, game, numeric, plane, trials, seed)
         verdicts.append(verdict)
         if not verdict.applied:
             break
@@ -308,6 +331,10 @@ def random_certified_graph(
     proposed step gets certify_sequence's step check, and the report is
     built from the kept steps' verdicts, so it is certify_sequence's
     report on the returned sequence and passes the minus-pair regime.
+    A split is checked on a copy of the carried pebble game, kept only
+    with the split.  A split that leaves v fewer than two neighbours, or
+    u no neighbour but w, in G' - uv cannot pass and is not checked; it
+    is dropped after all its draws, so the random stream is unchanged.
     Exhausting the retry budget raises GenerationError with the partial
     sequence.
     """
@@ -315,6 +342,7 @@ def random_certified_graph(
     if target_size < g.n:
         raise GraphError(f"target size {target_size} below base size {g.n}")
     rng = np.random.default_rng([seed, 0xC0])
+    game = PebbleState(g)
     verdicts: list[StepVerdict] = []
 
     while g.n < target_size:
@@ -327,7 +355,7 @@ def random_certified_graph(
                     break
                 k -= row
             b = [x for x in g.vertices[i + 1 :] if not g.has_edge(a, x)][k]
-            g, verdict = _check_step(g, len(verdicts), AddEdge(a, b))
+            g, verdict = _check_step(g, len(verdicts), AddEdge(a, b), game)
             verdicts.append(verdict)
             continue
         if rng.random() < split_prob:
@@ -341,11 +369,14 @@ def random_certified_graph(
                 if not pool:
                     continue
                 w = int(rng.choice(pool))
+                if len(n_v) < 2 or not n_u:
+                    continue  # v, or u, would have degree 1 in G' - uv
                 u = max(g.vertices) + 1
                 step = GeneralizedVertexSplit(z, n_u, n_v, w, u, u + 1)
-                nxt, verdict = _check_step(g, len(verdicts), step)
+                trial = game.copy()
+                nxt, verdict = _check_step(g, len(verdicts), step, trial)
                 if verdict.minus_pair_rigid:
-                    g = nxt
+                    g, game = nxt, trial
                     verdicts.append(verdict)
                     break
             else:
@@ -359,7 +390,7 @@ def random_certified_graph(
             z = max(g.vertices) + 1
             nbrs = rng.choice(g.vertices, size=3, replace=False)
             step = AddVertexWithNeighbors(z, tuple(int(x) for x in sorted(nbrs)))
-            g, verdict = _check_step(g, len(verdicts), step)
+            g, verdict = _check_step(g, len(verdicts), step, game)
             verdicts.append(verdict)
 
     seq = ConstructionSequence(base, tuple(v.step for v in verdicts))

@@ -13,6 +13,7 @@ in sorted order, so emitted files are canonical and byte-stable.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -40,7 +41,7 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # sorted; has_vertex bisects it
     edges: frozenset[tuple[int, int]]
     designated_pair: tuple[int, int] | None = None
 
@@ -106,7 +107,11 @@ class Graph:
         return _norm_edge(a, b) in self.edges
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._adj
+        try:
+            i = bisect_left(self.vertices, v)
+        except TypeError:  # v (None, say) does not compare with the labels
+            return False
+        return i < len(self.vertices) and self.vertices[i] == v
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -315,11 +320,12 @@ def generalized_vertex_split(
         raise GraphError("w must be an existing vertex distinct from z, u, v")
     if w in nu:
         raise GraphError("w may not lie in n_u (parallel edge uw)")
-    edges = [e for e in g.edges if z not in e]
-    edges += [(u, y) for y in nu]
-    edges += [(v, y) for y in nv]
-    edges += [(u, v), (u, w)]
-    return Graph.from_edges(sorted(old) + [u, v], edges, (u, v))
+    # g's other edges are normalised already, and the checks above rule out
+    # loops, parallel and dangling new edges, so no from_edges checks
+    edges = {e for e in g.edges if z not in e}
+    edges.update(_norm_edge(u, y) for y in nu | {v, w})
+    edges.update(_norm_edge(v, y) for y in nv)
+    return Graph(tuple(sorted(old | {u, v})), frozenset(edges), (u, v))
 
 
 def contract_pair(g: Graph, u: int | None = None, v: int | None = None) -> Graph:

@@ -23,7 +23,9 @@ one routine behind is_uv_rigid_comb and uv-rigid-comb) and the counting
 uv-rank uv_rank_comb.  is_uv_sparse_bruteforce checks the definition on
 small graphs.  circuit_parts is the one reader of the pebble game's
 circuits: the cover bound and globalrig's redundancy verdicts read its
-parts and coloops.
+parts and coloops.  PebbleState is the pebble game kernel's one adapter:
+pebble_game plays a fresh one, and globalrig carries one through a
+construction sequence.
 """
 
 from __future__ import annotations
@@ -111,17 +113,85 @@ class PebbleResult:
         return self.reaches[0] if self.reaches else None
 
 
+class PebbleState:
+    """A (k, l) pebble game, carried through a run of graph edits.
+
+    It holds the orientation and free pebbles of the current graph's
+    accepted edges, and every rejected edge with its reach set.  This
+    class is the pebble game kernel's one adapter: a fresh game on g is
+    ``PebbleState(g).result()``.  After edits the accepted edges are
+    still a basis of the graph's count matroid, whatever order they came
+    in, so the rank and the coloops (read by circuit_parts from
+    ``result()``) are those of a fresh game on the graph.
+    """
+
+    def __init__(self, g: Graph, k: int = 2, l: int = 2):
+        if k < 1 or l < 0 or l >= 2 * k:
+            raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
+        self.k, self.l = k, l
+        self.game: tuple[dict, dict] = ({}, {})  # the kernel's (pebbles, out)
+        self.accepted: dict[tuple[int, int], None] = {}  # in offer order
+        self.rejected: dict[tuple[int, int], frozenset[int]] = {}  # edge -> reach set
+        self.offer(g.sorted_edges(), g.vertices)
+
+    @property
+    def rank(self) -> int:
+        return len(self.accepted)
+
+    def copy(self) -> "PebbleState":
+        new = object.__new__(PebbleState)
+        pebbles, out = self.game
+        new.k, new.l = self.k, self.l
+        new.game = (dict(pebbles), {x: list(ys) for x, ys in out.items()})
+        new.accepted, new.rejected = dict(self.accepted), dict(self.rejected)
+        return new
+
+    def offer(self, edges: list[tuple[int, int]], verts: Iterable[int] = ()) -> list:
+        """Add the new vertices verts, offer edges (each as a < b, none of
+        them held yet) in order, and return the accepted ones in order."""
+        accepted, reaches = _kernels.pebble_game(verts, edges, self.k, self.l, self.game)
+        self.accepted.update(dict.fromkeys(accepted))
+        if reaches:
+            self.rejected.update(zip([e for e in edges if e not in self.accepted], reaches))
+        return accepted
+
+    def drop_vertex(self, z: int, nbrs: Iterable[int]) -> list[tuple[int, int]]:
+        """Remove z and its edges to its neighbours nbrs, then take out and
+        return the rejected edges whose reach set held z, smallest set first.
+
+        An accepted edge y -> z gives its pebble back to y, so the state
+        stays a position of the game.  Every other rejected edge keeps its
+        fundamental circuit, which avoids z, so its reach set stays valid.
+        The returned edges may now be independent and must be offered again.
+        """
+        pebbles, out = self.game
+        heads = out.pop(z)
+        del pebbles[z]
+        for y in nbrs:
+            e = (z, y) if z < y else (y, z)
+            if self.rejected.pop(e, None) is None:
+                del self.accepted[e]
+                if y not in heads:
+                    out[y].remove(z)
+                    pebbles[y] += 1
+        again = sorted((e for e, reach in self.rejected.items() if z in reach),
+                       key=lambda e: len(self.rejected[e]))
+        for e in again:
+            del self.rejected[e]
+        return again
+
+    def result(self) -> PebbleResult:
+        return PebbleResult(tuple(self.accepted), tuple(self.rejected.values()))
+
+
 def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
-    """The (k, l)-pebble game on g's sorted edges, the kernel's one caller.
+    """The (k, l)-pebble game on g's sorted edges, played afresh.
 
     The rank is the size of a maximum (k, l)-sparse subset of E.  When
     an edge is rejected the reach set U of its endpoints satisfies
     i(U) > k|U| - l, which certifies non-sparsity.
     """
-    if k < 1 or l < 0 or l >= 2 * k:
-        raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
-    accepted, reaches = _kernels.pebble_game(g.vertices, g.sorted_edges(), k, l)
-    return PebbleResult(tuple(accepted), tuple(reaches))
+    return PebbleState(g, k, l).result()
 
 
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:

@@ -17,7 +17,7 @@ from normrig.experiments import SWEEPS, format_report
 from normrig.graph import format_graph, parse_graph
 from normrig.norms import parse_norm
 from normrig.rigidity import DEFAULT_TOL, TolerancePolicy, generic_rank, uv_generic_rank
-from normrig.sparsity import PebbleResult, pebble_rank
+from normrig.sparsity import pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
 TWO_K4 = (
@@ -512,8 +512,8 @@ def test_generate_global_stdout_pinned(capsys, seed, size):
 
 
 def test_generate_global_failure_exit_1(capsys, monkeypatch):
-    # a game that accepts no edge: every G' flexible
-    monkeypatch.setattr(globalrig, "pebble_game", lambda g, k, l: PebbleResult((), ()))
+    # a carried game whose rank reads 0: every G' flexible
+    monkeypatch.setattr(globalrig.PebbleState, "rank", property(lambda self: 0))
     rc, out, err = run(capsys, "generate-global", "--size", "9", "--seed", "1")
     assert (rc, out) == (1, "")
     assert err == (

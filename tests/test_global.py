@@ -7,6 +7,7 @@ sequences must certify under both and end at 7 vertices, 13 edges.
 """
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from normrig import _kernels, globalrig
+from normrig import _kernels, globalrig, sparsity
 from normrig.globalrig import (
     BASE_TAGS,
     CertificateReport,
@@ -39,7 +40,7 @@ from normrig.graph import (
     apply_step,
     delete_edge,
 )
-from normrig.sparsity import SparsityError, is_rigid_comb, pebble_game
+from normrig.sparsity import SparsityError, circuit_parts, is_rigid_comb, pebble_game
 
 SEQ_SPLIT = """base H_GRAPH
 split 2 | 0 1 | 3 4 5 | 3 -> 6 7
@@ -86,9 +87,9 @@ def split_oracle(g: Graph, step: GeneralizedVertexSplit) -> tuple[bool, bool]:
     return is_rigid_comb(delete_edge(g, step.u, step.v)), redundant_oracle(g)
 
 
-def proposed_splits(size: int, seed: int) -> list[tuple[Graph, StepVerdict]]:
-    """(G', verdict) of every split random_certified_graph(size, seed)
-    checks, kept and rejected alike."""
+def proposed_splits(size: int, seed: int, **settings) -> list[tuple[Graph, StepVerdict]]:
+    """(G', verdict) of every split random_certified_graph(size, seed,
+    **settings) checks, kept and rejected alike."""
     seen = []
     check = globalrig._check_step
 
@@ -100,7 +101,7 @@ def proposed_splits(size: int, seed: int) -> list[tuple[Graph, StepVerdict]]:
 
     globalrig._check_step = recording_check
     try:
-        random_certified_graph(size, seed)
+        random_certified_graph(size, seed, **settings)
     finally:
         globalrig._check_step = check
     return seen
@@ -205,44 +206,79 @@ def test_vertex_addition_needs_three_neighbors():
     assert "neighbor" in report.steps[0].error
 
 
-def count_pebble_games(monkeypatch) -> list[int]:
-    """Patch the pebble game kernel to record the vertex count of each game."""
-    games = []
+def record_pebble_games(monkeypatch) -> list[tuple[tuple, list, int]]:
+    """Patch the pebble game kernel to record each call: the vertices it
+    adds, the edges it is offered, and how many vertices its state held."""
+    calls = []
     play = _kernels.pebble_game
 
-    def counting(verts, edges, k, l):
-        games.append(len(verts))
-        return play(verts, edges, k, l)
+    def recording(verts, edges, k, l, state=None):
+        calls.append((tuple(verts), list(edges), len(state[0]) if state else 0))
+        return play(verts, edges, k, l, state)
 
-    monkeypatch.setattr(_kernels, "pebble_game", counting)
-    return games
+    monkeypatch.setattr(_kernels, "pebble_game", recording)
+    return calls
+
+
+def split_offers(g: Graph, step: GeneralizedVertexSplit) -> tuple[set, tuple[int, int]]:
+    """The replacement edges of a split of g, less uv, and uv."""
+    nxt = apply_step(g, step)
+    uv = tuple(sorted((step.u, step.v)))
+    return {e for e in nxt.edges if {step.u, step.v} & set(e)} - {uv}, uv
 
 
 def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
-    # Both regimes come from the one game on G', even where G' - uv is flexible.
-    games = count_pebble_games(monkeypatch)
-    seq = ConstructionSequence(
-        "K5_MINUS_E",
-        (GeneralizedVertexSplit(3, (), (0, 1, 2), 0, 5, 6),),
-    )
-    (sv,) = certify_sequence(seq).steps
+    # Both regimes come from the one carried game, even where G' - uv is
+    # flexible: a full game on the base, then one resumed call that offers
+    # the rejected edge whose reach set held z, z's replacement edges, and
+    # uv last.
+    base = base_graph("K5_MINUS_E")
+    (rejected,) = set(base.edges) - set(pebble_game(base).accepted)
+    calls = record_pebble_games(monkeypatch)
+    step = GeneralizedVertexSplit(3, (), (0, 1, 2), 0, 5, 6)
+    (sv,) = certify_sequence(ConstructionSequence("K5_MINUS_E", (step,))).steps
     assert (sv.minus_pair_rigid, sv.redundantly_rigid) == (False, False)
-    assert len(games) == 1
+    assert calls == [
+        (base.vertices, base.sorted_edges(), 0),
+        ((5, 6), [rejected, (0, 5), (0, 6), (1, 6), (2, 6), (5, 6)], 4),
+    ]
 
 
 def test_one_pebble_game_per_applied_split(monkeypatch):
+    # One full game on the base, then one resumed call per applied step
+    # that offers only the step's new edges, and for a split also the
+    # re-offered rejected edges, with uv last.  The failed split makes none.
     g, seq, _ = random_certified_graph(16, 3, edge_prob=0.6)
     z = max(g.vertices)  # empty sides cannot partition its neighbourhood
     stray = GeneralizedVertexSplit(z, (), (), 0, 98, 99)
     seq = ConstructionSequence(seq.base, seq.steps + (stray,))
-    games = count_pebble_games(monkeypatch)
+    calls = record_pebble_games(monkeypatch)
     report = certify_sequence(seq)
     assert {type(sv.step) for sv in report.steps} == {
         AddEdge, AddVertexWithNeighbors, GeneralizedVertexSplit
     }
     assert report.aborted_at == len(seq.steps) - 1
-    splits = [sv for sv in report.steps if isinstance(sv.step, GeneralizedVertexSplit)]
-    assert len(games) == sum(sv.applied for sv in splits) == len(splits) - 1
+    applied = [sv for sv in report.steps if sv.applied]
+    assert len(calls) == 1 + len(applied) == len(seq.steps)
+    g = base_graph(seq.base)
+    assert calls[0] == (g.vertices, g.sorted_edges(), 0)
+    reoffered = 0
+    for sv, (verts, edges, held) in zip(applied, calls[1:]):
+        step, nxt = sv.step, apply_step(g, sv.step)
+        assert held == g.n - isinstance(step, GeneralizedVertexSplit)
+        if isinstance(step, GeneralizedVertexSplit):
+            new, uv = split_offers(g, step)
+            assert verts == (step.u, step.v) and edges[-1] == uv
+            again = set(edges[:-1]) - new
+            assert new <= set(edges) and len(edges) == len(new) + len(again) + 1
+            assert again <= g.edges and not any(step.z in e for e in again)
+            reoffered += len(again)
+        else:
+            assert sorted(edges) == sorted(nxt.edges - g.edges)
+            assert verts == ((step.z,) if isinstance(step, AddVertexWithNeighbors) else ())
+        g = nxt
+    assert reoffered > 0
+    assert sum(len(edges) for _, edges, _ in calls[1:]) < sum(sv.edge_count for sv in applied)
 
 
 # Splits of K5_MINUS_E: (steps, where uv sits in the pebble game on G',
@@ -288,14 +324,86 @@ def test_hand_split_verdicts_equal_oracle(name):
 
 def test_proposed_split_verdicts_equal_oracle():
     seen = set()
-    for size, seed in itertools.product((8, 12, 16), range(4)):
-        for g, sv in proposed_splits(size, seed):
-            verdict = (sv.minus_pair_rigid, sv.redundantly_rigid)
-            assert verdict == split_oracle(g, sv.step), sv
-            seen.add(verdict)
+    # The generator does not check a split that leaves u or v on one edge of
+    # G' - uv, so a checked split rarely fails; the split-only sequence of
+    # seed 33 holds one that does.
+    runs = [proposed_splits(size, seed) for size, seed in itertools.product((8, 12, 16), range(4))]
+    runs.append(proposed_splits(16, 33, split_prob=1.0, edge_prob=0.0))
+    for g, sv in itertools.chain(*runs):
+        verdict = (sv.minus_pair_rigid, sv.redundantly_rigid)
+        assert verdict == split_oracle(g, sv.step), sv
+        seen.add(verdict)
     # The generator's graphs stay redundantly rigid, so (True, False) comes
     # only from HAND_SPLITS.
     assert seen == {(True, True), (False, False)}
+
+
+def random_unchecked_sequence(base: str, count: int, seed: int) -> ConstructionSequence:
+    """count random steps from base that apply but are not checked: edge
+    additions, vertex additions on three neighbours, and splits with random
+    sides and w, where u takes z's label one time in four.  Many splits
+    fail, and the graph may turn flexible."""
+    rng = np.random.default_rng([seed, 0x5E])
+    g = base_graph(base)
+    steps = []
+    while len(steps) < count:
+        kind = rng.integers(4)
+        absent = [e for e in itertools.combinations(g.vertices, 2) if e not in g.edges]
+        if kind == 0 and absent:
+            step = AddEdge(*absent[rng.integers(len(absent))])
+        elif kind == 1:
+            nbrs = rng.choice(g.vertices, 3, replace=False)
+            step = AddVertexWithNeighbors(max(g.vertices) + 1, tuple(int(x) for x in nbrs))
+        else:
+            z = int(rng.choice(g.vertices))
+            side = rng.random(g.degree(z)) < 0.5
+            n_u = tuple(x for x, s in zip(g.neighbors(z), side) if s)
+            n_v = tuple(x for x, s in zip(g.neighbors(z), side) if not s)
+            pool = [x for x in g.vertices if x != z and x not in n_u]
+            if not pool:
+                continue
+            w = int(rng.choice(pool))
+            fresh = max(g.vertices) + 1
+            u = z if rng.random() < 0.25 else fresh + 1
+            step = GeneralizedVertexSplit(z, n_u, n_v, w, u, fresh)
+        g = apply_step(g, step)
+        steps.append(step)
+    return ConstructionSequence(base, tuple(steps))
+
+
+def unchecked_splits(base: str, count: int, seed: int) -> list[tuple[tuple, tuple]]:
+    """(certified, oracle) verdicts of every split of
+    random_unchecked_sequence(base, count, seed)."""
+    report = certify_sequence(random_unchecked_sequence(base, count, seed))
+    assert report.aborted_at is None
+    g, out = base_graph(base), []
+    for sv in report.steps:
+        g = apply_step(g, sv.step)
+        if isinstance(sv.step, GeneralizedVertexSplit):
+            out.append(((sv.minus_pair_rigid, sv.redundantly_rigid), split_oracle(g, sv.step)))
+    assert report.final_graph == g
+    return out
+
+
+def test_unchecked_split_verdicts_equal_oracle(monkeypatch):
+    # The carried game's verdicts on splits that pass and fail alike, on
+    # graphs that may be flexible, and with rejected edges whose reach set
+    # held z re-offered.
+    drop, reoffered = sparsity.PebbleState.drop_vertex, []
+
+    def counting_drop(self, z, nbrs):
+        again = drop(self, z, nbrs)
+        reoffered.append(len(again))
+        return again
+
+    monkeypatch.setattr(sparsity.PebbleState, "drop_vertex", counting_drop)
+    seen = collections.Counter()
+    for base, seed in itertools.product(BASE_TAGS, range(8)):
+        for fast, slow in unchecked_splits(base, 10, seed):
+            assert fast == slow, (base, seed)
+            seen[slow] += 1
+    assert set(seen) == {(True, True), (True, False), (False, False)}
+    assert sum(reoffered) > 0
 
 
 def test_split_without_regimes_fails_cleanly():
@@ -409,6 +517,39 @@ def test_generator_report_is_certifiers(size, setting):
         assert report.final_graph == g
 
 
+def same_game(game: sparsity.PebbleState, g: Graph) -> bool:
+    """Whether the carried game holds g's vertices and edges, and its rank
+    and coloops are those of a fresh game on g."""
+    res, fresh = game.result(), pebble_game(g)
+    return (
+        set(game.game[0]) == set(g.vertices)
+        and set(game.accepted).isdisjoint(game.rejected)
+        and set(game.accepted) | set(game.rejected) == g.edges
+        and res.rank == fresh.rank
+        and set(circuit_parts(res)[1]) == set(circuit_parts(fresh)[1])
+    )
+
+
+@pytest.mark.parametrize("setting", GENERATOR_SETTINGS)
+def test_carried_game_equals_fresh_game(monkeypatch, setting):
+    # Checked before and after every step, kept or not: a rejected proposal
+    # that leaked into the generator's game would differ from g next time.
+    check, steps = globalrig._check_step, []
+
+    def checking(g, index, step, game, *args):
+        assert same_game(game, g), step
+        nxt, verdict = check(g, index, step, game, *args)
+        assert same_game(game, nxt), step
+        steps.append(step)
+        return nxt, verdict
+
+    monkeypatch.setattr(globalrig, "_check_step", checking)
+    for seed in range(4):
+        _, seq, _ = random_certified_graph(24, seed, **GENERATOR_SETTINGS[setting])
+        certify_sequence(seq)
+    assert GeneralizedVertexSplit in {type(step) for step in steps}
+
+
 def test_generator_applies_each_step_once(monkeypatch):
     seen = []  # the step objects themselves, so no id is reused while held
 
@@ -434,8 +575,9 @@ def test_generation_error_carries_partial(monkeypatch):
 if __name__ == "__main__":
     # The full oracle set, too slow for tier-1: every prefix of 20 seeded
     # 40-vertex sequences plus 30 single-edge deletions of each final graph,
-    # and every split proposed while growing those sequences, kept and
-    # rejected alike.  Run as `PYTHONPATH=src python3 tests/test_global.py`;
+    # every split proposed while growing those sequences, kept and rejected
+    # alike, and every split of 100 random unchecked 30-step sequences from
+    # each base.  Run as `PYTHONPATH=src python3 tests/test_global.py`;
     # exits 1 on any mismatch.
     graphs = [g for seed in range(20) for g in sequence_graphs(40, seed, 30)]
     verdicts = [(is_redundantly_rigid_comb(g), redundant_oracle(g)) for g in graphs]
@@ -445,16 +587,23 @@ if __name__ == "__main__":
         f"mismatches {mismatches} "
         f"non-redundant {sum(not slow for _, slow in verdicts)}"
     )
-    splits = [
-        ((sv.minus_pair_rigid, sv.redundantly_rigid), split_oracle(g, sv.step))
-        for seed in range(20)
-        for g, sv in proposed_splits(40, seed)
-    ]
-    split_mismatches = sum(fast != slow for fast, slow in splits)
-    print(
-        f"splits {len(splits)} "
-        f"mismatches {split_mismatches} "
-        f"kept {sum(slow[0] for _, slow in splits)} "
-        f"redundant {sum(slow[1] for _, slow in splits)}"
-    )
+    split_mismatches = 0
+    for name, splits in (
+        ("splits", [
+            ((sv.minus_pair_rigid, sv.redundantly_rigid), split_oracle(g, sv.step))
+            for seed in range(20)
+            for g, sv in proposed_splits(40, seed)
+        ]),
+        ("unchecked-splits", [
+            pair for base in BASE_TAGS for seed in range(100)
+            for pair in unchecked_splits(base, 30, seed)
+        ]),
+    ):
+        split_mismatches += sum(fast != slow for fast, slow in splits)
+        print(
+            f"{name} {len(splits)} "
+            f"mismatches {sum(fast != slow for fast, slow in splits)} "
+            f"kept {sum(slow[0] for _, slow in splits)} "
+            f"redundant {sum(slow[1] for _, slow in splits)}"
+        )
     sys.exit(1 if mismatches or split_mismatches else 0)

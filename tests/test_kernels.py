@@ -131,9 +131,10 @@ def test_derive_seeds_equal_seed_sequence(seed):
     assert _kernels.derive_seeds(seed, 0) == []
 
 
-# each public _kernels function and the one function in src/normrig that calls it
+# each public _kernels function and the one function or class in src/normrig
+# that calls it
 ADAPTERS = {
-    "pebble_game": ("sparsity", "pebble_game"),
+    "pebble_game": ("sparsity", "PebbleState"),
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
     "derive_seeds": ("experiments", "_run"),
@@ -171,7 +172,7 @@ def test_each_kernel_has_one_adapter():
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "_kernels"
                 ):
-                    where = top.name if isinstance(top, ast.FunctionDef) else None
+                    where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
                     refs[node.attr].append((module, where))
     assert importers == {"sparsity", "enumeration", "experiments", "rigidity"}
     assert refs == {name: [adapter] for name, adapter in ADAPTERS.items()}
