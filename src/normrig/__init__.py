@@ -27,7 +27,7 @@ from .rigidity import (
 )
 from .sparsity import (
     CoverBound,
-    PebbleResult,
+    PebbleState,
     SparsityError,
     UvSparseVerdict,
     cover_rank_bound,
@@ -58,7 +58,7 @@ __all__ = [
     "DEFAULT_SEED",
     "generic_rank",
     "uv_generic_rank",
-    "PebbleResult",
+    "PebbleState",
     "UvSparseVerdict",
     "CoverBound",
     "SparsityError",

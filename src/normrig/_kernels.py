@@ -1,20 +1,13 @@
 """Low-level kernels.
 
 Each kernel has one adapter, which turns a graph or a seed into its
-input: pebble_game is called only by sparsity.PebbleState,
-canonize_batch only by enumeration._class_masks, family_best only by
-sparsity.is_uv_sparse_bruteforce, derive_seeds only by experiments._run,
-and uniform_streams only by rigidity._chunk_matrices.  The pebble
-game works on vertex labels and keeps the orientation as adjacency
-lists, so its cost follows the edges it searches and not n**2.  It
-plays on a (pebbles, out) state that a later call may continue from.
-PebbleState owns that state: sparsity.pebble_game reads one fresh game
-off it, and globalrig carries one through a construction sequence,
-offering only the edges each step adds or frees.  The canonizer is
-exact float64 matrix products over tiles of numpy edge bitmasks.  The
-family search is a branch and bound over Python-int
-bitmasks; its cost follows the families it cannot rule out, not the
-2**c families there are.
+input: canonize_batch is called only by enumeration._class_masks,
+family_best only by sparsity.is_uv_sparse_bruteforce, derive_seeds only
+by experiments._run, and uniform_streams only by
+rigidity._chunk_matrices.  The canonizer is exact float64 matrix
+products over tiles of numpy edge bitmasks.  The family search is a
+branch and bound over Python-int bitmasks; its cost follows the
+families it cannot rule out, not the 2**c families there are.
 
 The two seed kernels take plain ints, and this module alone knows how
 numpy reads them: derive_seeds hashes the rows [seed, i, 0], and
@@ -29,95 +22,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# pebble game
-# ---------------------------------------------------------------------------
-
-
-def pebble_game(verts, edges, k, l, state=None):
-    """(k, l)-pebble game over the vertex labels verts; sparsity.PebbleState adapts it.
-
-    Pebbles and out-lists are keyed by label.  The edges, label pairs,
-    are offered in list order.  Returns ``(accepted, reaches)``: the
-    accepted edges in order, and for each rejected edge in order the
-    reach set (of labels) of its endpoints at its rejection, the first
-    one being the non-sparsity witness.  The reach set U of a rejection
-    always induces more than k|U| - l edges.
-
-    ``state`` is a ``(pebbles, out)`` pair of dicts that the game plays
-    on in place; it starts empty when left out.  verts join it with k
-    pebbles and no out-edge each, so a later call continues the same
-    orientation with more vertices and edges.  Any state in which every
-    vertex holds k pebbles less its out-degree and the out-edges are
-    (k, l)-sparse is a position of the game, so the caller may also drop
-    an edge from it by giving its pebble back to its tail.
-
-    The result does not depend on the order in which searches scan
-    out-neighbours: the accepted edges are those that greedy insertion
-    into the (k, l)-count matroid keeps, and the reach set is the
-    smallest vertex set through both endpoints that spans exactly
-    k|U| - l accepted edges, which is unique.  U's accepted edges and
-    the rejected edge form its fundamental circuit: they break the count
-    on U, and any circuit through the rejected edge spans a tight set
-    through both endpoints, which contains U.
-    """
-    pebbles, out = ({}, {}) if state is None else state  # out[x]: heads of the edges x -> y
-    for x in verts:
-        pebbles[x] = k
-        out[x] = []
-    accepted = []
-    reaches = []
-
-    def fetch(root, a, b, parent):
-        """Pull one pebble onto root along a reversed path.  The search
-        may pass through the other endpoint but never takes its pebbles,
-        and skips the vertices already in parent (found pebble-free); on
-        failure parent holds every vertex it reached."""
-        parent[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y in parent:
-                    continue
-                parent[y] = x
-                if pebbles[y] and y != a and y != b:
-                    cur = y
-                    while cur != root:
-                        prev = parent[cur]
-                        out[prev].remove(cur)
-                        out[cur].append(prev)
-                        cur = prev
-                    pebbles[y] -= 1
-                    pebbles[root] += 1
-                    return True
-                stack.append(y)
-        return False
-
-    for a, b in edges:
-        while pebbles[a] + pebbles[b] <= l:
-            seen = {}
-            if not (fetch(a, a, b, seen) or fetch(b, a, b, seen)):
-                break
-        if pebbles[a] + pebbles[b] > l:
-            accepted.append((a, b))
-            if pebbles[a]:
-                pebbles[a] -= 1
-                out[a].append(b)
-            else:
-                pebbles[b] -= 1
-                out[b].append(a)
-            continue
-        # Rejected: the edge is dependent and stays out, but later edges
-        # are still offered.  Both failed searches together visited the
-        # reach set of {a, b}: it is closed under out-edges and every
-        # vertex in it except a, b has zero pebbles, so with the
-        # rejected edge it induces more than k|U| - l edges.
-        reaches.append(frozenset(seen))
-
-    return accepted, reaches
-
 
 # ---------------------------------------------------------------------------
 # canonical forms for edge-set bitmasks

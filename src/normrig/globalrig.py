@@ -18,12 +18,10 @@ exactly when it lies in a circuit, and sparsity.circuit_parts reads the
 coloops (edges in no circuit) off the game.  So G' - uv is rigid when
 G' is rigid and uv is not a coloop, and G' is redundantly rigid when it
 is rigid and has no coloop.  An edge or vertex addition offers the game
-only its new edges.  A split drops z's edges, giving back their
-pebbles, and offers the rejected edges whose reach set held z, then z's
-replacement edges, and uv last; every other rejected edge keeps its
-fundamental circuit, which avoids z.  The accepted edges are then a
-basis of G', and those before uv a basis of G' - uv, whatever order
-they came in, so rank and coloops are those of a fresh game on G'.
+only its new edges.  A split drops z and offers the rejected edges
+whose reach set held z, then z's replacement edges, and uv last; every
+other rejected edge keeps its fundamental circuit, which avoids z.  The
+edges accepted before uv are then a basis of G' - uv.
 Global rigidity itself is not decided here — only the side conditions
 of each step are checked, by one routine that both certify_sequence
 and random_certified_graph run on every step, so a generated
@@ -185,9 +183,9 @@ def _check_step(
         # pebbles: the reach sets found then are smaller, so fewer of them
         # hold a later split vertex.  uv comes last, so the edges accepted
         # before it are a basis of G' - uv.
-        accepted = game.offer(again + new + [uv], (u, v))
-        minus_ok = game.rank - (accepted[-1:] == [uv]) == 2 * nxt.n - 2
-        red_ok = minus_ok and not circuit_parts(game.result())[1]
+        game.offer(again + new + [uv], (u, v))
+        minus_ok = game.rank - (uv in game.accepted) == 2 * nxt.n - 2
+        red_ok = minus_ok and not circuit_parts(game)[1]
         if numeric:
             num_ok = settled_ranks([nxt], [seed], True, plane, trials)[0].rigid
     return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)

@@ -23,9 +23,8 @@ one routine behind is_uv_rigid_comb and uv-rigid-comb) and the counting
 uv-rank uv_rank_comb.  is_uv_sparse_bruteforce checks the definition on
 small graphs.  circuit_parts is the one reader of the pebble game's
 circuits: the cover bound and globalrig's redundancy verdicts read its
-parts and coloops.  PebbleState is the pebble game kernel's one adapter:
-pebble_game plays a fresh one, and globalrig carries one through a
-construction sequence.
+parts and coloops.  PebbleState is the pebble game: pebble_game plays a
+fresh one, and globalrig carries one through a construction sequence.
 """
 
 from __future__ import annotations
@@ -98,38 +97,39 @@ def covered_edge_count(g: Graph, sets: Sequence[Iterable[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PebbleResult:
-    accepted: tuple[tuple[int, int], ...]
-    reaches: tuple[frozenset[int], ...]  # reach set at every rejection, in order
-
-    @property
-    def rank(self) -> int:
-        return len(self.accepted)
-
-    @property
-    def witness(self) -> frozenset[int] | None:
-        """The reach set at the first rejection, or None if none was rejected."""
-        return self.reaches[0] if self.reaches else None
-
-
 class PebbleState:
-    """A (k, l) pebble game, carried through a run of graph edits.
+    """The (k, l) pebble game (Lee and Streinu, 2008) on a graph, carried
+    through a run of edits.
 
-    It holds the orientation and free pebbles of the current graph's
-    accepted edges, and every rejected edge with its reach set.  This
-    class is the pebble game kernel's one adapter: a fresh game on g is
-    ``PebbleState(g).result()``.  After edits the accepted edges are
-    still a basis of the graph's count matroid, whatever order they came
-    in, so the rank and the coloops (read by circuit_parts from
-    ``result()``) are those of a fresh game on the graph.
+    It keeps each vertex's free pebbles and out-list (the orientation of
+    the accepted edges), the accepted edges in offer order, and every
+    rejected edge with its reach set, in rejection order.  A fresh game
+    on g is ``PebbleState(g)``, which offers g's sorted edges.  The
+    contract:
+
+    * The accepted edges are those that greedy insertion into the
+      (k, l)-count matroid keeps in offer order, whatever order the
+      searches scan out-neighbours in.  They are a basis of the graph's
+      matroid whatever the offer order, so the rank and the coloops (read
+      by circuit_parts) do not depend on it.
+    * A rejected edge's reach set U is the smallest vertex set through
+      both endpoints that spans exactly k|U| - l accepted edges, which is
+      unique.  U's accepted edges and the rejected edge form its
+      fundamental circuit: they break the count on U, and any circuit
+      through the rejected edge spans a tight set through both
+      endpoints, which contains U.
+    * Any state in which every vertex holds k pebbles less its out-degree
+      and the out-edges are (k, l)-sparse is a position of the game, and
+      the game may be continued from it: offer adds vertices and edges,
+      and drop_vertex removes a vertex.
     """
 
     def __init__(self, g: Graph, k: int = 2, l: int = 2):
         if k < 1 or l < 0 or l >= 2 * k:
             raise SparsityError(f"unsupported pebble parameters ({k}, {l})")
         self.k, self.l = k, l
-        self.game: tuple[dict, dict] = ({}, {})  # the kernel's (pebbles, out)
+        self.pebbles: dict[int, int] = {}
+        self.out: dict[int, list[int]] = {}  # out[x]: heads of the edges x -> y
         self.accepted: dict[tuple[int, int], None] = {}  # in offer order
         self.rejected: dict[tuple[int, int], frozenset[int]] = {}  # edge -> reach set
         self.offer(g.sorted_edges(), g.vertices)
@@ -138,22 +138,77 @@ class PebbleState:
     def rank(self) -> int:
         return len(self.accepted)
 
+    @property
+    def reaches(self) -> tuple[frozenset[int], ...]:
+        return tuple(self.rejected.values())
+
+    @property
+    def witness(self) -> frozenset[int] | None:
+        """The first rejection's reach set, or None if none was rejected."""
+        return next(iter(self.rejected.values()), None)
+
     def copy(self) -> "PebbleState":
         new = object.__new__(PebbleState)
-        pebbles, out = self.game
         new.k, new.l = self.k, self.l
-        new.game = (dict(pebbles), {x: list(ys) for x, ys in out.items()})
+        new.pebbles, new.out = dict(self.pebbles), {x: list(ys) for x, ys in self.out.items()}
         new.accepted, new.rejected = dict(self.accepted), dict(self.rejected)
         return new
 
-    def offer(self, edges: list[tuple[int, int]], verts: Iterable[int] = ()) -> list:
-        """Add the new vertices verts, offer edges (each as a < b, none of
-        them held yet) in order, and return the accepted ones in order."""
-        accepted, reaches = _kernels.pebble_game(verts, edges, self.k, self.l, self.game)
-        self.accepted.update(dict.fromkeys(accepted))
-        if reaches:
-            self.rejected.update(zip([e for e in edges if e not in self.accepted], reaches))
-        return accepted
+    def offer(self, edges: list[tuple[int, int]], verts: Iterable[int] = ()) -> None:
+        """Add the new vertices verts with k pebbles each, then offer edges
+        (each as a < b, none of them held yet) in order."""
+        pebbles, out, l = self.pebbles, self.out, self.l
+        accepted, rejected = self.accepted, self.rejected
+        for x in verts:
+            pebbles[x] = self.k
+            out[x] = []
+
+        def fetch(root, a, b, parent):
+            """Pull one pebble onto root along a reversed path.  The search
+            may pass through the other endpoint but never takes its pebbles,
+            and skips the vertices already in parent (found pebble-free); on
+            failure parent holds every vertex it reached."""
+            parent[root] = root
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y in out[x]:
+                    if y in parent:
+                        continue
+                    parent[y] = x
+                    if pebbles[y] and y != a and y != b:
+                        cur = y
+                        while cur != root:
+                            prev = parent[cur]
+                            out[prev].remove(cur)
+                            out[cur].append(prev)
+                            cur = prev
+                        pebbles[y] -= 1
+                        pebbles[root] += 1
+                        return True
+                    stack.append(y)
+            return False
+
+        for e in edges:
+            a, b = e
+            while pebbles[a] + pebbles[b] <= l:
+                seen = {}
+                if not (fetch(a, a, b, seen) or fetch(b, a, b, seen)):
+                    break
+            if pebbles[a] + pebbles[b] > l:
+                accepted[e] = None
+                if pebbles[a]:
+                    pebbles[a] -= 1
+                    out[a].append(b)
+                else:
+                    pebbles[b] -= 1
+                    out[b].append(a)
+                continue
+            # Rejected: both failed searches together visited the reach set
+            # U of {a, b}: it is closed under out-edges and every vertex in
+            # it except a, b has zero pebbles, so with e it induces more
+            # than k|U| - l edges.
+            rejected[e] = frozenset(seen)
 
     def drop_vertex(self, z: int, nbrs: Iterable[int]) -> list[tuple[int, int]]:
         """Remove z and its edges to its neighbours nbrs, then take out and
@@ -164,7 +219,7 @@ class PebbleState:
         fundamental circuit, which avoids z, so its reach set stays valid.
         The returned edges may now be independent and must be offered again.
         """
-        pebbles, out = self.game
+        pebbles, out = self.pebbles, self.out
         heads = out.pop(z)
         del pebbles[z]
         for y in nbrs:
@@ -180,18 +235,13 @@ class PebbleState:
             del self.rejected[e]
         return again
 
-    def result(self) -> PebbleResult:
-        return PebbleResult(tuple(self.accepted), tuple(self.rejected.values()))
 
-
-def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleResult:
-    """The (k, l)-pebble game on g's sorted edges, played afresh.
-
-    The rank is the size of a maximum (k, l)-sparse subset of E.  When
-    an edge is rejected the reach set U of its endpoints satisfies
-    i(U) > k|U| - l, which certifies non-sparsity.
+def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleState:
+    """A fresh (k, l) pebble game on g.  Its rank is the size of a maximum
+    (k, l)-sparse subset of E, and its witness, if an edge was rejected,
+    is a vertex set U with i(U) > k|U| - l, which certifies non-sparsity.
     """
-    return PebbleState(g, k, l).result()
+    return PebbleState(g, k, l)
 
 
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:
@@ -212,7 +262,7 @@ def is_rigid_comb(g: Graph) -> bool:
     return pebble_rank(g, 2, 2) == 2 * g.n - 2
 
 
-def circuit_parts(res: PebbleResult) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+def circuit_parts(game: PebbleState) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
     """The reach sets merged along shared vertices, and the coloops.
 
     A rejected edge's fundamental circuit is the edge plus the accepted
@@ -223,14 +273,14 @@ def circuit_parts(res: PebbleResult) -> tuple[list[frozenset[int]], list[tuple[i
     in some circuit.  The others, the coloops, come back in game order.
     """
     parts: list[frozenset[int]] = []
-    for r in res.reaches:
+    for r in game.rejected.values():
         if any(r <= y for y in parts):
             continue
         meet = [y for y in parts if y & r]
         parts = [y for y in parts if not y & r]
         parts.append(r.union(*meet))
     part_of = {x: i for i, y in enumerate(parts) for x in y}
-    coloops = [(a, b) for a, b in res.accepted if a not in part_of or part_of[a] != part_of.get(b)]
+    coloops = [(a, b) for a, b in game.accepted if a not in part_of or part_of[a] != part_of.get(b)]
     return parts, coloops
 
 
@@ -354,7 +404,7 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     return _violation(g, "family", sorted(fam, key=sorted))
 
 
-def _uv_games(g: Graph) -> tuple[PebbleResult, PebbleResult]:
+def _uv_games(g: Graph) -> tuple[PebbleState, PebbleState]:
     """The (2,2) pebble games on G - uv and on G/uv, in that order."""
     u, v = g.require_pair()
     minus = delete_edge(g, u, v) if g.has_edge(u, v) else g

@@ -643,7 +643,7 @@ def test_version_line(capsys):
 
 PUBLIC_NAMES = [
     "CoverBound", "DEFAULT_PLANE", "DEFAULT_SEED", "Graph", "GraphError",
-    "GraphFormatError", "LpPlane", "NormError", "PebbleResult", "RankReport",
+    "GraphFormatError", "LpPlane", "NormError", "PebbleState", "RankReport",
     "RigidityError", "SparsityError", "TolerancePolicy", "UvSparseVerdict",
     "__version__", "cover_rank_bound", "format_graph", "generic_rank",
     "graph_to_json", "is_kl_sparse", "is_rigid_comb",

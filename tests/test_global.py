@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from normrig import _kernels, globalrig, sparsity
+from normrig import globalrig, sparsity
 from normrig.globalrig import (
     BASE_TAGS,
     CertificateReport,
@@ -207,16 +207,16 @@ def test_vertex_addition_needs_three_neighbors():
 
 
 def record_pebble_games(monkeypatch) -> list[tuple[tuple, list, int]]:
-    """Patch the pebble game kernel to record each call: the vertices it
-    adds, the edges it is offered, and how many vertices its state held."""
+    """Patch PebbleState.offer to record each call: the vertices it adds,
+    the edges it is offered, and how many vertices the game held."""
     calls = []
-    play = _kernels.pebble_game
+    offer = sparsity.PebbleState.offer
 
-    def recording(verts, edges, k, l, state=None):
-        calls.append((tuple(verts), list(edges), len(state[0]) if state else 0))
-        return play(verts, edges, k, l, state)
+    def recording(self, edges, verts=()):
+        calls.append((tuple(verts), list(edges), len(self.pebbles)))
+        return offer(self, edges, verts)
 
-    monkeypatch.setattr(_kernels, "pebble_game", recording)
+    monkeypatch.setattr(sparsity.PebbleState, "offer", recording)
     return calls
 
 
@@ -520,13 +520,13 @@ def test_generator_report_is_certifiers(size, setting):
 def same_game(game: sparsity.PebbleState, g: Graph) -> bool:
     """Whether the carried game holds g's vertices and edges, and its rank
     and coloops are those of a fresh game on g."""
-    res, fresh = game.result(), pebble_game(g)
+    fresh = pebble_game(g)
     return (
-        set(game.game[0]) == set(g.vertices)
+        set(game.pebbles) == set(g.vertices)
         and set(game.accepted).isdisjoint(game.rejected)
         and set(game.accepted) | set(game.rejected) == g.edges
-        and res.rank == fresh.rank
-        and set(circuit_parts(res)[1]) == set(circuit_parts(fresh)[1])
+        and game.rank == fresh.rank
+        and set(circuit_parts(game)[1]) == set(circuit_parts(fresh)[1])
     )
 
 
@@ -548,6 +548,42 @@ def test_carried_game_equals_fresh_game(monkeypatch, setting):
         _, seq, _ = random_certified_graph(24, seed, **GENERATOR_SETTINGS[setting])
         certify_sequence(seq)
     assert GeneralizedVertexSplit in {type(step) for step in steps}
+
+
+def game_snapshot(game: sparsity.PebbleState) -> tuple:
+    """Free pebbles, out-lists, and accepted and rejected edges in order."""
+    return (
+        dict(game.pebbles), {x: list(ys) for x, ys in game.out.items()},
+        list(game.accepted), list(game.rejected.items()),
+    )
+
+
+def test_dropped_split_leaves_carried_game_unchanged(monkeypatch):
+    # The generator checks each split on a copy of its carried game.  A
+    # split it drops must leave the carried game exactly as it was, and
+    # still the game of its graph.  These split-only seeds each drop one
+    # checked split.
+    copy, check = sparsity.PebbleState.copy, globalrig._check_step
+    copies, dropped = [], []
+
+    def recording_copy(self):
+        trial = copy(self)
+        copies.append((trial, self, game_snapshot(self)))
+        return trial
+
+    def checking(g, index, step, game, *args):
+        nxt, verdict = check(g, index, step, game, *args)
+        if copies and game is copies[-1][0] and not verdict.minus_pair_rigid:
+            _, carried, before = copies[-1]
+            assert game_snapshot(carried) == before and same_game(carried, g), step
+            dropped.append(step)
+        return nxt, verdict
+
+    monkeypatch.setattr(sparsity.PebbleState, "copy", recording_copy)
+    monkeypatch.setattr(globalrig, "_check_step", checking)
+    for seed in (33, 53, 76, 90, 91):
+        random_certified_graph(40, seed, split_prob=1.0, edge_prob=0.0)
+    assert len(dropped) == 5
 
 
 def test_generator_applies_each_step_once(monkeypatch):

@@ -1,7 +1,8 @@
-"""Kernel oracles: the pebble game against greedy insertion with brute-force
-counts, the family search against a plain subset scan, and the seed-stream
-kernels against numpy's own SeedSequence and default_rng.  Also pins that
-each kernel is reached through exactly one adapter."""
+"""Kernel oracles: the pebble game (sparsity.PebbleState) against greedy
+insertion with brute-force counts, the family search against a plain subset
+scan, and the seed-stream kernels against numpy's own SeedSequence and
+default_rng.  Also pins that each kernel is reached through exactly one
+adapter."""
 from __future__ import annotations
 
 import ast
@@ -13,7 +14,8 @@ import pytest
 
 import normrig
 from normrig import _kernels
-from normrig.sparsity import pebble_game
+from normrig.graph import Graph
+from normrig.sparsity import PebbleState, pebble_game
 
 
 def _greedy_oracle(n, edges, k, l):
@@ -48,12 +50,11 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     rng = np.random.default_rng(5)
     for g in small_graphs:
         edges = g.sorted_edges()
-        accepted, reaches = _kernels.pebble_game(g.vertices, edges, k, l)
-        expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
-        assert (accepted, reaches) == (expect_kept, expect_reaches), (g.n, edges)
         res = pebble_game(g, k, l)
-        assert (res.accepted, res.reaches) == (tuple(accepted), tuple(reaches))
-        assert res.rank == len(accepted)
+        expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
+        assert (list(res.accepted), res.reaches) == (expect_kept, tuple(expect_reaches)), edges
+        assert list(res.rejected) == [e for e in edges if e not in res.accepted]
+        assert res.rank == len(expect_kept)
         assert res.witness == (expect_reaches[0] if expect_reaches else None)
 
         # A copy under an injective relabelling into non-contiguous labels,
@@ -61,11 +62,10 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
         # keeps the images of the same edges and rejects with the images of
         # the same reach sets.
         f = dict(zip(g.vertices, map(int, rng.choice(1000, size=g.n, replace=False))))
-        h_accepted, h_reaches = _kernels.pebble_game(
-            [f[x] for x in g.vertices], [(f[a], f[b]) for a, b in edges], k, l
-        )
-        assert h_accepted == [(f[a], f[b]) for a, b in accepted]
-        assert h_reaches == [frozenset(f[x] for x in r) for r in reaches]
+        h = PebbleState(Graph.from_edges(()), k, l)
+        h.offer([(f[a], f[b]) for a, b in edges], [f[x] for x in g.vertices])
+        assert list(h.accepted) == [(f[a], f[b]) for a, b in expect_kept]
+        assert list(h.reaches) == [frozenset(f[x] for x in r) for r in expect_reaches]
 
 
 def _score(edge_masks, val_terms, s):
@@ -134,7 +134,6 @@ def test_derive_seeds_equal_seed_sequence(seed):
 # each public _kernels function and the one function or class in src/normrig
 # that calls it
 ADAPTERS = {
-    "pebble_game": ("sparsity", "PebbleState"),
     "canonize_batch": ("enumeration", "_class_masks"),
     "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
     "derive_seeds": ("experiments", "_run"),
