@@ -22,8 +22,7 @@ from .rigidity import (
     RankReport,
     RigidityError,
     TolerancePolicy,
-    generic_rank,
-    uv_generic_rank,
+    generic_ranks,
 )
 from .sparsity import (
     CoverBound,
@@ -56,8 +55,7 @@ __all__ = [
     "RigidityError",
     "TolerancePolicy",
     "DEFAULT_SEED",
-    "generic_rank",
-    "uv_generic_rank",
+    "generic_ranks",
     "PebbleState",
     "UvSparseVerdict",
     "CoverBound",

@@ -51,7 +51,7 @@ from .rigidity import (
     DEFAULT_TOL,
     RigidityError,
     TolerancePolicy,
-    _generic_ranks,
+    generic_ranks,
     resolve_seed,
 )
 from .sparsity import (
@@ -135,8 +135,8 @@ def _cmd_rank(args) -> int:
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
     plane, tol = _single_norm(args), _tol(args)
-    settle = not (args.json or args.verbose)  # text shows only verdicts, fixed at the cap
-    rep = _generic_ranks([g], plane, args.trials, [args.seed], tol, coincident, settle)[0]
+    settle = not (args.json or (args.verbose and per_trial))  # only verdicts: fixed at the cap
+    rep = generic_ranks([g], [args.seed], coincident, plane, args.trials, tol, settle)[0]
     values = {
         "rank": rep.rank,
         "rows": rep.rows,
@@ -406,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials",
         type=int,
         default=10,
-        help="random placements per rank query (default 10); text-mode rank commands,"
-        " experiment and certify-global --numeric stop after a trial 0 at the rank cap,"
-        " while the rank commands' --json and --verbose run every trial",
+        help="random placements per rank query (default 10); a query stops after a trial 0"
+        " at the rank cap unless it prints per-trial data: the rank commands' --json,"
+        " and rank and uv-rank's --verbose, run every trial",
     )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
     common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold (default 1e-9)")

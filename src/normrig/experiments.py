@@ -10,7 +10,7 @@ combinatorial side is a disagreement that carries that seed.  The
 numerical verdict is already the best of ``trials`` placements, and
 unlucky placements can sit below generic rank, never above it, so no
 rerun is made.  Only the verdict is read, so every instance is ranked
-in one settled batch (rigidity.settled_ranks).
+in one settled batch (rigidity.generic_ranks with settle).
 
 Reports are value objects: rerunning a sweep with the same seed and
 configuration yields an equal report (runtime is carried but excluded
@@ -37,7 +37,7 @@ from .graph import (
     zero_extension,
 )
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
-from .rigidity import resolve_seed, settled_ranks
+from .rigidity import generic_ranks, resolve_seed
 from .sparsity import (
     cover_rank_bound,
     is_uv_rigid_comb,
@@ -94,8 +94,8 @@ def _config(**kw) -> tuple[tuple[str, object], ...]:
 def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepReport:
     """The sweep loop: items(seed) yields (note, graph) pairs, and each
     comb_fn(graph) is checked against the field attr of the graph's
-    plain or coincident RankReport (kind).  One settled_ranks call ranks
-    every instance, instance i under the seed
+    plain or coincident RankReport (kind).  One settled generic_ranks
+    call ranks every instance, instance i under the seed
     SeedSequence([seed, i, 0]).generate_state(1)[0], all of them hashed
     by one _kernels.derive_seeds call.  keys join norm, trials and seed
     in the report's config."""
@@ -106,7 +106,7 @@ def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepR
     graphs = [g for _, g in instances]
     combs = [comb_fn(g) for g in graphs]
     seeds = _kernels.derive_seeds(seed, len(graphs))
-    reports = settled_ranks(graphs, seeds, kind == "coincident", plane, trials)
+    reports = generic_ranks(graphs, seeds, kind == "coincident", plane, trials, settle=True)
     disagreements = [
         Disagreement(idx, format_graph(g), comb, getattr(rep, attr), rep.rank, rep.rows,
                      s, note)

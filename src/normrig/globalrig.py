@@ -51,12 +51,12 @@ from .graph import (
     GeneralizedVertexSplit,
     Graph,
     GraphError,
-    _norm_edge,
     apply_step,
+    norm_edge,
     numbered_lines,
 )
 from .norms import LpPlane
-from .rigidity import settled_ranks
+from .rigidity import generic_ranks
 from .sparsity import PebbleState, SparsityError, circuit_parts, pebble_game
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
@@ -170,15 +170,15 @@ def _check_step(
         return g, StepVerdict(index, step, False, str(exc), None, None)
     minus_ok = red_ok = num_ok = None
     if isinstance(step, AddEdge):
-        game.offer([_norm_edge(step.a, step.b)])
+        game.offer([norm_edge(step.a, step.b)])
     elif isinstance(step, AddVertexWithNeighbors):
-        game.offer([_norm_edge(step.z, y) for y in step.neighbors], (step.z,))
+        game.offer([norm_edge(step.z, y) for y in step.neighbors], (step.z,))
     else:
         u, v = step.u, step.v
         again = game.drop_vertex(step.z, g.neighbors(step.z))
-        new = [_norm_edge(u, y) for y in sorted({*step.n_u, step.w})]
-        new += [_norm_edge(v, y) for y in sorted(set(step.n_v))]
-        uv = _norm_edge(u, v)
+        new = [norm_edge(u, y) for y in sorted({*step.n_u, step.w})]
+        new += [norm_edge(v, y) for y in sorted(set(step.n_v))]
+        uv = norm_edge(u, v)
         # The freed rejects go first, while z's old neighbours hold its
         # pebbles: the reach sets found then are smaller, so fewer of them
         # hold a later split vertex.  uv comes last, so the edges accepted
@@ -187,7 +187,7 @@ def _check_step(
         minus_ok = game.rank - (uv in game.accepted) == 2 * nxt.n - 2
         red_ok = minus_ok and not circuit_parts(game)[1]
         if numeric:
-            num_ok = settled_ranks([nxt], [seed], True, plane, trials)[0].rigid
+            num_ok = generic_ranks([nxt], [seed], True, plane, trials, settle=True)[0].rigid
     return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
 
 
@@ -214,8 +214,8 @@ def certify_sequence(
 
     Vertex additions need at least three distinct existing neighbors;
     splits get both regime verdicts (and, with numeric=True, a
-    randomized uv-rigidity cross-check, by rigidity.settled_ranks on the
-    one graph, which stops after trial 0 when it reaches the rank cap).
+    randomized uv-rigidity cross-check, by rigidity.generic_ranks on the
+    one graph, settled: it stops after trial 0 when it reaches the rank cap).
     A step that fails to apply aborts the replay and fails both regimes.
     """
     g = base_graph(seq.base)

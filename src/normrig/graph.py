@@ -33,7 +33,7 @@ class GraphFormatError(GraphError):
         self.line = line
 
 
-def _norm_edge(a: int, b: int) -> tuple[int, int]:
+def norm_edge(a: int, b: int) -> tuple[int, int]:
     if a == b:
         raise GraphError(f"loop at vertex {a}")
     return (a, b) if a < b else (b, a)
@@ -56,7 +56,7 @@ class Graph:
         vset = set(vertices)
         normed: set[tuple[int, int]] = set()
         for a, b in edges:
-            e = _norm_edge(a, b)
+            e = norm_edge(a, b)
             if e in normed:
                 raise GraphError(f"parallel edge {e[0]}-{e[1]}")
             if e[0] not in vset or e[1] not in vset:
@@ -104,7 +104,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _norm_edge(a, b) in self.edges
+        return norm_edge(a, b) in self.edges
 
     def has_vertex(self, v: int) -> bool:
         try:
@@ -158,7 +158,7 @@ class Graph:
 
 
 def add_edge(g: Graph, a: int, b: int) -> Graph:
-    e = _norm_edge(a, b)
+    e = norm_edge(a, b)
     if not (g.has_vertex(a) and g.has_vertex(b)):
         raise GraphError(f"edge {a}-{b} uses unknown vertex")
     if e in g.edges:
@@ -167,7 +167,7 @@ def add_edge(g: Graph, a: int, b: int) -> Graph:
 
 
 def delete_edge(g: Graph, a: int, b: int) -> Graph:
-    e = _norm_edge(a, b)
+    e = norm_edge(a, b)
     if e not in g.edges:
         raise GraphError(f"edge {a}-{b} not present")
     return Graph(g.vertices, g.edges - {e}, g.designated_pair)
@@ -323,8 +323,8 @@ def generalized_vertex_split(
     # g's other edges are normalised already, and the checks above rule out
     # loops, parallel and dangling new edges, so no from_edges checks
     edges = {e for e in g.edges if z not in e}
-    edges.update(_norm_edge(u, y) for y in nu | {v, w})
-    edges.update(_norm_edge(v, y) for y in nv)
+    edges.update(norm_edge(u, y) for y in nu | {v, w})
+    edges.update(norm_edge(v, y) for y in nv)
     return Graph(tuple(sorted(old | {u, v})), frozenset(edges), (u, v))
 
 
@@ -461,11 +461,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"loop at vertex {a}", lineno)
         if not (0 <= a < n and 0 <= b < n):
             raise GraphFormatError(f"edge {a}-{b} out of range", lineno)
-        e = _norm_edge(a, b)
+        e = norm_edge(a, b)
         if e in seen:
             raise GraphFormatError(f"parallel edge {e[0]}-{e[1]}", lineno)
         seen.add(e)
-    return Graph.from_edges(range(n), seen, pair)
+    return Graph(tuple(range(n)), frozenset(seen), pair)
 
 
 def graph_to_json(g: Graph) -> dict:

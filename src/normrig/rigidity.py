@@ -19,17 +19,16 @@ Generic ranks are estimated by sampling several random placements and
 keeping the best rank seen.  Coincident variants work on the graph
 minus the pair edge, and their placement map sends v to u's point: a
 trial's points are its random draw read through that map, which is the
-identity for plain ranks.  One routine ranks every trial of many graphs
-at once.  It takes the trials in the (|V|, m) order of their graph's
-shape and cuts them into chunks of bounded size.  One numpy call writes
-each chunk's matrices, each with its own graph's edges and end
-positions, straight into the top-left corners of one stack, padded with
-zeros to the chunk's largest rows and columns, and one more call gives
-that stack's singular values.  Zero rows and columns add only zero
-singular values, and the rank threshold takes each matrix's own size,
-so the padding changes no rank.  generic_rank and uv_generic_rank are
-that routine on one graph, whose chunks each hold one shape and are
-never padded, and run every trial they are asked for.
+identity for plain ranks.  One routine, generic_ranks, ranks every
+trial of many graphs at once.  It takes the trials in the (|V|, m)
+order of their graph's shape and cuts them into chunks of bounded size.
+One numpy call writes each chunk's matrices, each with its own graph's
+edges and end positions, straight into the top-left corners of one
+stack, padded with zeros to the chunk's largest rows and columns, and
+one more call gives that stack's singular values.  Zero rows and
+columns add only zero singular values, and the rank threshold takes
+each matrix's own size, so the padding changes no rank.  On one graph
+every chunk holds one shape and is never padded.
 
 Trial t of a graph under seed s draws its points from numpy's generator
 seeded with [s, t], whatever the batch: _kernels.uniform_streams draws a
@@ -39,11 +38,11 @@ them.  So per-trial ranks do not depend on the path.
 Callers that read only the verdict settle: no placement's rank exceeds
 min(rows, 2|V| - 2), since translations always lie in the kernel, so a
 first trial at that cap already fixes rank, independence and rigidity.
-A settled batch runs trial 0 of all its graphs, then trials 1 to T - 1
-of those below the cap, and a graph's report then equals its full
-report.  The sweeps, certify-global --numeric and the text-mode rank
-commands settle; the rank commands' --json and --verbose print
-per-trial data and run every trial.
+generic_ranks with settle runs trial 0 of all its graphs, then trials 1
+to T - 1 of those below the cap, and a graph's report then equals its
+full report.  The sweeps, certify-global --numeric and the rank
+commands settle, except where they print per-trial data: --json, and
+the --verbose of rank and uv-rank, run every trial.
 """
 
 from __future__ import annotations
@@ -194,12 +193,6 @@ class RankReport:
     near_threshold: bool
     notes: tuple[str, ...] = field(default=())
 
-    @property
-    def at_rank_cap(self) -> bool:
-        """Rank at the cap (_rank_cap): no further trial can change rank,
-        independent or rigid."""
-        return self.rank == _rank_cap(self.n_vertices, self.rows)
-
 
 def _prepared(g: Graph, coincident: bool):
     """What a placement of g needs: the graph whose matrix is built (g less
@@ -256,11 +249,28 @@ def _chunk_matrices(chunk, works, seeds, plane):
     return _matrix_stack(plane, draws.reshape(-1, 2), preps)
 
 
-def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=False) -> list[RankReport]:
-    """The rank reports of both kinds, one per graph and seed: the jobs
-    (graph, trial) are planned into chunks, each chunk is drawn, built and
-    decomposed, and the tolerance rule turns its singular values into
-    ranks and notes.
+def generic_ranks(
+    graphs: Sequence[Graph],
+    seeds: Sequence[int | None],
+    coincident: bool = False,
+    plane: LpPlane | None = None,
+    trials: int = 10,
+    tol: TolerancePolicy = DEFAULT_TOL,
+    settle: bool = False,
+) -> list[RankReport]:
+    """The plain or coincident rank report of each graph under its seed.
+
+    The jobs (graph, trial) are planned into chunks, each chunk is drawn,
+    built and decomposed, and the tolerance rule turns its singular values
+    into ranks and notes.  A report's rank is the best of its trials: rank
+    never exceeds the generic value and random placements reach it with
+    overwhelming probability.  Rigidity is rank 2|V| - 2, which needs
+    |V| >= 3; graphs on at most one vertex are rigid by convention.
+
+    A coincident report places the designated pair at one random point,
+    and its matrix is built on G minus the pair edge (a coincident pair
+    edge would only contribute a zero row).  uv-independence requires the
+    pair edge to be absent from G in the first place.
 
     With settle, trial 0 of every graph runs first, and trials 1 to T - 1
     only for the graphs below the rank cap; a report holds the trials it
@@ -319,50 +329,3 @@ def _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=False) 
         ))
     return reports
 
-
-def generic_rank(
-    graph: Graph,
-    plane: LpPlane | None = None,
-    trials: int = 10,
-    seed: int | None = None,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> RankReport:
-    """Best rigidity-matrix rank over random placements.
-
-    Rank never exceeds the generic value and random placements reach it
-    with overwhelming probability, so the max over trials is the right
-    aggregate.  Rigidity is rank 2|V| - 2, which needs |V| >= 3; graphs
-    on at most one vertex are rigid by convention.
-    """
-    return _generic_ranks([graph], plane, trials, [seed], tol, coincident=False)[0]
-
-
-def uv_generic_rank(
-    graph: Graph,
-    plane: LpPlane | None = None,
-    trials: int = 10,
-    seed: int | None = None,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> RankReport:
-    """Coincident variant: the designated pair shares one random point.
-
-    The matrix is built on G minus the pair edge (a coincident pair
-    edge would only contribute a zero row).  uv-independence requires
-    the pair edge to be absent from G in the first place; uv-rigidity
-    is rank 2|V| - 2.
-    """
-    return _generic_ranks([graph], plane, trials, [seed], tol, coincident=True)[0]
-
-
-def settled_ranks(
-    graphs: Sequence[Graph],
-    seeds: Sequence[int | None],
-    coincident: bool = False,
-    plane: LpPlane | None = None,
-    trials: int = 10,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> list[RankReport]:
-    """The plain or coincident report of each graph under its seed,
-    settled: one that reaches the rank cap at trial 0 is a one-trial
-    report, and any other is the full report."""
-    return _generic_ranks(graphs, plane, trials, seeds, tol, coincident, settle=True)

@@ -212,28 +212,27 @@ def test_criterion_10_support_identities():
     assert ok, violations
 
 
-if __name__ == "__main__":
-    # The full seven-vertex runs, too slow for tier-1: criterion 08,
-    # then one pass of one-graph 10-trial ranks over every pair class on
-    # 7 vertices, each under the placement seed the equivalence sweep
-    # gives it, read twice: counting against numerical uv-independence,
-    # and one settled_ranks batch over those classes against those
-    # reports, in every field where trial 0 falls short of the rank cap
-    # (the batch reruns them) and in the verdict fields elsewhere.  Last,
-    # the counting uv-rank against greedy insertion under the brute-force
-    # checker on every pair class on 6 and 7 vertices.  Exits 1 on any
-    # mismatch.
-    # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
-    import sys
+def pair_class_oracles(n: int) -> int:
+    """The full n-vertex oracles; the number of mismatches.
 
+    Criterion 08 on n vertices, then one pass of one-graph 10-trial ranks
+    over every pair class on n vertices, each under the placement seed
+    the equivalence sweep gives it, read twice: counting against
+    numerical uv-independence, and one settled generic_ranks batch over
+    those classes against those reports, in every field where trial 0
+    falls short of the rank cap (the batch reruns them) and in the
+    verdict fields elsewhere.  Last, the counting uv-rank against greedy
+    insertion under the brute-force checker on every pair class on n - 1
+    and n vertices.  Each step prints its counts and time.
+    """
     from test_rigidity import VERDICT_FIELDS
     from test_sparsity import _greedy_uv_rank
 
     from normrig._kernels import derive_seeds
-    from normrig.rigidity import settled_ranks, uv_generic_rank
+    from normrig.rigidity import generic_ranks
     from normrig.sparsity import uv_rank_comb
 
-    classes = enumerate_graphs(7, pair=True)
+    classes = enumerate_graphs(n, pair=True)
     t0 = time.perf_counter()
     combs = [is_uv_sparse(g).sparse for g in classes]
     brute_bad = sum(c != is_uv_sparse_bruteforce(g).sparse for g, c in zip(classes, combs))
@@ -241,12 +240,12 @@ if __name__ == "__main__":
           f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     seeds = derive_seeds(SEED, len(classes))
-    full = [uv_generic_rank(g, trials=10, seed=s) for g, s in zip(classes, seeds)]
+    full = [generic_ranks([g], [s], True, trials=10)[0] for g, s in zip(classes, seeds)]
     bad = sum(rep.independent != c for rep, c in zip(full, combs))
     print(f"counting vs numerical (one-graph 10-trial ranks): graphs {len(classes)} "
           f"mismatches {bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
-    batch = settled_ranks(classes, seeds, coincident=True)
+    batch = generic_ranks(classes, seeds, coincident=True, settle=True)
     short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2) for rep in full]
     batch_bad = sum(
         got != rep if rerun else any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
@@ -255,8 +254,22 @@ if __name__ == "__main__":
     print(f"settled batch vs one-graph ranks: graphs {len(classes)} rerun {sum(short)} "
           f"mismatches {batch_bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
-    greedy_classes = enumerate_graphs(6, pair=True) + classes
+    greedy_classes = enumerate_graphs(n - 1, pair=True) + classes
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)
     print(f"counting uv-rank vs greedy: graphs {len(greedy_classes)} mismatches {rank_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
-    sys.exit(1 if brute_bad or bad or batch_bad or rank_bad else 0)
+    return brute_bad + bad + batch_bad + rank_bad
+
+
+def test_pair_class_oracles_at_five_vertices():
+    # the seven-vertex run, too slow for tier-1, is the __main__ below
+    assert pair_class_oracles(5) == 0
+
+
+if __name__ == "__main__":
+    # The full seven-vertex oracles (pair_class_oracles(7)); exits 1 on
+    # any mismatch.
+    # Run as `PYTHONPATH=src python3 tests/test_acceptance.py`.
+    import sys
+
+    sys.exit(1 if pair_class_oracles(7) else 0)

@@ -22,7 +22,7 @@ from normrig.experiments import (
     rigidity_sweep,
 )
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
-from normrig.rigidity import settled_ranks, uv_generic_rank
+from normrig.rigidity import generic_ranks
 from normrig.sparsity import (
     cover_rank_bound,
     is_rigid_comb,
@@ -150,7 +150,7 @@ def test_min_uv_tight_h_properties():
     assert (h.n, h.m) == (5, 8)
     assert h.designated_pair == (0, 1)
     assert h.m == 2 * h.n - 2 and is_uv_sparse(h).sparse
-    assert uv_generic_rank(h, trials=6, seed=3).rigid
+    assert generic_ranks([h], [3], True, trials=6)[0].rigid
 
 
 def test_four_cycle_through_the_pair_is_the_known_gap():
@@ -169,7 +169,7 @@ def test_four_cycle_through_the_pair_is_the_known_gap():
     assert not verdict.sparse
     assert verdict.witness.kind == "family"
     assert verdict.witness.covered > verdict.witness.value
-    rank = uv_generic_rank(bad, trials=10, seed=0)
+    rank = generic_ranks([bad], [0], True, trials=10)[0]
     assert not rank.independent
     assert rank.rank == 6 and rank.rows == 7
 
@@ -207,7 +207,7 @@ def _flip_independent(graphs, *args, **kwargs):
     # the hypotheses by construction), so it flips the numerical side.
     return [
         dataclasses.replace(rep, independent=rep.independent != _flipped(g))
-        for g, rep in zip(graphs, settled_ranks(graphs, *args, **kwargs))
+        for g, rep in zip(graphs, generic_ranks(graphs, *args, **kwargs))
     ]
 
 
@@ -232,7 +232,7 @@ FORCED = {
         18, 6, "b2b6b229f3c5a554",
     ),
     "operations": (
-        "settled_ranks", _flip_independent,
+        "generic_ranks", _flip_independent,
         lambda: operation_preservation_suite(samples=3, seed=9), 21, 4,
         "d1b4eae47644e43f",
     ),
@@ -249,13 +249,13 @@ def test_disagreements_are_decided_once(monkeypatch):
     batch: trial 0 of every instance, then the full trials of those off
     the cap.  Nothing reruns the disagreeing instances."""
     batches = []
-    batched = rigidity._generic_ranks
+    batched = experiments.generic_ranks
 
     def counted(graphs, *args, **kwargs):
         batches.append((len(graphs), kwargs.get("settle")))
         return batched(graphs, *args, **kwargs)
 
-    monkeypatch.setattr(rigidity, "_generic_ranks", counted)
+    monkeypatch.setattr(experiments, "generic_ranks", counted)
     passes = _planned_jobs(monkeypatch)
     monkeypatch.setattr(experiments, "is_rigid_comb", _flip_rigid)
     rep = rigidity_sweep(4, seed=9)

@@ -2,7 +2,7 @@
 insertion with brute-force counts, the family search against a plain subset
 scan, and the seed-stream kernels against numpy's own SeedSequence and
 default_rng.  Also pins that each kernel is reached through exactly one
-adapter."""
+adapter, and that no module imports another's private names."""
 from __future__ import annotations
 
 import ast
@@ -175,3 +175,18 @@ def test_each_kernel_has_one_adapter():
                     refs[node.attr].append((module, where))
     assert importers == {"sparsity", "enumeration", "experiments", "rigidity"}
     assert refs == {name: [adapter] for name, adapter in ADAPTERS.items()}
+
+
+def test_no_module_imports_another_modules_private_names():
+    # `from . import _kernels` names a module, not a name in one: the test
+    # above pins who imports it
+    src = Path(normrig.__file__).parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if node.level or node.module.startswith("normrig"):
+                private += [(path.stem, node.module, a.name)
+                            for a in node.names if a.name.startswith("_")]
+    assert private == []

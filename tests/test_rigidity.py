@@ -14,11 +14,9 @@ from normrig.rigidity import (
     DEFAULT_TOL,
     RigidityError,
     TolerancePolicy,
-    generic_rank,
     RankReport,
+    generic_ranks,
     resolve_seed,
-    settled_ranks,
-    uv_generic_rank,
 )
 
 
@@ -111,42 +109,42 @@ def test_numerical_rank_tolerance():
 
 
 def test_pinned_ranks(plane4, k23, two_k4, k4_minus_uv):
-    assert generic_rank(Graph.complete(3), plane4).rank == 3
-    assert generic_rank(Graph.complete(4), plane4).rank == 6
-    rep = generic_rank(Graph(k23.vertices, k23.edges), plane4)
+    assert generic_ranks([Graph.complete(3)], [None], False, plane4)[0].rank == 3
+    assert generic_ranks([Graph.complete(4)], [None], False, plane4)[0].rank == 6
+    rep = generic_ranks([Graph(k23.vertices, k23.edges)], [None], False, plane4)[0]
     assert rep.rank == 6 and not rep.rigid  # 6 < 2*5-2
-    assert uv_generic_rank(k23, plane4).rank == 5
-    rep5 = uv_generic_rank(two_k4, plane4)
+    assert generic_ranks([k23], [None], True, plane4)[0].rank == 5
+    rep5 = generic_ranks([two_k4], [None], True, plane4)[0]
     assert rep5.rank == 12 and rep5.rigid and rep5.independent
-    rep4 = uv_generic_rank(k4_minus_uv, plane4)
+    rep4 = generic_ranks([k4_minus_uv], [None], True, plane4)[0]
     assert rep4.rank == 5 and rep4.independent and not rep4.rigid
 
 
 def test_small_conventions(plane4):
     one = Graph.from_edges([0])
-    assert generic_rank(one, plane4).rigid
+    assert generic_ranks([one], [None], False, plane4)[0].rigid
     two = Graph.from_edges([0, 1], [(0, 1)])
-    rep = generic_rank(two, plane4)
+    rep = generic_ranks([two], [None], False, plane4)[0]
     assert rep.rank == 1 and not rep.rigid
 
 
 def test_pair_edge_removed_flag(plane4):
     g = Graph.complete(4, pair=(0, 1))
-    rep = uv_generic_rank(g, plane4)
+    rep = generic_ranks([g], [None], True, plane4)[0]
     assert rep.pair_edge_removed and rep.rows == 5 and not rep.independent
 
 
 def test_trial_determinism(two_k4, plane4):
     # a loose tolerance, so the per-trial ranks and notes move with the seed
     loose = TolerancePolicy(1e-2)
-    a = uv_generic_rank(two_k4, plane4, trials=10, seed=11, tol=loose)
-    assert uv_generic_rank(two_k4, plane4, trials=10, seed=11, tol=loose) == a
-    c = uv_generic_rank(two_k4, plane4, trials=10, seed=12, tol=loose)
+    a = generic_ranks([two_k4], [11], True, plane4, 10, loose)[0]
+    assert generic_ranks([two_k4], [11], True, plane4, 10, loose)[0] == a
+    c = generic_ranks([two_k4], [12], True, plane4, 10, loose)[0]
     assert c.per_trial_ranks != a.per_trial_ranks and c.notes != a.notes
 
 
 def test_rank_report_fields(two_k4, plane4):
-    rep = uv_generic_rank(two_k4, plane4, trials=4, seed=2)
+    rep = generic_ranks([two_k4], [2], True, plane4, 4)[0]
     assert rep.trials == 4 and len(rep.per_trial_ranks) == 4
     assert rep.norm_spec == "lp:4"
     assert rep.pair == (0, 1)
@@ -155,13 +153,13 @@ def test_rank_report_fields(two_k4, plane4):
 
 def test_requires_pair(plane4):
     with pytest.raises(Exception):
-        uv_generic_rank(Graph.complete(4), plane4)
+        generic_ranks([Graph.complete(4)], [None], True, plane4)
 
 
 def test_affine_span_guard(plane4):
     # path on 3 vertices cannot be rigid, rank 2 < 4
     g = Graph.from_edges(range(3), [(0, 1), (1, 2)])
-    rep = generic_rank(g, plane4)
+    rep = generic_ranks([g], [None], False, plane4)[0]
     assert not rep.rigid and rep.rank == 2
 
 
@@ -181,7 +179,7 @@ def test_zero_tolerance_allowed():
 
 
 def reference_report(graph, plane, trials, seed, tol, coincident):
-    """generic_rank / uv_generic_rank computed trial by trial, row by row."""
+    """The one-graph generic_ranks report computed trial by trial, row by row."""
     had_pair_edge = coincident and graph.has_edge(*graph.designated_pair)
     work = delete_edge(graph, *graph.designated_pair) if had_pair_edge else graph
     edges = work.sorted_edges()
@@ -236,10 +234,10 @@ def reference_report(graph, plane, trials, seed, tol, coincident):
 
 def _check_against_reference(graphs, plane, trials, seed, tol=DEFAULT_TOL):
     for g in graphs:
-        for coincident, fn in ((False, generic_rank), (True, uv_generic_rank)):
+        for coincident in (False, True):
             if coincident and g.designated_pair is None:
                 continue
-            got = fn(g, plane, trials=trials, seed=seed, tol=tol)
+            got = generic_ranks([g], [seed], coincident, plane, trials, tol)[0]
             assert got == reference_report(g, plane, trials, seed, tol, coincident), g
 
 
@@ -265,17 +263,17 @@ def test_batched_ranks_match_reference_edge_cases(k23, two_k4):
     loose = TolerancePolicy(rel=3e-2)
     single_edge = Graph.from_edges([0, 1], [(0, 1)])  # rank 1, yet near the cutoff
     _check_against_reference([k23, two_k4, single_edge], LpPlane(1.5), 6, seed=5, tol=loose)
-    assert generic_rank(k23, LpPlane(1.5), trials=6, seed=5, tol=loose).notes
+    assert generic_ranks([k23], [5], False, LpPlane(1.5), 6, loose)[0].notes
 
 
 def test_trials_are_independent_of_batching(monkeypatch, k23):
     plane, loose = LpPlane(1.5), TolerancePolicy(rel=3e-2)  # ranks vary, notes on every trial
-    full = uv_generic_rank(k23, plane, trials=25, seed=8, tol=loose)
+    full = generic_ranks([k23], [8], True, plane, 25, loose)[0]
     assert len(set(full.per_trial_ranks)) > 1 and len(full.notes) == 25
     monkeypatch.setattr(rigidity, "_BATCH_ENTRIES", 130)  # two trials of 6 x 10 a chunk
-    assert uv_generic_rank(k23, plane, trials=25, seed=8, tol=loose) == full
+    assert generic_ranks([k23], [8], True, plane, 25, loose)[0] == full
     for trials in (1, 6, 7):
-        prefix = uv_generic_rank(k23, plane, trials=trials, seed=8, tol=loose)
+        prefix = generic_ranks([k23], [8], True, plane, trials, loose)[0]
         assert prefix.per_trial_ranks == full.per_trial_ranks[:trials]
         assert prefix.notes == full.notes[:trials]
     _check_against_reference([k23], plane, 25, seed=8, tol=loose)
@@ -286,7 +284,7 @@ def test_batch_memory_is_bounded(plane4):
     # 200 trials in one unchunked stack would take 200*100*200*8 B = 32 MB
     tracemalloc.start()
     try:
-        rep = generic_rank(g, plane4, trials=200, seed=1)
+        rep = generic_ranks([g], [1], False, plane4, 200)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,7 +298,7 @@ def test_mixed_batch_memory_is_bounded(plane4, small_graphs):
     graphs = [g] + small_graphs[:200]
     tracemalloc.start()
     try:
-        reps = rigidity._generic_ranks(graphs, plane4, 1, range(len(graphs)), DEFAULT_TOL, False)
+        reps = generic_ranks(graphs, range(len(graphs)), False, plane4, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,10 +311,10 @@ def test_small_shapes_share_one_svd_call(monkeypatch, k23, two_k4, plane4):
     calls = []
     svd = rigidity._singular_values
     monkeypatch.setattr(rigidity, "_singular_values", lambda a: calls.append(a.shape) or svd(a))
-    reps = rigidity._generic_ranks(graphs, plane4, 2, [5] * len(graphs), DEFAULT_TOL, False)
+    reps = generic_ranks(graphs, [5] * len(graphs), False, plane4, 2)
     assert calls == [(10, 12, 14)]  # five shapes, two trials each, padded to two_k4's
     monkeypatch.undo()
-    assert reps == [generic_rank(g, plane4, trials=2, seed=5) for g in graphs]
+    assert reps == [generic_ranks([g], [5], False, plane4, 2)[0] for g in graphs]
 
 
 def test_mixed_chunk_is_built_once_and_decomposed_in_place(monkeypatch, k23, two_k4, plane4):
@@ -327,7 +325,7 @@ def test_mixed_chunk_is_built_once_and_decomposed_in_place(monkeypatch, k23, two
     stack, svd = rigidity._matrix_stack, rigidity._singular_values
     monkeypatch.setattr(rigidity, "_matrix_stack", lambda *a: built.append(stack(*a)) or built[-1])
     monkeypatch.setattr(rigidity, "_singular_values", lambda a: decomposed.append(a) or svd(a))
-    rigidity._generic_ranks(graphs, plane4, 2, [5] * len(graphs), DEFAULT_TOL, False)
+    generic_ranks(graphs, [5] * len(graphs), False, plane4, 2)
     assert len(built) == len(decomposed) == 1
     (mats, rows, cols), = built
     assert decomposed[0] is mats and mats.shape == (10, 12, 14)
@@ -359,18 +357,18 @@ def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_
     monkeypatch.setattr(rigidity, "_matrix_stack", lambda *a: built.append(stack(*a)) or built[-1])
     monkeypatch.setattr(rigidity, "_singular_values", lambda a: alone.append(a.shape) or svd(a))
     runs = []
-    for fn, coincident in ((generic_rank, False), (uv_generic_rank, True)):
+    for coincident in (False, True):
         batch = [g for g in graphs if not coincident or g.designated_pair is not None]
         seeds = [70 + i for i in range(len(batch))]
-        runs.append((fn, batch, seeds, rigidity._generic_ranks(batch, plane, 3, seeds, tol, coincident)))
+        runs.append((coincident, batch, seeds, generic_ranks(batch, seeds, coincident, plane, 3, tol)))
     monkeypatch.undo()
     # the big matrix (28 rows, 27 without the pair edge), one a chunk, unpadded
     assert alone.count((1, 28, 16)) == alone.count((1, 27, 16)) == 3
     assert any(len(set(cols.tolist())) > 1 for _, _, cols in built)  # mixed widths
     assert any(len(set(rows.tolist())) > 1 for _, rows, _ in built)  # mixed rows
-    for fn, batch, seeds, got in runs:
+    for coincident, batch, seeds, got in runs:
         for g, s, rep in zip(batch, seeds, got):
-            assert rep == fn(g, plane, trials=3, seed=s, tol=tol), g
+            assert rep == generic_ranks([g], [s], coincident, plane, 3, tol)[0], g
         if rel > 1e-9:
             assert any(rep.notes for rep in got)
 
@@ -387,39 +385,40 @@ def test_collinear_points_stay_below_rigidity(small_graphs):
                 base, d = rng.uniform(-1, 1, (2, 2))
                 pts = base + rng.uniform(-1, 1, (n, 1)) * d
                 assert rank_of(matrix_of(g, plane, pts)) <= n - 1 < 2 * n - 2
-    cases = [(generic_rank, g, 0) for g in small_graphs]
-    cases += [(uv_generic_rank, g, 1) for g in PAIR_CLASSES]
-    for fn, g, coincident in cases:
-        rep = fn(g, LpPlane(1.5), trials=1, seed=7)
+    cases = [(g, False) for g in small_graphs]
+    cases += [(g, True) for g in PAIR_CLASSES]
+    for g, coincident in cases:
+        rep = generic_ranks([g], [7], coincident, LpPlane(1.5), 1)[0]
         assert rep.affine_span_full == (g.n - coincident >= 3), g
         assert not rep.rigid or rep.affine_span_full or g.n <= 1, g
 
 
 # ---------------------------------------------------------------------------
-# settled_ranks: verdict-only queries stop after trial 0 at the rank cap
+# settle: verdict-only queries stop after trial 0 at the rank cap
 # ---------------------------------------------------------------------------
 
 VERDICT_FIELDS = ("rank", "independent", "rigid", "affine_span_full", "rows")
 
 
-def settled_one(fn, g, plane, trials, seed, tol=DEFAULT_TOL):
-    """settled_ranks on the one graph g, of the kind of fn."""
-    return settled_ranks([g], [seed], fn is uv_generic_rank, plane, trials, tol)[0]
+def at_rank_cap(rep):
+    """No further trial can change the report's rank, independent or rigid."""
+    return rep.rank == rigidity._rank_cap(rep.n_vertices, rep.rows)
 
 
 def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
-    cases = [(uv_generic_rank, g) for g in PAIR_CLASSES]
-    cases += [(generic_rank, g) for g in small_graphs]
+    cases = [(g, True) for g in PAIR_CLASSES]
+    cases += [(g, False) for g in small_graphs]
     settled = 0
-    for fn, g in cases:
-        full = fn(g, plane4, trials=10, seed=23)
-        got = settled_one(fn, g, plane4, 10, 23)
+    for g, coincident in cases:
+        full = generic_ranks([g], [23], coincident, plane4, 10)[0]
+        got = generic_ranks([g], [23], coincident, plane4, 10, settle=True)[0]
         assert [getattr(got, f) for f in VERDICT_FIELDS] == [
             getattr(full, f) for f in VERDICT_FIELDS
         ], g
         assert got.trials == len(got.per_trial_ranks) in (1, 10)
         assert got.per_trial_ranks == full.per_trial_ranks[: got.trials]
-        assert got == (fn(g, plane4, trials=1, seed=23) if got.trials == 1 else full)
+        want = full if got.trials > 1 else generic_ranks([g], [23], coincident, plane4, 1)[0]
+        assert got == want
         settled += got.trials == 1
     assert settled > len(cases) // 2
 
@@ -427,13 +426,13 @@ def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
 def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
     # n <= 2 plain, or three vertices with two of them coincident: never a
     # span; the graph on no vertex has rank cap 0, not 2 * 0 - 2
-    cases = [(generic_rank, g) for g in [Graph.from_edges([])] + small_graphs if g.n <= 2]
-    cases += [(uv_generic_rank, g) for g in enumerate_graphs(3, pair=True)
+    cases = [(g, False) for g in [Graph.from_edges([])] + small_graphs if g.n <= 2]
+    cases += [(g, True) for g in enumerate_graphs(3, pair=True)
               if not g.has_edge(*g.designated_pair)]
     assert len(cases) == 7
-    for fn, g in cases:
-        got = settled_one(fn, g, plane4, 10, 23)
-        full = fn(g, plane4, trials=10, seed=23)
+    for g, coincident in cases:
+        got = generic_ranks([g], [23], coincident, plane4, 10, settle=True)[0]
+        full = generic_ranks([g], [23], coincident, plane4, 10)[0]
         assert got.trials == 1 and not got.affine_span_full, g
         assert [getattr(got, f) for f in VERDICT_FIELDS] == [
             getattr(full, f) for f in VERDICT_FIELDS
@@ -443,15 +442,15 @@ def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
 def test_trial_zero_below_the_cap_runs_every_trial(k23):
     # a loose tolerance puts trial 0 one below the cap, which trial 1 reaches
     loose = TolerancePolicy(rel=3e-3)
-    full = generic_rank(k23, LpPlane(1.5), trials=10, seed=6, tol=loose)
-    assert full.per_trial_ranks[:2] == (5, 6) and full.at_rank_cap and full.independent
-    assert settled_one(generic_rank, k23, LpPlane(1.5), 10, 6, loose) == full
+    full = generic_ranks([k23], [6], False, LpPlane(1.5), 10, loose)[0]
+    assert full.per_trial_ranks[:2] == (5, 6) and at_rank_cap(full) and full.independent
+    assert generic_ranks([k23], [6], False, LpPlane(1.5), 10, loose, settle=True)[0] == full
 
 
 def test_rank_functions_run_every_trial_at_the_cap(two_k4, plane4):
-    for fn, g in ((generic_rank, Graph.complete(5)), (uv_generic_rank, two_k4)):
-        assert fn(g, plane4, trials=1, seed=4).at_rank_cap
-        full = fn(g, plane4, trials=10, seed=4)
+    for g, coincident in ((Graph.complete(5), False), (two_k4, True)):
+        assert at_rank_cap(generic_ranks([g], [4], coincident, plane4, 1)[0])
+        full = generic_ranks([g], [4], coincident, plane4, 10)[0]
         assert full.trials == len(full.per_trial_ranks) == 10
 
 
@@ -462,7 +461,7 @@ def test_settled_rank_rejects_no_trials(monkeypatch, two_k4):
     monkeypatch.setattr(np.random, "default_rng", no_work)
     for graphs, seeds in (([two_k4], [1]), ([], [])):
         with pytest.raises(RigidityError, match="need at least one trial"):
-            settled_ranks(graphs, seeds, True, trials=0)
+            generic_ranks(graphs, seeds, True, trials=0, settle=True)
 
 
 def _batch_cases():
@@ -479,14 +478,14 @@ def _batch_cases():
 def test_batched_reports_equal_one_graph_reports(desc, rel):
     # plain ranks of the plain graphs, coincident ranks of the pair classes
     plane, tol, batch = parse_norm(desc), TolerancePolicy(rel=rel), _batch_cases()
-    for fn, coincident in ((generic_rank, False), (uv_generic_rank, True)):
+    for coincident in (False, True):
         graphs = [g for g in batch if (g.designated_pair is not None) == coincident]
         seeds = [1000 + i for i in range(len(graphs))]
-        full = rigidity._generic_ranks(graphs, plane, 10, seeds, tol, coincident)
-        settled = settled_ranks(graphs, seeds, coincident, plane, 10, tol)
+        full = generic_ranks(graphs, seeds, coincident, plane, 10, tol)
+        settled = generic_ranks(graphs, seeds, coincident, plane, 10, tol, settle=True)
         for g, s, got_full, got in zip(graphs, seeds, full, settled):
-            assert got_full == fn(g, plane, trials=10, seed=s, tol=tol), g
-            assert got == settled_one(fn, g, plane, 10, s, tol), g
+            assert got_full == generic_ranks([g], [s], coincident, plane, 10, tol)[0], g
+            assert got == generic_ranks([g], [s], coincident, plane, 10, tol, settle=True)[0], g
         if rel > 1e-9:
             assert any(rep.notes for rep in settled) and any(rep.notes for rep in full)
 
@@ -496,22 +495,21 @@ def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
     # at lp:1.5 with rel 3e-3 many trial-0 ranks fall short of the cap, and
     # most of those carry notes, which a rerun must keep in front of its own
     plane, tol, trials = LpPlane(1.5), TolerancePolicy(rel=3e-3), 10
-    fn = uv_generic_rank if coincident else generic_rank
     graphs = [g for g in _batch_cases() if (g.designated_pair is not None) == coincident]
     seeds = [2000 + i for i in range(len(graphs))]
-    first = rigidity._generic_ranks(graphs, plane, 1, seeds, tol, coincident)
-    below = [not rep.at_rank_cap for rep in first]
+    first = generic_ranks(graphs, seeds, coincident, plane, 1, tol)
+    below = [not at_rank_cap(rep) for rep in first]
     assert 0 < sum(below) < len(graphs)
     assert any(rep.notes for rep, short in zip(first, below) if short)
     built, stack = [], rigidity._matrix_stack
     monkeypatch.setattr(rigidity, "_matrix_stack",
                         lambda plane, pts, preps: built.append(len(preps)) or stack(plane, pts, preps))
-    settled = settled_ranks(graphs, seeds, coincident, plane, trials, tol)
+    settled = generic_ranks(graphs, seeds, coincident, plane, trials, tol, settle=True)
     monkeypatch.undo()
     assert sum(built) == len(graphs) + (trials - 1) * sum(below)
     for g, s, got, short in zip(graphs, seeds, settled, below):
         if short:
-            assert got == fn(g, plane, trials=trials, seed=s, tol=tol), g
+            assert got == generic_ranks([g], [s], coincident, plane, trials, tol)[0], g
         else:
             assert got.trials == 1, g
 
@@ -522,7 +520,7 @@ def test_settled_batches_build_each_report_once(monkeypatch):
     graphs = [g for g in _batch_cases() if g.designated_pair is None]
     built, report = [], rigidity.RankReport
     monkeypatch.setattr(rigidity, "RankReport", lambda **kw: built.append(kw) or report(**kw))
-    reps = settled_ranks(graphs, range(len(graphs)), False, plane, 10, tol)
+    reps = generic_ranks(graphs, range(len(graphs)), False, plane, 10, tol, settle=True)
     assert len(built) == len(graphs) and any(rep.trials == 10 for rep in reps)
 
 
@@ -539,14 +537,14 @@ def test_batches_draw_through_the_port_and_one_graph_calls_through_numpy(monkeyp
     # ten-trial call through numpy's generator; both give the same reports.
     plane, seeds = LpPlane(4.0), [3000 + i for i in range(len(PAIR_CLASSES))]
     calls = _count_default_rng(monkeypatch)
-    batch = settled_ranks(PAIR_CLASSES, seeds, True, plane, 10)
+    batch = generic_ranks(PAIR_CLASSES, seeds, True, plane, 10, settle=True)
     assert calls == [] and sum(rep.trials > 1 for rep in batch) >= 3
-    one = uv_generic_rank(k23, plane, trials=10, seed=7)
+    one = generic_ranks([k23], [7], True, plane, 10)[0]
     assert len(calls) == 10
     monkeypatch.undo()
     for g, s, got in zip(PAIR_CLASSES, seeds, batch):
-        assert got == settled_one(uv_generic_rank, g, plane, 10, s), g
-    assert one == rigidity._generic_ranks([k23] * 30, plane, 10, [7] * 30, DEFAULT_TOL, True)[0]
+        assert got == generic_ranks([g], [s], True, plane, 10, settle=True)[0], g
+    assert one == generic_ranks([k23] * 30, [7] * 30, True, plane, 10)[0]
 
 
 def _drawn_placements(monkeypatch):
@@ -578,11 +576,11 @@ def test_multi_word_seeds(monkeypatch, seeds, k23, two_k4):
     # the port groups a chunk's streams by word count itself
     plane, graphs = LpPlane(4.0), [k23, two_k4] * 20
     calls, drawn = _count_default_rng(monkeypatch), _drawn_placements(monkeypatch)
-    got = rigidity._generic_ranks(graphs, plane, 2, seeds, DEFAULT_TOL, True)
+    got = generic_ranks(graphs, seeds, True, plane, 2)
     assert calls == []
     monkeypatch.undo()
     assert sorted(drawn) == sorted(_numpy_placements(graphs, seeds, 2))
-    assert got == [uv_generic_rank(g, plane, trials=2, seed=s) for g, s in zip(graphs, seeds)]
+    assert got == [generic_ranks([g], [s], True, plane, 2)[0] for g, s in zip(graphs, seeds)]
 
 
 def test_edgeless_chunks_stay_within_the_budget(monkeypatch, plane4):
@@ -592,6 +590,6 @@ def test_edgeless_chunks_stay_within_the_budget(monkeypatch, plane4):
     streams = rigidity._kernels.uniform_streams
     monkeypatch.setattr(rigidity._kernels, "uniform_streams",
                         lambda e, counts, *r: sizes.append(sum(counts)) or streams(e, counts, *r))
-    reps = rigidity._generic_ranks(graphs, plane4, 10, range(600), DEFAULT_TOL, False)
+    reps = generic_ranks(graphs, range(600), False, plane4, 10)
     assert sum(sizes) == 600 * 10 * 16 and max(sizes) <= rigidity._BATCH_ENTRIES
     assert all(rep.rank == 0 and rep.per_trial_ranks == (0,) * 10 for rep in reps)

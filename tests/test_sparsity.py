@@ -18,7 +18,7 @@ import pytest
 from normrig.enumeration import edge_slots, enumerate_graphs, random_graph
 from normrig.globalrig import random_certified_graph
 from normrig.graph import Graph, contract_pair, delete_edge, parse_graph, zero_extension
-from normrig.rigidity import uv_generic_rank
+from normrig.rigidity import generic_ranks
 from normrig.sparsity import (
     BRUTEFORCE_MAX_N,
     CoverBound,
@@ -327,7 +327,7 @@ def pair_classes_6():
 
 def test_uv_rank_comb_equals_numerical_uv_rank(pair_classes_6):
     bad = [sorted(g.edges) for g in pair_classes_6
-           if uv_rank_comb(g) != uv_generic_rank(g, seed=1729).rank]
+           if uv_rank_comb(g) != generic_ranks([g], [1729], True)[0].rank]
     assert bad == []
 
 
