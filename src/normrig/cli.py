@@ -16,8 +16,6 @@ import sys
 import time
 from dataclasses import fields, is_dataclass
 
-import numpy as np
-
 from . import __version__
 from .experiments import SWEEPS, format_report
 from .globalrig import (
@@ -99,10 +97,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
     return x
 
 

@@ -18,14 +18,14 @@ exactly when it lies in a circuit, and sparsity.circuit_parts reads the
 coloops (edges in no circuit) off the game.  So G' - uv is rigid when
 G' is rigid and uv is not a coloop, and G' is redundantly rigid when it
 is rigid and has no coloop.  An edge or vertex addition offers the game
-only its new edges.  A split drops z and offers the rejected edges
-whose reach set held z, then z's replacement edges, and uv last; every
-other rejected edge keeps its fundamental circuit, which avoids z.  The
-edges accepted before uv are then a basis of G' - uv.
-Global rigidity itself is not decided here — only the side conditions
-of each step are checked, by one routine that both certify_sequence
-and random_certified_graph run on every step, so a generated
-sequence's report is that routine's.
+only its new edges.  A split drops z and the edges to its own partition
+of N(z), offers the rejected edges whose reach set held z, then z's
+replacement edges, and uv last; every other rejected edge keeps its
+fundamental circuit, which avoids z.  The edges accepted before uv are
+then a basis of G' - uv.  Global rigidity itself is not decided here:
+one routine, run by certify_sequence and random_certified_graph alike,
+checks the side conditions of every step, so a generated sequence's
+report is that routine's; certify_sequence alone adds the numeric check.
 
 Sequence files are line oriented::
 
@@ -39,7 +39,8 @@ Sequence files are line oriented::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import get_args
 
 import numpy as np
@@ -153,14 +154,13 @@ class CertificateReport:
 
 
 def _check_step(
-    g: Graph, index: int, step: ConstructionStep, game: PebbleState, numeric: bool = False,
-    plane: LpPlane | None = None, trials: int = 10, seed: int | None = None,
+    g: Graph, index: int, step: ConstructionStep, game: PebbleState
 ) -> tuple[Graph, StepVerdict]:
     """The graph after one step (g if it fails to apply) and its verdict.
 
-    game, the pebble game on g, is carried onto the new graph in place;
-    a step that fails to apply leaves it as it was.  Both regimes of a
-    split come from the coloops of its result G'.
+    game, the pebble game on g, is carried onto the new graph in place, or
+    left as it was if the step fails to apply.  A split drops the edges to
+    its partition n_u + n_v of N(z); both regimes read the coloops of G'.
     """
     try:
         if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
@@ -168,14 +168,14 @@ def _check_step(
         nxt = apply_step(g, step)
     except GraphError as exc:
         return g, StepVerdict(index, step, False, str(exc), None, None)
-    minus_ok = red_ok = num_ok = None
+    minus_ok = red_ok = None
     if isinstance(step, AddEdge):
         game.offer([norm_edge(step.a, step.b)])
     elif isinstance(step, AddVertexWithNeighbors):
         game.offer([norm_edge(step.z, y) for y in step.neighbors], (step.z,))
     else:
         u, v = step.u, step.v
-        again = game.drop_vertex(step.z, g.neighbors(step.z))
+        again = game.drop_vertex(step.z, (*step.n_u, *step.n_v))
         new = [norm_edge(u, y) for y in sorted({*step.n_u, step.w})]
         new += [norm_edge(v, y) for y in sorted(set(step.n_v))]
         uv = norm_edge(u, v)
@@ -186,9 +186,7 @@ def _check_step(
         game.offer(again + new + [uv], (u, v))
         minus_ok = game.rank - (uv in game.accepted) == 2 * nxt.n - 2
         red_ok = minus_ok and not circuit_parts(game)[1]
-        if numeric:
-            num_ok = generic_ranks([nxt], [seed], True, plane, trials, settle=True)[0].rigid
-    return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok, num_ok)
+    return nxt, StepVerdict(index, step, True, None, nxt.n, nxt.m, minus_ok, red_ok)
 
 
 def _report(seq: ConstructionSequence, verdicts: list[StepVerdict], g: Graph) -> CertificateReport:
@@ -213,16 +211,19 @@ def certify_sequence(
     """Replay a sequence from its base and check every hypothesis.
 
     Vertex additions need at least three distinct existing neighbors;
-    splits get both regime verdicts (and, with numeric=True, a
-    randomized uv-rigidity cross-check, by rigidity.generic_ranks on the
-    one graph, settled: it stops after trial 0 when it reaches the rank cap).
+    splits get both regime verdicts from _check_step and, with numeric=True,
+    a randomized uv-rigidity cross-check here, by rigidity.generic_ranks on
+    G', settled: it stops after trial 0 when it reaches the rank cap.
     A step that fails to apply aborts the replay and fails both regimes.
     """
     g = base_graph(seq.base)
     game = PebbleState(g)
     verdicts: list[StepVerdict] = []
     for i, step in enumerate(seq.steps):
-        g, verdict = _check_step(g, i, step, game, numeric, plane, trials, seed)
+        g, verdict = _check_step(g, i, step, game)
+        if numeric and verdict.applied and isinstance(step, GeneralizedVertexSplit):
+            rigid = generic_ranks([g], [seed], True, plane, trials, settle=True)[0].rigid
+            verdict = replace(verdict, numeric_uv_rigid=rigid)
         verdicts.append(verdict)
         if not verdict.applied:
             break
@@ -347,8 +348,9 @@ def random_certified_graph(
         n_absent = g.n * (g.n - 1) // 2 - g.m
         if n_absent and rng.random() < edge_prob:
             k = int(rng.integers(n_absent))  # the k-th absent pair, row-major
+            upper = Counter(a for a, _ in g.edges)  # each row's edges to later vertices
             for i, a in enumerate(g.vertices):  # skip rows by their absent counts
-                row = g.n - 1 - i - sum(1 for x in g.neighbors(a) if x > a)
+                row = g.n - 1 - i - upper[a]
                 if k < row:
                     break
                 k -= row

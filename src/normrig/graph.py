@@ -13,9 +13,7 @@ in sorted order, so emitted files are canonical and byte-stable.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 
@@ -41,7 +39,7 @@ def norm_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    vertices: tuple[int, ...]  # sorted; has_vertex bisects it
+    vertices: tuple[int, ...]  # sorted; canonical labels and random draws follow it
     edges: frozenset[tuple[int, int]]
     designated_pair: tuple[int, int] | None = None
 
@@ -86,19 +84,10 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _adj(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
-
     def neighbors(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise GraphError(f"vertex {v} not in graph") from None
+        if not self.has_vertex(v):
+            raise GraphError(f"vertex {v} not in graph")
+        return tuple(sorted(b if a == v else a for a, b in self.edges if v == a or v == b))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -107,11 +96,7 @@ class Graph:
         return norm_edge(a, b) in self.edges
 
     def has_vertex(self, v: int) -> bool:
-        try:
-            i = bisect_left(self.vertices, v)
-        except TypeError:  # v (None, say) does not compare with the labels
-            return False
-        return i < len(self.vertices) and self.vertices[i] == v
+        return v in self.vertices
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -127,10 +112,14 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for y in self.neighbors(stack.pop()):
+            for y in adj[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -182,9 +171,10 @@ def add_vertex(g: Graph, z: int, neighbors: Iterable[int] = ()) -> Graph:
     for y in nbrs:
         if not g.has_vertex(y):
             raise GraphError(f"neighbor {y} not in graph")
-    return Graph.from_edges(
-        list(g.vertices) + [z],
-        list(g.edges) + [(z, y) for y in nbrs],
+    # z is fresh and its neighbours distinct and present, so no from_edges checks
+    return Graph(
+        tuple(sorted((*g.vertices, z))),
+        g.edges | {norm_edge(z, y) for y in nbrs},
         g.designated_pair,
     )
 

@@ -275,6 +275,13 @@ def test_certify_global_without_numeric_ignores_tol(files, capsys):
     assert rc == 0 and "pass-redundant-regime: yes" in out
 
 
+def test_bad_graph_file_exit_1(capsys, tmp_path):
+    path = tmp_path / "loop.graph"
+    path.write_text("# a loop\n3 2\n0 1\n1 1\n")
+    rc, out, err = run(capsys, "rank", str(path))
+    assert (rc, out, err) == (1, "", "error: line 4: loop at vertex 1\n")
+
+
 def test_parallel_edge_exit_1(files, capsys):
     rc, _, err = run(capsys, "check-uv-sparse", files["dup.graph"])
     assert rc == 1

@@ -75,6 +75,16 @@ def test_enumeration_size_cap():
         enumerate_graphs(8)
 
 
+@pytest.mark.parametrize("n,pair,message", [
+    (0, False, "enumeration needs at least one vertex"),
+    (1, True, "designated pair needs two vertices"),
+])
+def test_enumeration_too_small(n, pair, message):
+    with pytest.raises(GraphError) as e:
+        enumerate_graphs(n, pair=pair)
+    assert str(e.value) == message
+
+
 def loop_canonize(masks, bitmaps):
     """Reference canonizer: one int64 matvec per permutation, with a
     running elementwise minimum."""

@@ -8,6 +8,7 @@ sequences must certify under both and end at 7 vertices, 13 edges.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -37,6 +38,7 @@ from normrig.graph import (
     AddVertexWithNeighbors,
     GeneralizedVertexSplit,
     Graph,
+    GraphError,
     apply_step,
     delete_edge,
 )
@@ -423,6 +425,18 @@ def test_split_without_regimes_fails_cleanly():
     assert report.pass_redundant_regime is False
 
 
+@pytest.mark.parametrize("op,args,error,message", [
+    (ConstructionSequence, ("H_GRAPH", (AddEdge(0, 4), "frob")), SequenceError,
+     "step 1: str not allowed in sequences"),
+    (format_step, ("frob",), SequenceError, "unsupported step 'frob'"),
+    (random_certified_graph, (4, 0), GraphError, "target size 4 below base size 5"),
+])
+def test_bad_input_messages(op, args, error, message):
+    with pytest.raises(error) as e:
+        op(*args)
+    assert str(e.value) == message
+
+
 def test_sequence_round_trip():
     for text in (SEQ_SPLIT, SEQ_ONE_EXT):
         seq = parse_sequence(text)
@@ -584,6 +598,38 @@ def test_dropped_split_leaves_carried_game_unchanged(monkeypatch):
     for seed in (33, 53, 76, 90, 91):
         random_certified_graph(40, seed, split_prob=1.0, edge_prob=0.0)
     assert len(dropped) == 5
+
+
+def carried_game(seq: ConstructionSequence) -> tuple[Graph, sparsity.PebbleState]:
+    """The graph and the carried pebble game after _check_step has run
+    every step of seq."""
+    g = base_graph(seq.base)
+    game = sparsity.PebbleState(g)
+    for i, step in enumerate(seq.steps):
+        g, _ = globalrig._check_step(g, i, step, game)
+    return g, game
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_repair_ignores_partition_order(seed):
+    # A split drops z's edges as its own n_u and n_v list them.  Listed in
+    # reverse, they must certify to the same report and leave the same
+    # carried game as the sorted lists, on kept splits that re-offer
+    # rejected edges and on unchecked splits that pass or fail.
+    for seq in (random_certified_graph(30, seed)[1],
+                random_unchecked_sequence("H_GRAPH", 20, seed)):
+        flipped = ConstructionSequence(seq.base, tuple(
+            dataclasses.replace(s, n_u=s.n_u[::-1], n_v=s.n_v[::-1])
+            if isinstance(s, GeneralizedVertexSplit) else s
+            for s in seq.steps
+        ))
+        assert flipped != seq
+        report = certify_sequence(flipped)
+        steps = tuple(dataclasses.replace(v, step=s) for v, s in zip(report.steps, seq.steps))
+        assert dataclasses.replace(report, sequence=seq, steps=steps) == certify_sequence(seq)
+        (g, game), (g2, game2) = carried_game(seq), carried_game(flipped)
+        assert g2 == g and same_game(game2, g2)
+        assert game_snapshot(game2) == game_snapshot(game)
 
 
 def test_generator_applies_each_step_once(monkeypatch):

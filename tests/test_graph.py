@@ -226,6 +226,48 @@ def test_parse_errors_carry_line_numbers():
     assert "line 2" in str(e.value)
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("2\n", 1, "header must be 'n m' or 'n m u v'"),
+    ("# n m\n2 x\n", 2, "non-integer token in '2 x'"),
+    ("-1 0\n", 1, "negative count in header"),
+    ("2 1\n0 1 1\n", 2, "edge line must be 'a b', got '0 1 1'"),
+    ("3 2\n0 1\n\n1 1\n", 4, "loop at vertex 1"),
+])
+def test_parse_format_errors(text, line, message):
+    with pytest.raises(GraphFormatError) as e:
+        parse_graph(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+
+
+K4 = Graph.complete(4)
+
+
+@pytest.mark.parametrize("op,args,message", [
+    (Graph.neighbors, (K4, 9), "vertex 9 not in graph"),
+    (Graph.neighbors, (K4, None), "vertex None not in graph"),
+    (Graph.relabel, (K4, {0: 0, 1: 0, 2: 1, 3: 2}), "relabelling is not injective"),
+    (add_edge, (K4, 0, 9), "edge 0-9 uses unknown vertex"),
+    (add_edge, (K4, 1, 0), "edge 1-0 already present"),
+    (add_vertex, (K4, 4, (0, 0)), "repeated neighbor in vertex addition"),
+    (add_vertex, (K4, 4, (0, 9)), "neighbor 9 not in graph"),
+    (delete_vertex, (K4, 9), "vertex 9 not in graph"),
+    (vertex_to_four_cycle, (K4, 0, 3, 1, 2), "vertex 3 already present"),
+    (vertex_to_h, (K4, 9, K4, {}), "vertex 9 not in graph"),
+    (vertex_to_h, (K4, 0, K4, {1: 0, 2: 0, 3: 9}),
+     "attachment target 9 not in replacement graph"),
+    (generalized_vertex_split, (K4, 9, (), (), 0, 4, 5), "vertex 9 not in graph"),
+    (generalized_vertex_split, (K4, 0, (1,), (2, 3), 2, 1, 5), "vertex 1 already present"),
+    (generalized_vertex_split, (K4, 0, (1,), (2, 3), 9, 4, 5),
+     "w must be an existing vertex distinct from z, u, v"),
+    (apply_step, (K4, "frob"), "unknown construction step 'frob'"),
+])
+def test_preconditions_raise(op, args, message):
+    with pytest.raises(GraphError) as e:
+        op(*args)
+    assert str(e.value) == message
+
+
 def test_comments_and_blanks_ignored():
     g = parse_graph("# header\n\n3 1 0 1 # pair\n0 2\n")
     assert g.m == 1 and g.designated_pair == (0, 1)

@@ -75,6 +75,19 @@ def test_check_family_rejects_bad_input():
         check_family([{0, 1}], 0, 1)  # no third vertex
 
 
+@pytest.mark.parametrize("op,args,message", [
+    (val_set, ([], 0, 1), "val is undefined for the empty set"),
+    (val_set, ([0, 1], 0, 0), "u and v must be distinct"),
+    (is_rigid_comb, (Graph.from_edges([], []),), "rigidity needs at least one vertex"),
+    (pebble_game, (Graph.complete(3), 0, 0), "unsupported pebble parameters (0, 0)"),
+    (pebble_game, (Graph.complete(3), 1, 2), "unsupported pebble parameters (1, 2)"),
+])
+def test_bad_input_messages(op, args, message):
+    with pytest.raises(SparsityError) as e:
+        op(*args)
+    assert str(e.value) == message
+
+
 def test_covered_edge_count(k23):
     fam = [{0, 1, 2}, {0, 1, 3}, {0, 1, 4}]
     assert covered_edge_count(k23, fam) == 6
