@@ -160,7 +160,7 @@ def _check_step(
 
     game, the pebble game on g, is carried onto the new graph in place, or
     left as it was if the step fails to apply.  A split drops the edges to
-    its partition n_u + n_v of N(z); both regimes read the coloops of G'.
+    the set of its n_u and n_v; both regimes read the coloops of G'.
     """
     try:
         if isinstance(step, AddVertexWithNeighbors) and len(set(step.neighbors)) < 3:
@@ -175,7 +175,7 @@ def _check_step(
         game.offer([norm_edge(step.z, y) for y in step.neighbors], (step.z,))
     else:
         u, v = step.u, step.v
-        again = game.drop_vertex(step.z, (*step.n_u, *step.n_v))
+        again = game.drop_vertex(step.z, {*step.n_u, *step.n_v})
         new = [norm_edge(u, y) for y in sorted({*step.n_u, step.w})]
         new += [norm_edge(v, y) for y in sorted(set(step.n_v))]
         uv = norm_edge(u, v)

@@ -426,6 +426,18 @@ def test_sequence_tab_after_keyword(capsys, tmp_path):
     assert outputs[1] == outputs[0]
 
 
+def test_sequence_split_repeated_neighbor(capsys, tmp_path):
+    # A split may list a vertex of n_u twice; it certifies as if listed once.
+    outputs = []
+    for n_u in ("1 1 2", "1 2"):
+        path = tmp_path / "s.seq"
+        path.write_text(f"base K5_MINUS_E\nsplit 0 | {n_u} | 3 4 | 3 -> 5 6\n")
+        outputs.append(run(capsys, "certify-global", str(path)))
+    rc, out, err = outputs[0]
+    assert rc == 0 and "split 0 | 1 1 2 |" in out
+    assert (rc, out.replace("1 1 2", "1 2"), err) == outputs[1]
+
+
 def test_op_precondition_exit_1(files, capsys):
     rc, _, err = run(capsys, "op", "apply", files["k4.graph"], "zeroext 0 0 4")
     assert rc == 1 and "error:" in err

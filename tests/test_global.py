@@ -613,23 +613,25 @@ def carried_game(seq: ConstructionSequence) -> tuple[Graph, sparsity.PebbleState
 @pytest.mark.parametrize("seed", range(3))
 def test_split_repair_ignores_partition_order(seed):
     # A split drops z's edges as its own n_u and n_v list them.  Listed in
-    # reverse, they must certify to the same report and leave the same
-    # carried game as the sorted lists, on kept splits that re-offer
-    # rejected edges and on unchecked splits that pass or fail.
+    # reverse, or with their first vertex repeated, they must certify to the
+    # same report and leave the same carried game as the sorted lists, on
+    # kept splits that re-offer rejected edges and on unchecked splits that
+    # pass or fail.
     for seq in (random_certified_graph(30, seed)[1],
                 random_unchecked_sequence("H_GRAPH", 20, seed)):
-        flipped = ConstructionSequence(seq.base, tuple(
-            dataclasses.replace(s, n_u=s.n_u[::-1], n_v=s.n_v[::-1])
-            if isinstance(s, GeneralizedVertexSplit) else s
-            for s in seq.steps
-        ))
-        assert flipped != seq
-        report = certify_sequence(flipped)
-        steps = tuple(dataclasses.replace(v, step=s) for v, s in zip(report.steps, seq.steps))
-        assert dataclasses.replace(report, sequence=seq, steps=steps) == certify_sequence(seq)
-        (g, game), (g2, game2) = carried_game(seq), carried_game(flipped)
-        assert g2 == g and same_game(game2, g2)
-        assert game_snapshot(game2) == game_snapshot(game)
+        for edit in (lambda part: part[::-1], lambda part: part + part[:1]):
+            edited = ConstructionSequence(seq.base, tuple(
+                dataclasses.replace(s, n_u=edit(s.n_u), n_v=edit(s.n_v))
+                if isinstance(s, GeneralizedVertexSplit) else s
+                for s in seq.steps
+            ))
+            assert edited != seq
+            report = certify_sequence(edited)
+            steps = tuple(dataclasses.replace(v, step=s) for v, s in zip(report.steps, seq.steps))
+            assert dataclasses.replace(report, sequence=seq, steps=steps) == certify_sequence(seq)
+            (g, game), (g2, game2) = carried_game(seq), carried_game(edited)
+            assert g2 == g and same_game(game2, g2)
+            assert game_snapshot(game2) == game_snapshot(game)
 
 
 def test_generator_applies_each_step_once(monkeypatch):
