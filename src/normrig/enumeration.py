@@ -111,6 +111,7 @@ def random_graph(rng: np.random.Generator, n: int, pair: bool = False) -> Graph:
     else:
         m = int(rng.integers(0, cap + 1))
     chosen = rng.choice(cap, size=m, replace=False) if m else []
-    return Graph.from_edges(
-        range(n), [slots[i] for i in chosen], (0, 1) if pair else None
-    )
+    # the draw picks distinct slots, and slots are normalised edges, so no
+    # from_edges checks
+    g = Graph(tuple(range(n)), frozenset(slots[i] for i in chosen))
+    return g.with_pair(0, 1) if pair else g

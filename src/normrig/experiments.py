@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -223,10 +224,11 @@ OP_VARIANTS = (
 )
 
 
+@cache
 def min_uv_tight_h() -> Graph:
     """Smallest graph that is uv-tight (and uv-rigid): K4 plus a degree-2
     pair partner.  No 4-vertex graph fits 2|V|-2 edges without the pair
-    edge, so five vertices is minimal."""
+    edge, so five vertices is minimal.  Built once: graphs are immutable."""
     return Graph.from_edges(
         range(5),
         [(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4), (1, 2), (1, 3)],
@@ -234,9 +236,12 @@ def min_uv_tight_h() -> Graph:
     )
 
 
+_K4 = Graph.complete(4)  # the replacement graph of uv-vertex-to-h
+
+
 def _independent_subgraph(g: Graph) -> Graph:
-    res = pebble_game(g)
-    return Graph.from_edges(g.vertices, res.accepted, g.designated_pair)
+    # the accepted edges are some of g's own, so no from_edges checks
+    return Graph(g.vertices, frozenset(pebble_game(g).accepted), g.designated_pair)
 
 
 def _sparse_host(rng: np.random.Generator, n_lo: int = 4, n_hi: int = 7) -> Graph:
@@ -339,10 +344,9 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
     if variant == "uv-vertex-to-h":
         g = _uv_sparse_host(rng)
         u, v = g.designated_pair
-        h = Graph.complete(4)
         w = int(rng.choice([x for x in g.vertices if x not in (u, v)]))
         attach = {y: int(rng.integers(4)) for y in g.neighbors(w)}
-        return vertex_to_h(g, w, h, attach)
+        return vertex_to_h(g, w, _K4, attach)
     raise ValueError(f"unknown operation variant {variant!r}")
 
 

@@ -5,6 +5,10 @@ Graphs are immutable: every operation returns a new ``Graph``.  Loops
 and parallel edges are rejected everywhere.  The designated pair (u, v)
 marks the two vertices that coincident placements send to the same
 point; operations track or create it as documented per function.
+``Graph.from_edges`` validates edge lists that come from outside, while
+internal producers whose edges are valid by construction build ``Graph``
+directly, each with a one-line reason, after checking their own
+preconditions.
 
 A one-line text format is provided for files and stdout, and a JSON
 record for --json output.  Emission always relabels vertices to 0..n-1
@@ -60,14 +64,8 @@ class Graph:
             if e[0] not in vset or e[1] not in vset:
                 raise GraphError(f"edge {e[0]}-{e[1]} uses unknown vertex")
             normed.add(e)
-        if pair is not None:
-            u, v = pair
-            if u == v:
-                raise GraphError("designated pair must be two distinct vertices")
-            if u not in vset or v not in vset:
-                raise GraphError(f"designated pair ({u}, {v}) not in vertex set")
-            pair = (u, v)
-        return Graph(tuple(sorted(vset)), frozenset(normed), pair)
+        g = Graph(tuple(sorted(vset)), frozenset(normed))
+        return g if pair is None else g.with_pair(*pair)
 
     @staticmethod
     def complete(n: int, pair: tuple[int, int] | None = None) -> "Graph":
@@ -90,7 +88,9 @@ class Graph:
         return tuple(sorted(b if a == v else a for a, b in self.edges if v == a or v == b))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        if not self.has_vertex(v):
+            raise GraphError(f"vertex {v} not in graph")
+        return sum(v in e for e in self.edges)
 
     def has_edge(self, a: int, b: int) -> bool:
         return norm_edge(a, b) in self.edges
@@ -102,7 +102,12 @@ class Graph:
         return sorted(self.edges)
 
     def with_pair(self, u: int, v: int) -> "Graph":
-        return Graph.from_edges(self.vertices, self.edges, (u, v))
+        if u == v:
+            raise GraphError("designated pair must be two distinct vertices")
+        if not (self.has_vertex(u) and self.has_vertex(v)):
+            raise GraphError(f"designated pair ({u}, {v}) not in vertex set")
+        # the edges are g's own, so no from_edges checks
+        return Graph(self.vertices, self.edges, (u, v))
 
     def require_pair(self) -> tuple[int, int]:
         if self.designated_pair is None:
@@ -127,12 +132,14 @@ class Graph:
 
     def relabel(self, mapping: Mapping[int, int]) -> "Graph":
         """Apply an injective vertex relabelling."""
-        if len(set(mapping[v] for v in self.vertices)) != self.n:
+        verts = [mapping[v] for v in self.vertices]
+        if len(set(verts)) != self.n:
             raise GraphError("relabelling is not injective")
         pair = self.designated_pair
-        return Graph.from_edges(
-            (mapping[v] for v in self.vertices),
-            ((mapping[a], mapping[b]) for a, b in self.edges),
+        # an injective map keeps edges distinct and loop-free, so no from_edges checks
+        return Graph(
+            tuple(sorted(verts)),
+            frozenset(norm_edge(mapping[a], mapping[b]) for a, b in self.edges),
             (mapping[pair[0]], mapping[pair[1]]) if pair else None,
         )
 
@@ -231,12 +238,12 @@ def vertex_to_four_cycle(
         raise GraphError("reassignment must cover exactly the remaining neighbors of w")
     if any(t not in (w, w_new) for t in reassign.values()):
         raise GraphError("reassignment targets must be w or the new vertex")
-    edges = [e for e in g.edges if w not in e]
-    edges += [(w, x1), (w, x2), (w_new, x1), (w_new, x2)]
-    edges += [(reassign[y], y) for y in rest]
-    return Graph.from_edges(
-        list(g.vertices) + [w_new], edges, g.designated_pair
-    )
+    # w_new is fresh and every other end a distinct old neighbour of w, so no
+    # from_edges checks
+    edges = {e for e in g.edges if w not in e}
+    edges.update(norm_edge(t, x) for t in (w, w_new) for x in (x1, x2))
+    edges.update(norm_edge(reassign[y], y) for y in rest)
+    return Graph(tuple(sorted((*g.vertices, w_new))), frozenset(edges), g.designated_pair)
 
 
 def vertex_to_h(
@@ -268,11 +275,13 @@ def vertex_to_h(
     h2 = h.relabel(fresh)
     if pair is None and h2.designated_pair is not None:
         pair = h2.designated_pair
-    edges = [e for e in g.edges if w not in e]
-    edges += list(h2.edges)
-    edges += [(y, fresh[attach[y]]) for y in attach]
-    verts = [v for v in g.vertices if v != w] + list(h2.vertices)
-    return Graph.from_edges(verts, edges, pair)
+    # h2's ids lie above every old vertex, and each old neighbour y of w gets
+    # one edge (y, id), already normalised, so no from_edges checks
+    edges = {e for e in g.edges if w not in e}
+    edges.update(h2.edges)
+    edges.update((y, fresh[attach[y]]) for y in attach)
+    verts = tuple(v for v in g.vertices if v != w) + h2.vertices
+    return Graph(verts, frozenset(edges), pair)
 
 
 def generalized_vertex_split(

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -114,15 +114,17 @@ def _matrix_stack(plane: LpPlane, pts: np.ndarray, preps):
     indices, and a zero-length edge is named by its own graph's labels.
     """
     works, _, edges, ends, at = zip(*preps)
-    ns = np.array([work.n for work in works], dtype=np.intp)
-    ms = np.array([len(e) for e in edges], dtype=np.intp)
-    B, M, N = len(preps), ms.max(initial=0), ns.max(initial=0)
+    B = len(preps)
+    ns = np.fromiter((work.n for work in works), np.intp, B)
+    ms = np.fromiter(map(len, edges), np.intp, B)
+    M, N, total = ms.max(initial=0), ns.max(initial=0), int(ms.sum())
     mat = np.zeros((B, M, N, 2))
-    if ms.any():
+    if total:
         job = np.repeat(np.arange(B), ms)
-        row = np.arange(len(job)) - np.repeat(np.cumsum(ms) - ms, ms)
-        ends = np.concatenate(ends)
-        at = np.concatenate(at) + np.repeat(np.cumsum(ns) - ns, ms)[:, None]
+        row = np.arange(total) - np.repeat(np.cumsum(ms) - ms, ms)
+        ends = np.fromiter(chain.from_iterable(ends), np.intp, 2 * total).reshape(-1, 2)
+        at = np.fromiter(chain.from_iterable(at), np.intp, 2 * total).reshape(-1, 2)
+        at += np.repeat(np.cumsum(ns) - ns, ms)[:, None]
         diffs = pts[at[:, 0]] - pts[at[:, 1]]
         zero = ~diffs.any(axis=1)  # zero length iff zero vector
         if zero.any():
@@ -197,19 +199,20 @@ class RankReport:
 def _prepared(g: Graph, coincident: bool):
     """What a placement of g needs: the graph whose matrix is built (g less
     the pair edge, for a coincident rank), whether that edge was removed,
-    its sorted edges, the (m, 2) vertex positions of their two ends, and
-    the positions of the points those ends sit at under the placement map,
-    which sends v to u's point."""
+    its sorted edges, the vertex positions of their ends, and the positions
+    of the points those ends sit at under the placement map, which sends v
+    to u's point.  Both position lists are flat Python lists, two entries
+    per edge; _matrix_stack makes one array of each per chunk."""
     had_pair_edge = coincident and g.has_edge(*g.require_pair())
     work = delete_edge(g, *g.designated_pair) if had_pair_edge else g
     index = {v: i for i, v in enumerate(work.vertices)}
-    at = np.arange(work.n)  # placement map: v sits at u's point
-    if coincident:
-        u, v = (index[x] for x in work.designated_pair)
-        at[v] = u
     edges = tuple(work.sorted_edges())
-    ends = np.array([(index[a], index[b]) for a, b in edges], dtype=np.intp).reshape(-1, 2)
-    return work, had_pair_edge, edges, ends, at[ends]
+    ends = [index[x] for e in edges for x in e]
+    if not coincident:
+        return work, had_pair_edge, edges, ends, ends
+    u, v = work.designated_pair
+    index[v] = index[u]  # placement map: v sits at u's point
+    return work, had_pair_edge, edges, ends, [index[x] for e in edges for x in e]
 
 
 def _chunks(jobs, shapes):

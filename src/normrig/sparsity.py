@@ -271,17 +271,37 @@ def circuit_parts(game: PebbleState) -> tuple[list[frozenset[int]], list[tuple[i
     with no accepted edge between their differences, so the merged
     parts are disjoint and hold both ends of exactly the accepted edges
     in some circuit.  The others, the coloops, come back in game order.
+
+    The merge is a union-find over vertices, by size: part_of maps each
+    vertex of a reach set to its part, one shared set, and a merge maps
+    the smaller part's vertices to the larger.  A reach set inside one
+    part costs one subset test, and the other set operations run in bulk.
     """
-    parts: list[frozenset[int]] = []
+    part_of: dict[int, set[int]] = {}
+    parts: dict[int, set[int]] = {}  # each part, keyed by its id
     for r in game.rejected.values():
-        if any(r <= y for y in parts):
+        part = part_of.get(next(iter(r)))
+        if part is None:
+            part = set()
+        elif r <= part:
             continue
-        meet = [y for y in parts if y & r]
-        parts = [y for y in parts if not y & r]
-        parts.append(r.union(*meet))
-    part_of = {x: i for i, y in enumerate(parts) for x in y}
-    coloops = [(a, b) for a, b in game.accepted if a not in part_of or part_of[a] != part_of.get(b)]
-    return parts, coloops
+        rest = r - part
+        fresh = rest.difference(part_of)
+        rest -= fresh
+        while rest:  # one round per other part that r meets
+            other = part_of[next(iter(rest))]
+            rest -= other
+            if len(other) > len(part):
+                part, other = other, part
+            parts.pop(id(other), None)
+            part |= other
+            part_of.update(dict.fromkeys(other, part))
+        part |= fresh
+        part_of.update(dict.fromkeys(fresh, part))
+        parts[id(part)] = part
+    # an end in no part gets itself back, which is no part of the other end
+    coloops = [(a, b) for a, b in game.accepted if part_of.get(a, a) is not part_of.get(b)]
+    return [frozenset(p) for p in parts.values()], coloops
 
 
 # ---------------------------------------------------------------------------

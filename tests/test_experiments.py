@@ -244,6 +244,23 @@ FORCED = {
 }
 
 
+def test_sweep_instances_pinned(monkeypatch):
+    """Every instance the operation suite and the delete-contract sweep
+    hand to the ranker, as (vertices, sorted edges, pair), hashed against
+    the digest of an earlier release: the host samplers and the moves
+    build the same graphs, with Python int labels, from the same draws."""
+    seen, rank = [], experiments.generic_ranks
+    monkeypatch.setattr(experiments, "generic_ranks",
+                        lambda graphs, *a, **kw: seen.extend(graphs) or rank(graphs, *a, **kw))
+    operation_preservation_suite(samples=20, seed=1729)
+    delete_contract_sweep(100, seed=1729)
+    digest = hashlib.sha256()
+    for g in seen:
+        digest.update(repr((g.vertices, g.sorted_edges(), g.designated_pair)).encode())
+    assert len(seen) == 240
+    assert digest.hexdigest() == "3444f94439fccebed787cf9153ef3967f2ab731eb04fc3eb8a57e2fa75f31e74"
+
+
 def test_disagreements_are_decided_once(monkeypatch):
     """A sweep whose counting side disagrees still ranks in one settled
     batch: trial 0 of every instance, then the full trials of those off

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from normrig.enumeration import enumerate_graphs
+from normrig.enumeration import enumerate_graphs, random_graph
+from normrig.experiments import _independent_subgraph
 from normrig.graph import (
     AddEdge,
     AddVertexWithNeighbors,
@@ -22,12 +24,14 @@ from normrig.graph import (
     format_graph,
     generalized_vertex_split,
     graph_to_json,
+    norm_edge,
     one_extension,
     parse_graph,
     vertex_to_four_cycle,
     vertex_to_h,
     zero_extension,
 )
+from normrig.sparsity import pebble_game
 
 
 def test_from_edges_rejects_bad_input():
@@ -261,11 +265,132 @@ K4 = Graph.complete(4)
     (generalized_vertex_split, (K4, 0, (1,), (2, 3), 9, 4, 5),
      "w must be an existing vertex distinct from z, u, v"),
     (apply_step, (K4, "frob"), "unknown construction step 'frob'"),
+    (Graph.degree, (K4, 9), "vertex 9 not in graph"),
+    (Graph.degree, (K4, None), "vertex None not in graph"),
+    (vertex_to_four_cycle, (K4, 0, 4, 1, 1), "cycle contacts must be two distinct neighbors of w"),
+    (vertex_to_four_cycle, (delete_edge(K4, 0, 2), 0, 4, 1, 2),
+     "cycle contacts must be two distinct neighbors of w"),
+    (vertex_to_four_cycle, (K4, 0, 4, 1, 2, {}),
+     "reassignment must cover exactly the remaining neighbors of w"),
+    (vertex_to_four_cycle, (K4, 0, 4, 1, 2, {3: 1}),
+     "reassignment targets must be w or the new vertex"),
+    (vertex_to_h, (K4.with_pair(0, 1), 1, K4, {0: 0, 2: 0, 3: 0}),
+     "cannot replace a designated-pair vertex"),
+    (vertex_to_h, (K4, 0, K4, {1: 0, 2: 0}), "attachment must cover exactly the neighbors of w"),
 ])
 def test_preconditions_raise(op, args, message):
     with pytest.raises(GraphError) as e:
         op(*args)
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# producers that build Graph directly, against from_edges on the same data
+# ---------------------------------------------------------------------------
+
+
+def _host(rng, pair=False):
+    """A seeded random graph on 4 to 9 spread-out labels, through from_edges."""
+    n = int(rng.integers(4, 10))
+    labels = sorted(int(x) for x in rng.choice(100, size=n, replace=False))
+    edges = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < 0.5]
+    return Graph.from_edges(labels, edges, tuple(labels[:2]) if pair else None)
+
+
+def _with_pair(rng):
+    g = _host(rng)
+    u, v = (int(x) for x in rng.choice(g.vertices, size=2, replace=False))
+    return g.with_pair(u, v), Graph.from_edges(g.vertices, g.edges, (u, v))
+
+
+def _relabel(rng):
+    g = _host(rng, pair=bool(rng.random() < 0.5))
+    image = [int(x) for x in rng.choice(1000, size=g.n, replace=False)]
+    f = dict(zip(g.vertices, image))
+    pair = g.designated_pair
+    want = Graph.from_edges(image, [(f[a], f[b]) for a, b in g.edges],
+                            (f[pair[0]], f[pair[1]]) if pair else None)
+    return g.relabel(f), want
+
+
+def _four_cycle(rng):
+    while True:
+        g = _host(rng, pair=bool(rng.random() < 0.5))
+        ws = [w for w in g.vertices if g.degree(w) >= 2]
+        if ws:
+            break
+    w = int(rng.choice(ws))
+    x1, x2 = (int(x) for x in rng.choice(g.neighbors(w), size=2, replace=False))
+    w_new = max(g.vertices) + 1
+    rest = [y for y in g.neighbors(w) if y not in (x1, x2)]
+    reassign = {y: (w if rng.random() < 0.5 else w_new) for y in rest}
+    edges = [e for e in g.edges if w not in e]
+    edges += [(w, x1), (w, x2), (w_new, x1), (w_new, x2)] + [(reassign[y], y) for y in rest]
+    want = Graph.from_edges([*g.vertices, w_new], edges, g.designated_pair)
+    return vertex_to_four_cycle(g, w, w_new, x1, x2, reassign), want
+
+
+def _to_h(rng):
+    g, h = _host(rng, pair=bool(rng.random() < 0.5)), _host(rng, pair=bool(rng.random() < 0.5))
+    w = int(rng.choice([x for x in g.vertices if x not in (g.designated_pair or ())]))
+    attach = {y: int(rng.choice(h.vertices)) for y in g.neighbors(w)}
+    fresh = {hv: max(g.vertices) + 1 + i for i, hv in enumerate(h.vertices)}
+    pair = g.designated_pair or (h.designated_pair and tuple(fresh[x] for x in h.designated_pair))
+    edges = [e for e in g.edges if w not in e] + [(fresh[a], fresh[b]) for a, b in h.edges]
+    edges += [(y, fresh[t]) for y, t in attach.items()]
+    want = Graph.from_edges([v for v in g.vertices if v != w] + list(fresh.values()), edges, pair)
+    return vertex_to_h(g, w, h, attach), want
+
+
+def _random_graph(rng):
+    pair = bool(rng.random() < 0.5)
+    g = random_graph(rng, int(rng.integers(0, 10)) + 2 * pair, pair=pair)
+    return g, Graph.from_edges(range(g.n), sorted(g.edges), (0, 1) if pair else None)
+
+
+def _independent(rng):
+    g = _host(rng, pair=bool(rng.random() < 0.5))
+    return _independent_subgraph(g), Graph.from_edges(
+        g.vertices, pebble_game(g).accepted, g.designated_pair)
+
+
+@pytest.mark.parametrize("make", [_with_pair, _relabel, _four_cycle, _to_h,
+                                  _random_graph, _independent])
+def test_direct_producers_equal_from_edges(make):
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        got, want = make(rng)
+        assert got == want
+        assert list(got.vertices) == sorted(got.vertices)
+        assert all(e == norm_edge(*e) for e in got.edges)
+
+
+@pytest.mark.parametrize("call,outside,message", [
+    (lambda: random_graph(np.random.default_rng(0), 1, pair=True),
+     lambda: Graph.from_edges(range(1), [], (0, 1)), "designated pair (0, 1) not in vertex set"),
+    (lambda: random_graph(np.random.default_rng(0), 0, pair=True),
+     lambda: Graph.from_edges(range(0), [], (0, 1)), "designated pair (0, 1) not in vertex set"),
+    (lambda: K4.with_pair(0, 9),
+     lambda: Graph.from_edges(K4.vertices, K4.edges, (0, 9)),
+     "designated pair (0, 9) not in vertex set"),
+    (lambda: K4.with_pair(None, 1),
+     lambda: Graph.from_edges(K4.vertices, K4.edges, (None, 1)),
+     "designated pair (None, 1) not in vertex set"),
+    (lambda: K4.with_pair(2, 2),
+     lambda: Graph.from_edges(K4.vertices, K4.edges, (2, 2)),
+     "designated pair must be two distinct vertices"),
+])
+def test_direct_producers_raise_like_from_edges(call, outside, message):
+    # from_edges, given the same bad data, raises the same message
+    for make in (call, outside):
+        with pytest.raises(GraphError) as e:
+            make()
+        assert str(e.value) == message
+
+
+def test_degree_counts_incident_edges(small_graphs):
+    for g in small_graphs:
+        assert [g.degree(v) for v in g.vertices] == [len(g.neighbors(v)) for v in g.vertices]
 
 
 def test_comments_and_blanks_ignored():
