@@ -29,8 +29,10 @@ from .graph import Graph, GraphError
 EXHAUSTIVE_MAX_N = 7
 
 
-def edge_slots(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
+@lru_cache(maxsize=32)
+def edge_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of range(n) in row-major order, built once per n."""
+    return tuple(combinations(range(n), 2))
 
 
 def _edge_sets(n: int, masks: np.ndarray) -> list[frozenset[tuple[int, int]]]:

@@ -294,7 +294,7 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
                 return one_extension(g, a, b, c, _fresh(g))
     if variant == "0-extension-adding-pair-vertex":
         g = _sparse_host(rng)
-        u = int(rng.choice(g.vertices))
+        u = g.vertices[int(rng.integers(g.n))]
         rest = [x for x in g.vertices if x != u]
         a, b = rng.choice(rest, size=2, replace=False)
         z = _fresh(g)
@@ -304,7 +304,7 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
             g = _sparse_host(rng)
             ws = [w for w in g.vertices if g.degree(w) >= 2]
             if ws:
-                w = int(rng.choice(ws))
+                w = ws[int(rng.integers(len(ws)))]
                 x1, x2 = rng.choice(g.neighbors(w), size=2, replace=False)
                 w_new = _fresh(g)
                 g2 = vertex_to_four_cycle(
@@ -326,7 +326,7 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
                 if g.degree(w) >= 2 and set(g.neighbors(w)) != {u, v}
             ]
             if ws:
-                w = int(rng.choice(ws))
+                w = ws[int(rng.integers(len(ws)))]
                 while True:
                     x1, x2 = rng.choice(g.neighbors(w), size=2, replace=False)
                     if {int(x1), int(x2)} != {u, v}:
@@ -338,13 +338,14 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
     if variant == "vertex-to-h-adding-pair-vertex":
         g = _sparse_host(rng)
         h = min_uv_tight_h()
-        w = int(rng.choice(g.vertices))
+        w = g.vertices[int(rng.integers(g.n))]
         attach = {y: int(rng.integers(h.n)) for y in g.neighbors(w)}
         return vertex_to_h(g, w, h, attach)
     if variant == "uv-vertex-to-h":
         g = _uv_sparse_host(rng)
         u, v = g.designated_pair
-        w = int(rng.choice([x for x in g.vertices if x not in (u, v)]))
+        ws = [x for x in g.vertices if x not in (u, v)]
+        w = ws[int(rng.integers(len(ws)))]
         attach = {y: int(rng.integers(4)) for y in g.neighbors(w)}
         return vertex_to_h(g, w, _K4, attach)
     raise ValueError(f"unknown operation variant {variant!r}")

@@ -348,6 +348,9 @@ def random_certified_graph(
     with the split.  A split that leaves v fewer than two neighbours, or
     u no neighbour but w, in G' - uv cannot pass and is not checked; it
     is dropped after all its draws, so the random stream is unchanged.
+    Scalar picks (a split's z and w) are index draws
+    seq[rng.integers(len(seq))], the one draw Generator.choice(seq) makes;
+    a vertex addition's three neighbours come from choice(..., replace=False).
     Exhausting the retry budget raises GenerationError with the partial
     sequence.
     """
@@ -378,7 +381,7 @@ def random_certified_graph(
             continue
         if rng.random() < split_prob:
             for _ in range(_SPLIT_TRIES):
-                z = int(rng.choice(g.vertices))
+                z = g.vertices[int(rng.integers(g.n))]
                 nbrs = list(g.neighbors(z))
                 side = rng.random(len(nbrs)) < 0.5
                 n_u = tuple(x for x, s in zip(nbrs, side) if s)
@@ -386,7 +389,7 @@ def random_certified_graph(
                 pool = [x for x in g.vertices if x != z and x not in n_u]
                 if not pool:
                     continue
-                w = int(rng.choice(pool))
+                w = pool[int(rng.integers(len(pool)))]
                 if len(n_v) < 2 or not n_u:
                     continue  # v, or u, would have degree 1 in G' - uv
                 u = max(g.vertices) + 1

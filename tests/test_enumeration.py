@@ -249,7 +249,7 @@ def test_direct_construction_equals_from_edges():
 
 
 def test_edge_slots_order():
-    assert edge_slots(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert edge_slots(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @settings(max_examples=60, deadline=None)

@@ -515,6 +515,25 @@ def test_edge_draws_pinned(seed):
     assert digest == DENSE_SEQUENCE_SHA256[seed]
 
 
+# sha256 of the sequence text of random_certified_graph(40, seed,
+# split_prob=1.0, edge_prob=0.0), captured when each split drew z and w
+# with Generator.choice
+SPLIT_SEQUENCE_SHA256 = {
+    0: "38fd189b4037659b8afdf5f94e2246ee3ae09ddd9cd4aaa207e009e300ffa9a8",
+    1: "16c7bfb4df0e8ad937f174a6e1fdaf731f30949ec6f8d11c9c1d9d72b2cea033",
+    2: "e724d717a55dbeadbee52bcbe428bb038745d68ceeca837025cc15541468aec9",
+    3: "346351d954cbedfcb061367cc5de69ba9cad8334902de7b627521f6eb02b1323",
+    4: "b3e7943bdb680ff3f3f9cf41558e2b2582c92f184c7540f583a3341774339c51",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPLIT_SEQUENCE_SHA256))
+def test_split_draws_pinned(seed):
+    _, seq, _ = random_certified_graph(40, seed, split_prob=1.0, edge_prob=0.0)
+    digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+    assert digest == SPLIT_SEQUENCE_SHA256[seed]
+
+
 GENERATOR_SETTINGS = {
     "default": {},
     "split-only": {"split_prob": 1.0, "edge_prob": 0.0},

@@ -1,8 +1,9 @@
 """Kernel oracles: the pebble game (sparsity.PebbleState) against greedy
 insertion with brute-force counts, the family search against a plain subset
-scan, and the seed-stream kernels against numpy's own SeedSequence and
-default_rng.  Also pins that each kernel is reached through exactly one
-adapter, and that no module imports another's private names."""
+scan, the seed-stream kernels against numpy's own SeedSequence and
+default_rng, and index draws against Generator.choice.  Also pins that each
+kernel is reached through exactly one adapter, and that no module imports
+another's private names."""
 from __future__ import annotations
 
 import ast
@@ -119,6 +120,20 @@ def test_uniform_streams_equal_default_rng():
     assert np.array_equal(got.view(np.uint64), _numpy_streams(few).view(np.uint64))
     assert _kernels.uniform_streams([(5, 0)], [0], -1.0, 1.0).shape == (0,)
     assert _kernels._uniform_port(np.array([[5, 0]], dtype=np.uint32), 2, [0], -1.0, 1.0).shape == (0,)
+
+
+def test_index_draws_equal_choice():
+    """A scalar pick seq[int(rng.integers(len(seq)))] is Generator.choice(seq)'s
+    own draw: the same element, and the generator left in the same state.
+    globalrig.random_certified_graph and the operation suite draw their
+    scalar picks this way, so their pinned streams rest on this equality."""
+    for seed in (0, 7, 1729, [7, 0xC0], 2**32 + 5):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in range(1, 901):
+            items = range(3 * length, 5 * length, 2)  # no element equals its index
+            for seq in (tuple(items), list(items)):
+                assert int(by_choice.choice(seq)) == seq[int(by_index.integers(len(seq)))]
+                assert by_choice.bit_generator.state == by_index.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [0, 1729, 2**32, 2**64 + 5, 2**100])
