@@ -237,6 +237,7 @@ def min_uv_tight_h() -> Graph:
 
 
 _K4 = Graph.complete(4)  # the replacement graph of uv-vertex-to-h
+_HOST_SIZES = (4, 8)  # rng.integers bounds: operation hosts have 4 to 7 vertices
 
 
 def _independent_subgraph(g: Graph) -> Graph:
@@ -244,14 +245,14 @@ def _independent_subgraph(g: Graph) -> Graph:
     return Graph(g.vertices, frozenset(pebble_game(g).accepted), g.designated_pair)
 
 
-def _sparse_host(rng: np.random.Generator, n_lo: int = 4, n_hi: int = 7) -> Graph:
-    n = int(rng.integers(n_lo, n_hi + 1))
+def _sparse_host(rng: np.random.Generator) -> Graph:
+    n = int(rng.integers(*_HOST_SIZES))
     return _independent_subgraph(random_graph(rng, n))
 
 
-def _uv_sparse_host(rng: np.random.Generator, n_lo: int = 4, n_hi: int = 7) -> Graph:
+def _uv_sparse_host(rng: np.random.Generator) -> Graph:
     while True:
-        n = int(rng.integers(n_lo, n_hi + 1))
+        n = int(rng.integers(*_HOST_SIZES))
         g = random_graph(rng, n, pair=True)
         u, v = g.designated_pair
         if g.has_edge(u, v):

@@ -315,20 +315,6 @@ def parse_sequence(text: str) -> ConstructionSequence:
 _SPLIT_TRIES = 40
 
 
-def _count_upper(upper: Counter, step: ConstructionStep) -> None:
-    """Carry each row's count of edges to later vertices over one kept step
-    of random_certified_graph.  Its new vertices are the largest yet, so
-    each new edge counts at its other end, and uv at u."""
-    if isinstance(step, AddEdge):
-        upper[min(step.a, step.b)] += 1
-    elif isinstance(step, AddVertexWithNeighbors):
-        upper.update(step.neighbors)
-    else:
-        upper.subtract(y for y in (*step.n_u, *step.n_v) if y < step.z)
-        del upper[step.z]
-        upper.update((*step.n_u, step.w, *step.n_v, step.u))
-
-
 def random_certified_graph(
     target_size: int,
     seed: int,
@@ -344,6 +330,8 @@ def random_certified_graph(
     proposed step gets certify_sequence's step check, and the report is
     built from the kept steps' verdicts, so it is certify_sequence's
     report on the returned sequence and passes the minus-pair regime.
+    An edge round draws k and adds the k-th absent pair in row-major
+    order, skipping rows by their edge counts, read from the current graph.
     A split is checked on a copy of the carried pebble game, kept only
     with the split.  A split that leaves v fewer than two neighbours, or
     u no neighbour but w, in G' - uv cannot pass and is not checked; it
@@ -360,16 +348,12 @@ def random_certified_graph(
     rng = np.random.default_rng([seed, 0xC0])
     game = PebbleState(g)
     verdicts: list[StepVerdict] = []
-    upper = Counter(a for a, _ in g.edges)  # each row's edges to later vertices
-    counted = 0  # the kept steps upper has counted
 
     while g.n < target_size:
         n_absent = g.n * (g.n - 1) // 2 - g.m
         if n_absent and rng.random() < edge_prob:
             k = int(rng.integers(n_absent))  # the k-th absent pair, row-major
-            for verdict in verdicts[counted:]:
-                _count_upper(upper, verdict.step)
-            counted = len(verdicts)
+            upper = Counter(a for a, _ in g.edges)  # each row's edges to later vertices
             for i, a in enumerate(g.vertices):  # skip rows by their absent counts
                 row = g.n - 1 - i - upper[a]
                 if k < row:

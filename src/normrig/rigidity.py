@@ -144,8 +144,6 @@ def _matrix_stack(plane: LpPlane, pts: np.ndarray, preps):
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values, largest first, of a matrix or a stack of them."""
-    if a.size == 0:
-        return np.zeros(a.shape[:-2] + (0,))
     return np.linalg.svd(a, compute_uv=False)
 
 

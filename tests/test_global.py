@@ -515,6 +515,23 @@ def test_edge_draws_pinned(seed):
     assert digest == DENSE_SEQUENCE_SHA256[seed]
 
 
+# sha256 of the sequence text of random_certified_graph(100, seed) at the
+# default rates, captured when each edge round updated carried row counts
+DEFAULT_SEQUENCE_SHA256 = {
+    0: "0acb849251a8d9dfc202557c1fbbd291007da9cb7fe4eed86af055a975f5d239",
+    1: "39659f4a4120a3267315bd72a930c45a1179fefc0baff40d04f06472211cb490",
+    2: "281d746caadf6104ee969d787154edd7d4db47c1b0907a62174ed0a3ac8b076d",
+    3: "3b225db0eecc7c59fe24668f722150f29cc8a07afc0f281e02b01aa935e648c2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_SEQUENCE_SHA256))
+def test_default_draws_pinned(seed):
+    _, seq, _ = random_certified_graph(100, seed)
+    digest = hashlib.sha256(format_sequence(seq).encode()).hexdigest()
+    assert digest == DEFAULT_SEQUENCE_SHA256[seed]
+
+
 # sha256 of the sequence text of random_certified_graph(40, seed,
 # split_prob=1.0, edge_prob=0.0), captured when each split drew z and w
 # with Generator.choice

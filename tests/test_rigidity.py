@@ -106,6 +106,8 @@ def test_numerical_rank_tolerance():
     assert rank_of(a) == 2
     assert rank_of(a, TolerancePolicy(rel=1e-16)) == 3
     assert rank_of(np.zeros((3, 3))) == 0
+    assert rank_of(np.zeros((0, 4))) == 0
+    assert rank_of(np.zeros((3, 0))) == 0
 
 
 def test_pinned_ranks(plane4, k23, two_k4, k4_minus_uv):
