@@ -6,7 +6,13 @@ Numerical side: support-functional rigidity matrices over lp planes
 with randomized generic-rank estimation.  The two are cross-validated
 by the sweeps in :mod:`normrig.experiments`; :mod:`normrig.globalrig`
 certifies globally rigid construction sequences.
+
+Importing the package loads the counting modules only.  The numerical
+names (from :mod:`normrig.norms` and :mod:`normrig.rigidity`) are
+resolved on first access (PEP 562), and only then is numpy imported.
 """
+
+import importlib
 
 from .graph import (
     Graph,
@@ -15,14 +21,6 @@ from .graph import (
     format_graph,
     graph_to_json,
     parse_graph,
-)
-from .norms import DEFAULT_PLANE, LpPlane, NormError, parse_norm
-from .rigidity import (
-    DEFAULT_SEED,
-    RankReport,
-    RigidityError,
-    TolerancePolicy,
-    generic_ranks,
 )
 from .sparsity import (
     CoverBound,
@@ -39,6 +37,26 @@ from .sparsity import (
 )
 
 __version__ = "0.1.0"
+
+# numerical name: its defining module, imported on first access
+_NUMERIC = {
+    **dict.fromkeys(("DEFAULT_PLANE", "LpPlane", "NormError", "parse_norm"), "norms"),
+    **dict.fromkeys(
+        ("DEFAULT_SEED", "RankReport", "RigidityError", "TolerancePolicy", "generic_ranks"),
+        "rigidity",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_NUMERIC[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NUMERIC})
+
 
 __all__ = [
     "Graph",

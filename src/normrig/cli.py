@@ -5,6 +5,11 @@ with --json); diagnostics and timings go to stderr.  Exit status is 0
 whenever a verdict was computed — verdicts are never encoded in exit
 codes — and 1 for input or configuration errors.  Identical
 configuration yields byte-identical stdout.
+
+The counting commands (check-sparse, check-uv-sparse without --bruteforce,
+cover-bound, uv-rigid-comb, op apply) and --help and --version run without
+numpy: the numerical modules (norms, rigidity, experiments) are imported
+inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import time
 from dataclasses import fields, is_dataclass
 
 from . import __version__
-from .experiments import SWEEPS, format_report
 from .globalrig import (
     BASE_TAGS,
     GenerationError,
@@ -44,14 +48,6 @@ from .graph import (
     vertex_to_h,
     zero_extension,
 )
-from .norms import DEFAULT_PLANE, NormError, parse_norm
-from .rigidity import (
-    DEFAULT_TOL,
-    RigidityError,
-    TolerancePolicy,
-    generic_ranks,
-    resolve_seed,
-)
 from .sparsity import (
     SparsityError,
     delete_contract,
@@ -76,13 +72,17 @@ def _load_graph(path: str) -> Graph:
 
 
 def _single_norm(args):
+    from .norms import DEFAULT_PLANE, NormError, parse_norm
+
     norms = args.norm or [DEFAULT_PLANE.spec_string()]
     if len(norms) > 1:
         raise NormError("--norm: this command accepts a single norm")
     return parse_norm(norms[0])
 
 
-def _tol(args) -> TolerancePolicy:
+def _tol(args):
+    from .rigidity import DEFAULT_TOL, TolerancePolicy
+
     return DEFAULT_TOL if args.tol is None else TolerancePolicy(rel=args.tol)
 
 
@@ -126,6 +126,8 @@ _RANK_COMMANDS = {
 
 
 def _cmd_rank(args) -> int:
+    from .rigidity import generic_ranks
+
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
     plane, tol = _single_norm(args), _tol(args)
@@ -278,6 +280,8 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .rigidity import RigidityError, resolve_seed
+
     if args.numeric and args.tol is not None:
         raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
     seed = args.seed
@@ -316,6 +320,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .rigidity import resolve_seed
+
     try:
         g, seq, rep = random_certified_graph(
             args.size, seed=resolve_seed(args.seed), base=args.base
@@ -352,6 +358,8 @@ _EXPERIMENT_OPTIONS = {
 
 
 def _experiment_kwargs(args) -> dict:
+    from .rigidity import RigidityError
+
     if args.name == "conjecture":
         kw = {"desc_list": args.norm} if args.norm else {}
     else:
@@ -370,6 +378,9 @@ def _experiment_kwargs(args) -> dict:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import SWEEPS, format_report
+    from .rigidity import RigidityError
+
     if args.tol is not None:
         raise RigidityError("--tol: experiment always uses the default tolerance")
     rep = SWEEPS[args.name](trials=args.trials, seed=args.seed, **_experiment_kwargs(args))
@@ -493,13 +504,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _numeric_errors() -> tuple[type[Exception], ...]:
+    """The numerical modules' input errors, imported when an exception
+    that is none of the counting ones reaches main."""
+    from .norms import NormError
+    from .rigidity import RigidityError
+
+    return NormError, RigidityError
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         status = args.fn(args)
-    except (GraphError, SequenceError, NormError, SparsityError, RigidityError,
-            OSError, UnicodeDecodeError) as exc:
+    except (GraphError, SequenceError, SparsityError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _numeric_errors() as exc:  # evaluated only when an exception gets here
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.verbose:

@@ -41,9 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import get_args
-
-import numpy as np
+from typing import TYPE_CHECKING, get_args
 
 from .graph import (
     AddEdge,
@@ -56,9 +54,10 @@ from .graph import (
     norm_edge,
     numbered_lines,
 )
-from .norms import LpPlane
-from .rigidity import generic_ranks
 from .sparsity import PebbleState, SparsityError, circuit_parts, pebble_game
+
+if TYPE_CHECKING:
+    from .norms import LpPlane
 
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
@@ -216,6 +215,8 @@ def certify_sequence(
     G', settled: it stops after trial 0 when it reaches the rank cap.
     A step that fails to apply aborts the replay and fails both regimes.
     """
+    from .rigidity import generic_ranks  # imports numpy, which counting never needs
+
     g = base_graph(seq.base)
     game = PebbleState(g)
     verdicts: list[StepVerdict] = []
@@ -342,6 +343,8 @@ def random_certified_graph(
     Exhausting the retry budget raises GenerationError with the partial
     sequence.
     """
+    import numpy as np
+
     g = base_graph(base)
     if target_size < g.n:
         raise GraphError(f"target size {target_size} below base size {g.n}")

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _kernels
 from .graph import Graph, contract_pair, delete_edge
 
 
@@ -372,6 +371,8 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     witness is the smallest maximising family in candidate order
     (ascending masks over V - {u, v}).
     """
+    from . import _kernels  # numpy: only the brute-force search loads it
+
     u, v = g.require_pair()
     if g.n > BRUTEFORCE_MAX_N:
         raise SparsityError(f"brute force limited to {BRUTEFORCE_MAX_N} vertices")

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import normrig
-from normrig import __version__, cli, globalrig, rigidity
+from normrig import __version__, cli, globalrig, norms, rigidity
 from normrig.cli import main
 from normrig.experiments import SWEEPS, format_report
 from normrig.graph import format_graph, parse_graph
@@ -262,7 +264,7 @@ def test_tol_rejected_where_unused(files, capsys, monkeypatch, argv, where):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --tol was rejected")
 
-    monkeypatch.setitem(cli.SWEEPS, "rigidity", no_work)
+    monkeypatch.setitem(SWEEPS, "rigidity", no_work)
     monkeypatch.setattr(cli, "parse_sequence", no_work)
     argv = [files.get(a, a) for a in argv]
     rc, out, err = run(capsys, *argv, "--tol", "0.9")
@@ -585,7 +587,7 @@ def test_experiment_unread_option_exit_1(capsys, monkeypatch, argv, flag):
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setitem(cli.SWEEPS, name, no_work)
+    monkeypatch.setitem(SWEEPS, name, no_work)
     rc, out, err = run(capsys, "experiment", *argv)
     assert (rc, out, err) == (1, "", f"error: {flag}: experiment {name} has no such parameter\n")
 
@@ -604,7 +606,7 @@ def test_experiment_negative_size_exit_1(capsys, monkeypatch, argv, flag, value)
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setitem(cli.SWEEPS, name, no_work)
+    monkeypatch.setitem(SWEEPS, name, no_work)
     rc, out, err = run(capsys, "experiment", *argv)
     assert (rc, out, err) == (1, "", f"error: {flag} must be a non-negative integer, got {value}\n")
 
@@ -677,6 +679,54 @@ def test_public_names():
     namespace = {}
     exec("from normrig import *", namespace)
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+# the package root's numerical names, resolved on first access
+NUMERIC_NAMES = {
+    "DEFAULT_PLANE": norms, "LpPlane": norms, "NormError": norms, "parse_norm": norms,
+    "DEFAULT_SEED": rigidity, "RankReport": rigidity, "RigidityError": rigidity,
+    "TolerancePolicy": rigidity, "generic_ranks": rigidity,
+}
+
+
+def test_package_root_resolves_numeric_names():
+    assert [name for name in normrig.__all__ if name not in dir(normrig)] == []
+    for name, module in NUMERIC_NAMES.items():
+        assert getattr(normrig, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        normrig.no_such_name
+
+
+GUARD_SCRIPT = """
+import sys
+from normrig import cli
+cli.build_parser()
+for argv in {counting!r}:
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a counting command imported numpy"
+assert cli.main({rank!r}) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_counting_commands_run_without_numpy(files, capsys):
+    """A fresh interpreter builds the parser and runs the counting commands
+    without importing numpy; rank then imports it.  Every command prints
+    what in-process main prints."""
+    g = files["two_k4.graph"]
+    counting = [
+        ["check-sparse", g], ["check-uv-sparse", g], ["cover-bound", g], ["uv-rigid-comb", g],
+        ["op", "apply", g, "zeroext 0 2 7"], ["op", "apply", g, "addedge 2 4"],
+    ]
+    rank = ["rank", g]
+    src = str(Path(normrig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT.format(counting=counting, rank=rank)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(run(capsys, *argv)[1] for argv in [*counting, rank])
 
 
 def _chain_text(n, extra=()):
