@@ -7,9 +7,9 @@ codes — and 1 for input or configuration errors.  Identical
 configuration yields byte-identical stdout.
 
 The counting commands (check-sparse, check-uv-sparse without --bruteforce,
-cover-bound, uv-rigid-comb, op apply) and --help and --version run without
-numpy: the numerical modules (norms, rigidity, experiments) are imported
-inside the handlers that use them.
+cover-bound, uv-rigid-comb, op apply, certify-global without --numeric) and
+--help and --version run without numpy: the numerical modules (norms,
+rigidity, experiments) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations
@@ -280,18 +280,19 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .rigidity import RigidityError, resolve_seed
-
-    if args.numeric and args.tol is not None:
-        raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
-    seed = args.seed
+    # Without --numeric the replay only counts: the numeric flags go unread.
+    seed = None
     if args.numeric:
-        seed = resolve_seed(seed)
+        from .rigidity import RigidityError, resolve_seed
+
+        if args.tol is not None:
+            raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
+        seed = resolve_seed(args.seed)
         if args.trials < 1:
             raise RigidityError("need at least one trial")
     with open(args.sequence, "r", encoding="ascii") as fh:
         seq = parse_sequence(fh.read())
-    plane = _single_norm(args)
+    plane = _single_norm(args) if args.numeric else None
     rep = certify_sequence(
         seq, numeric=args.numeric, plane=plane, trials=args.trials, seed=seed
     )

@@ -215,7 +215,8 @@ def certify_sequence(
     G', settled: it stops after trial 0 when it reaches the rank cap.
     A step that fails to apply aborts the replay and fails both regimes.
     """
-    from .rigidity import generic_ranks  # imports numpy, which counting never needs
+    if numeric:
+        from .rigidity import generic_ranks  # imports numpy, which counting never needs
 
     g = base_graph(seq.base)
     game = PebbleState(g)
@@ -333,8 +334,9 @@ def random_certified_graph(
     report on the returned sequence and passes the minus-pair regime.
     An edge round draws k and adds the k-th absent pair in row-major
     order, skipping rows by their edge counts, read from the current graph.
-    A split is checked on a copy of the carried pebble game, kept only
-    with the split.  A split that leaves v fewer than two neighbours, or
+    A split is checked on the carried pebble game itself; a dropped split
+    (under 0.1% of the checked ones) leaves it on G', so the game is then
+    rebuilt on g.  A split that leaves v fewer than two neighbours, or
     u no neighbour but w, in G' - uv cannot pass and is not checked; it
     is dropped after all its draws, so the random stream is unchanged.
     Scalar picks (a split's z and w) are index draws
@@ -381,12 +383,12 @@ def random_certified_graph(
                     continue  # v, or u, would have degree 1 in G' - uv
                 u = max(g.vertices) + 1
                 step = GeneralizedVertexSplit(z, n_u, n_v, w, u, u + 1)
-                trial = game.copy()
-                nxt, verdict = _check_step(g, len(verdicts), step, trial)
+                nxt, verdict = _check_step(g, len(verdicts), step, game)
                 if verdict.minus_pair_rigid:
-                    g, game = nxt, trial
+                    g = nxt
                     verdicts.append(verdict)
                     break
+                game = PebbleState(g)  # the game now holds nxt: start it afresh on g
             else:
                 raise GenerationError(
                     f"no certifiable split found in {_SPLIT_TRIES} tries "

@@ -146,13 +146,6 @@ class PebbleState:
         """The first rejection's reach set, or None if none was rejected."""
         return next(iter(self.rejected.values()), None)
 
-    def copy(self) -> "PebbleState":
-        new = object.__new__(PebbleState)
-        new.k, new.l = self.k, self.l
-        new.pebbles, new.out = dict(self.pebbles), {x: list(ys) for x, ys in self.out.items()}
-        new.accepted, new.rejected = dict(self.accepted), dict(self.rejected)
-        return new
-
     def offer(self, edges: list[tuple[int, int]], verts: Iterable[int] = ()) -> None:
         """Add the new vertices verts with k pebbles each, then offer edges
         (each as a < b, none of them held yet) in order."""

@@ -277,6 +277,13 @@ def test_certify_global_without_numeric_ignores_tol(files, capsys):
     assert rc == 0 and "pass-redundant-regime: yes" in out
 
 
+def test_certify_global_reads_norm_only_with_numeric(files, capsys):
+    rc, out, _ = run(capsys, "certify-global", files["left.seq"], "--norm", "lp:0.5")
+    assert rc == 0 and "pass-redundant-regime: yes" in out
+    rc, out, err = run(capsys, "certify-global", files["left.seq"], "--numeric", "--norm", "lp:0.5")
+    assert (rc, out) == (1, "") and err.startswith("error: ")
+
+
 def test_bad_graph_file_exit_1(capsys, tmp_path):
     path = tmp_path / "loop.graph"
     path.write_text("# a loop\n3 2\n0 1\n1 1\n")
@@ -717,6 +724,7 @@ def test_counting_commands_run_without_numpy(files, capsys):
     counting = [
         ["check-sparse", g], ["check-uv-sparse", g], ["cover-bound", g], ["uv-rigid-comb", g],
         ["op", "apply", g, "zeroext 0 2 7"], ["op", "apply", g, "addedge 2 4"],
+        ["certify-global", files["left.seq"]],
     ]
     rank = ["rank", g]
     src = str(Path(normrig.__file__).resolve().parents[1])

@@ -608,32 +608,39 @@ def game_snapshot(game: sparsity.PebbleState) -> tuple:
     )
 
 
-def test_dropped_split_leaves_carried_game_unchanged(monkeypatch):
-    # The generator checks each split on a copy of its carried game.  A
-    # split it drops must leave the carried game exactly as it was, and
-    # still the game of its graph.  These split-only seeds each drop one
-    # checked split.
-    copy, check = sparsity.PebbleState.copy, globalrig._check_step
-    copies, dropped = [], []
+# sha256 of the sequence text of random_certified_graph(40, seed,
+# split_prob=1.0, edge_prob=0.0), captured when each split was checked on
+# a copy of the carried game; each of these seeds drops one checked split
+DROPPED_SPLIT_SEQUENCE_SHA256 = {
+    33: "018308819b36be33f5f286815cf2b8ae399eaf1107c3450366d11d2515cba699",
+    53: "8c8aa51771230a9a6fb5edd172a0f42044df5dd2d1bd21931ae4a74b2325628a",
+    76: "0c2353f58cc36d34ddda746ef9ffdd158baa2944400203103bd614de72009d0c",
+    90: "7844a22acf1d80a1a2ac453e47f7444f88f93a9b8c8ffe91211094587c30d4bb",
+    91: "3779baca771c9b763a51a9c732afe80bf9dbb8ce7f1071b0f935f5e2910f1985",
+}
 
-    def recording_copy(self):
-        trial = copy(self)
-        copies.append((trial, self, game_snapshot(self)))
-        return trial
+
+def test_dropped_split_rebuilds_carried_game(monkeypatch):
+    # The generator checks each split on its carried game itself.  A split
+    # it drops leaves that game on G', so the next step check must be handed
+    # the game of g again, and the sequence must be the one drawn before.
+    check = globalrig._check_step
+    dropped, after_drop = [], []
 
     def checking(g, index, step, game, *args):
+        if len(after_drop) < len(dropped):
+            assert same_game(game, g), step
+            after_drop.append(step)
         nxt, verdict = check(g, index, step, game, *args)
-        if copies and game is copies[-1][0] and not verdict.minus_pair_rigid:
-            _, carried, before = copies[-1]
-            assert game_snapshot(carried) == before and same_game(carried, g), step
+        if verdict.minus_pair_rigid is False:
             dropped.append(step)
         return nxt, verdict
 
-    monkeypatch.setattr(sparsity.PebbleState, "copy", recording_copy)
     monkeypatch.setattr(globalrig, "_check_step", checking)
-    for seed in (33, 53, 76, 90, 91):
-        random_certified_graph(40, seed, split_prob=1.0, edge_prob=0.0)
-    assert len(dropped) == 5
+    for seed, digest in DROPPED_SPLIT_SEQUENCE_SHA256.items():
+        _, seq, _ = random_certified_graph(40, seed, split_prob=1.0, edge_prob=0.0)
+        assert hashlib.sha256(format_sequence(seq).encode()).hexdigest() == digest
+    assert len(dropped) == len(after_drop) == 5
 
 
 def carried_game(seq: ConstructionSequence) -> tuple[Graph, sparsity.PebbleState]:
