@@ -6,10 +6,10 @@ whenever a verdict was computed — verdicts are never encoded in exit
 codes — and 1 for input or configuration errors.  Identical
 configuration yields byte-identical stdout.
 
-The counting commands (check-sparse, check-uv-sparse without --bruteforce,
-cover-bound, uv-rigid-comb, op apply, certify-global without --numeric) and
---help and --version run without numpy: the numerical modules (norms,
-rigidity, experiments) are imported inside the handlers that use them.
+The counting commands (check-sparse, check-uv-sparse, cover-bound,
+uv-rigid-comb, op apply, certify-global without --numeric) and --help and
+--version run without numpy: the numerical modules (norms, rigidity,
+experiments) are imported inside the handlers that use them.
 """
 
 from __future__ import annotations

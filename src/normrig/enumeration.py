@@ -22,7 +22,6 @@ from itertools import combinations, compress, permutations
 
 import numpy as np
 
-from . import _kernels
 from .graph import Graph, GraphError
 
 # n = 8 would canonize 29755 plain candidates (2690 at n = 7) under 40320 relabellings.
@@ -52,6 +51,31 @@ def _perm_bitmaps(n: int, fix_pair: bool) -> np.ndarray:
     perms = [s for s in permutations(range(n)) if not fix_pair or {*s[:2]} == {0, 1}]
     perms = np.array(perms, dtype=np.intp).reshape(len(perms), n)
     return slot[perms[:, ends[:, 0]], perms[:, ends[:, 1]]]
+
+
+def canonize_batch(masks, bitmaps):
+    """Minimum relabelling of each edge bitmask.
+
+    ``bitmaps[p, b]`` gives the image of edge-bit ``b`` under the p-th
+    vertex permutation.  The canonical form of a mask is the smallest
+    integer over all permutations; it is itself the edge mask of a
+    relabelled copy of the graph.  A tile of bit-expanded masks under a
+    tile of permutations is one float64 matrix product.  Each entry is a
+    sum of distinct powers of two below 2**52, so every partial sum is an
+    exact integer below 2**53, in any summation order.
+    """
+    nperm, nbits = bitmaps.shape
+    if nbits > 52:
+        raise ValueError(f"{nbits}-bit masks exceed float64's exact integers")
+    bits = ((masks[:, None] >> np.arange(nbits)) & 1).astype(np.float64)
+    weights = (np.int64(1) << bitmaps.T).astype(np.float64)  # [bit, perm] place values
+    best = masks.astype(np.float64)
+    t = 256  # masks, and permutations, per tile: 512 KiB of float64
+    for i in range(0, len(masks), t):
+        for p in range(0, nperm, t):
+            tile = bits[i:i + t] @ weights[:, p:p + t]
+            np.minimum(best[i:i + t], tile.min(axis=1), out=best[i:i + t])
+    return best.astype(np.int64)
 
 
 def check_exhaustive(n: int) -> None:
@@ -96,7 +120,7 @@ def _class_masks(n: int, pair: bool) -> np.ndarray:
     degree = (reps @ incidence)[:, None, lo:] + nbhds[None, :, lo:]
     keep = nbhds.sum(axis=1) >= degree.max(axis=2, initial=0)
     cands = ((reps @ old)[:, None] | (nbhds @ new)[None, :])[keep]
-    return np.unique(_kernels.canonize_batch(cands, _perm_bitmaps(n, pair)))
+    return np.unique(canonize_batch(cands, _perm_bitmaps(n, pair)))
 
 
 def random_graph(rng: np.random.Generator, n: int, pair: bool = False) -> Graph:

@@ -25,7 +25,6 @@ from functools import cache
 
 import numpy as np
 
-from . import _kernels
 from .enumeration import check_exhaustive, enumerate_graphs, random_graph
 from .graph import (
     Graph,
@@ -38,7 +37,7 @@ from .graph import (
     zero_extension,
 )
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
-from .rigidity import generic_ranks, resolve_seed
+from .rigidity import derive_seeds, generic_ranks, resolve_seed
 from .sparsity import (
     cover_rank_bound,
     is_uv_rigid_comb,
@@ -98,7 +97,7 @@ def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepR
     plain or coincident RankReport (kind).  One settled generic_ranks
     call ranks every instance, instance i under the seed
     SeedSequence([seed, i, 0]).generate_state(1)[0], all of them hashed
-    by one _kernels.derive_seeds call.  keys join norm, trials and seed
+    by one rigidity.derive_seeds call.  keys join norm, trials and seed
     in the report's config."""
     t0 = time.perf_counter()
     plane = _plane(desc)
@@ -106,7 +105,7 @@ def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepR
     instances = list(items(seed))
     graphs = [g for _, g in instances]
     combs = [comb_fn(g) for g in graphs]
-    seeds = _kernels.derive_seeds(seed, len(graphs))
+    seeds = derive_seeds(seed, len(graphs))
     reports = generic_ranks(graphs, seeds, kind == "coincident", plane, trials, settle=True)
     disagreements = [
         Disagreement(idx, format_graph(g), comb, getattr(rep, attr), rep.rank, rep.rows,

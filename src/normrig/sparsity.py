@@ -343,6 +343,46 @@ def _subset_scan(g: Graph, u: int, v: int):
     return best, best_set, parts, masks, terms
 
 
+def family_best(edge_masks, val_terms):
+    """Best nonempty family of candidate vertex sets, by branch and bound.
+
+    ``edge_masks[i]`` is the bitmask of graph edges induced by the i-th
+    candidate set, ``val_terms[i]`` its value contribution.  A family S
+    scores popcount(union of masks) - 2 - sum(terms); the maximum and
+    the smallest maximising subset (as a candidate bitmask) come back.
+
+    Each search node is a family whose lowest candidate is i; its
+    children add one more candidate j < i, in increasing j.  Every
+    family is met once, in increasing mask order, so the first strict
+    maximum is the smallest maximising mask.  A subtree is cut when its
+    ceiling (each candidate below i adds its fresh edges minus its term,
+    where that is positive) does not exceed the best score: anything it
+    could only tie has a larger mask.  So the cost follows the families
+    the search cannot rule out, not the 2**c families there are.
+    """
+    cands = [(int(m), int(t)) for m, t in zip(edge_masks, val_terms)]
+    best, best_mask = -(1 << 60), 0
+
+    def rec(i, union, tsum, chosen):
+        nonlocal best, best_mask
+        score = union.bit_count() - 2 - tsum
+        if chosen and score > best:
+            best, best_mask = score, chosen
+        ceiling = score if chosen else -2
+        for m, t in cands[:i]:
+            extra = (m & ~union).bit_count() - t
+            if extra > 0:
+                ceiling += extra
+        if ceiling <= best:
+            return
+        for j in range(i):
+            m, t = cands[j]
+            rec(j, union | m, tsum + t, chosen | 1 << j)
+
+    rec(len(cands), 0, 0, 0)
+    return best, best_mask
+
+
 def _violation(g: Graph, kind: str, sets: Sequence[frozenset[int]] = ()) -> UvSparseVerdict:
     """The failed verdict whose kind witness reports sets (the pair for a pair edge).
 
@@ -364,8 +404,6 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
     witness is the smallest maximising family in candidate order
     (ascending masks over V - {u, v}).
     """
-    from . import _kernels  # numpy: only the brute-force search loads it
-
     u, v = g.require_pair()
     if g.n > BRUTEFORCE_MAX_N:
         raise SparsityError(f"brute force limited to {BRUTEFORCE_MAX_N} vertices")
@@ -373,7 +411,7 @@ def is_uv_sparse_bruteforce(g: Graph) -> UvSparseVerdict:
         return _violation(g, "pair-edge")
 
     sub_def, sub_set, parts, masks, terms = _subset_scan(g, u, v)
-    fam_def, chosen = _kernels.family_best(masks, terms) if parts else (0, 0)
+    fam_def, chosen = family_best(masks, terms) if parts else (0, 0)
 
     if sub_def >= 1 and sub_def >= fam_def:
         return _violation(g, "subset", (sub_set,))

@@ -228,8 +228,7 @@ def pair_class_oracles(n: int) -> int:
     from test_rigidity import VERDICT_FIELDS
     from test_sparsity import _greedy_uv_rank
 
-    from normrig._kernels import derive_seeds
-    from normrig.rigidity import generic_ranks
+    from normrig.rigidity import derive_seeds, generic_ranks
     from normrig.sparsity import uv_rank_comb
 
     classes = enumerate_graphs(n, pair=True)

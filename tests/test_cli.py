@@ -722,7 +722,8 @@ def test_counting_commands_run_without_numpy(files, capsys):
     what in-process main prints."""
     g = files["two_k4.graph"]
     counting = [
-        ["check-sparse", g], ["check-uv-sparse", g], ["cover-bound", g], ["uv-rigid-comb", g],
+        ["check-sparse", g], ["check-uv-sparse", g], ["check-uv-sparse", g, "--bruteforce"],
+        ["cover-bound", g], ["uv-rigid-comb", g],
         ["op", "apply", g, "zeroext 0 2 7"], ["op", "apply", g, "addedge 2 4"],
         ["certify-global", files["left.seq"]],
     ]

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normrig import _kernels
-from normrig._kernels import canonize_batch
+from normrig import enumeration
 from normrig.enumeration import (
     _class_masks,
     _edge_sets,
     _perm_bitmaps,
+    canonize_batch,
     edge_slots,
     enumerate_graphs,
     random_graph,
@@ -100,13 +100,13 @@ def loop_canonize(masks, bitmaps):
 @pytest.mark.parametrize("pair", [False, True])
 def test_canonize_batch_equals_loop_on_class_batches(pair, monkeypatch):
     batches = []
-    real = _kernels.canonize_batch
+    real = canonize_batch
 
     def spy(masks, bitmaps):
         batches.append((masks.copy(), bitmaps))
         return real(masks, bitmaps)
 
-    monkeypatch.setattr(_kernels, "canonize_batch", spy)
+    monkeypatch.setattr(enumeration, "canonize_batch", spy)
     _class_masks(7, pair)
     assert [b.shape[1] for _, b in batches] == [3, 6, 10, 15, 21]  # n = 3..7
     for masks, bitmaps in batches:

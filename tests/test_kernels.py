@@ -1,8 +1,8 @@
 """Kernel oracles: the pebble game (sparsity.PebbleState) against greedy
-insertion with brute-force counts, the family search against a plain subset
-scan, the seed-stream kernels against numpy's own SeedSequence and
-default_rng, and index draws against Generator.choice.  Also pins that each
-kernel is reached through exactly one adapter, and that no module imports
+insertion with brute-force counts, the family search (sparsity.family_best)
+against a plain subset scan, the seed streams (rigidity.derive_seeds and
+rigidity.uniform_streams) against numpy's own SeedSequence and default_rng,
+and index draws against Generator.choice.  Also pins that no module imports
 another's private names."""
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import normrig
-from normrig import _kernels
+from normrig import rigidity
 from normrig.graph import Graph
-from normrig.sparsity import PebbleState, pebble_game
+from normrig.sparsity import PebbleState, family_best, pebble_game
 
 
 def _greedy_oracle(n, edges, k, l):
@@ -88,7 +88,7 @@ def test_family_best_matches_subset_scan():
         scores = [(_score(edge_masks, val_terms, s), s) for s in range(1, 1 << c)]
         expect = max(sc for sc, _ in scores)
         smallest = min(s for sc, s in scores if sc == expect)
-        assert _kernels.family_best(edge_masks, val_terms) == (expect, smallest)
+        assert family_best(edge_masks, val_terms) == (expect, smallest)
 
 
 # the seeds the stream kernels are checked on: edges of the uint32 words
@@ -100,26 +100,26 @@ STREAM_SEEDS = [0, 1, 1729, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**128 + 3]
 
 
 def _numpy_streams(rows):
-    """The draws of each (seed, t, count) row, numpy's generator, concatenated."""
-    return np.concatenate([
-        np.random.default_rng([s, t]).uniform(-1, 1, c) for s, t, c in rows
-    ])
+    """The draws of each (seed, t, count) row from numpy's generator, on the
+    placement box [-r, r], concatenated."""
+    r = rigidity._BOX_RADIUS
+    return np.concatenate([np.random.default_rng([s, t]).uniform(-r, r, c) for s, t, c in rows])
 
 
 def test_uniform_streams_equal_default_rng():
     """Draws of many streams in one ragged call, bit for bit numpy's, with
     seeds of one to five uint32 words mixed in one batch."""
     rows = [(s, t, c) for s in STREAM_SEEDS for t in (0, 1, 9, 199) for c in (0, 2, 4, 14, 200)]
-    assert {len(_kernels._seed_words(s)) for s, *_ in rows} == {1, 2, 3, 4, 5}
-    got = _kernels.uniform_streams([(s, t) for s, t, _ in rows], [c for *_, c in rows], -1.0, 1.0)
+    assert {len(rigidity._seed_words(s)) for s, *_ in rows} == {1, 2, 3, 4, 5}
+    got = rigidity.uniform_streams([(s, t) for s, t, _ in rows], [c for *_, c in rows])
     assert np.array_equal(got.view(np.uint64), _numpy_streams(rows).view(np.uint64))
     # few streams take numpy's own generator, and a zero count draws nothing
     few = rows[:: len(rows) // 7]
-    assert len(few) < _kernels._STREAM_JOBS
-    got = _kernels.uniform_streams([(s, t) for s, t, _ in few], [c for *_, c in few], -1.0, 1.0)
+    assert len(few) < rigidity._STREAM_JOBS
+    got = rigidity.uniform_streams([(s, t) for s, t, _ in few], [c for *_, c in few])
     assert np.array_equal(got.view(np.uint64), _numpy_streams(few).view(np.uint64))
-    assert _kernels.uniform_streams([(5, 0)], [0], -1.0, 1.0).shape == (0,)
-    assert _kernels._uniform_port(np.array([[5, 0]], dtype=np.uint32), 2, [0], -1.0, 1.0).shape == (0,)
+    assert rigidity.uniform_streams([(5, 0)], [0]).shape == (0,)
+    assert rigidity._uniform_port(np.array([[5, 0]], dtype=np.uint32), 2, [0]).shape == (0,)
 
 
 def test_index_draws_equal_choice():
@@ -140,61 +140,13 @@ def test_index_draws_equal_choice():
 def test_derive_seeds_equal_seed_sequence(seed):
     # 2**100 reads as four words, so [seed, i, 0] overflows the 4-word pool
     count = 300
-    assert _kernels.derive_seeds(seed, count) == [
+    assert rigidity.derive_seeds(seed, count) == [
         int(np.random.SeedSequence([seed, i, 0]).generate_state(1)[0]) for i in range(count)
     ]
-    assert _kernels.derive_seeds(seed, 0) == []
-
-
-# each public _kernels function and the one function or class in src/normrig
-# that calls it
-ADAPTERS = {
-    "canonize_batch": ("enumeration", "_class_masks"),
-    "family_best": ("sparsity", "is_uv_sparse_bruteforce"),
-    "derive_seeds": ("experiments", "_run"),
-    "uniform_streams": ("rigidity", "_chunk_matrices"),
-}
-
-
-def test_each_kernel_has_one_adapter():
-    src = Path(normrig.__file__).parent
-    kernels = {
-        node.name
-        for node in ast.parse((src / "_kernels.py").read_text()).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    assert kernels == set(ADAPTERS)
-    refs = {name: [] for name in kernels}
-    importers = set()
-    for path in sorted(src.glob("*.py")):
-        module = path.stem
-        if module == "_kernels":
-            continue
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                names = {a.name for a in node.names}
-                assert node.module != "_kernels", f"{module} imports names from _kernels"
-                if "_kernels" in names:
-                    importers.add(module)
-            elif isinstance(node, ast.Import):
-                assert all("_kernels" not in a.name for a in node.names), module
-        for top in tree.body:
-            for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "_kernels"
-                ):
-                    where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-                    refs[node.attr].append((module, where))
-    assert importers == {"sparsity", "enumeration", "experiments", "rigidity"}
-    assert refs == {name: [adapter] for name, adapter in ADAPTERS.items()}
+    assert rigidity.derive_seeds(seed, 0) == []
 
 
 def test_no_module_imports_another_modules_private_names():
-    # `from . import _kernels` names a module, not a name in one: the test
-    # above pins who imports it
     src = Path(normrig.__file__).parent
     private = []
     for path in sorted(src.glob("*.py")):

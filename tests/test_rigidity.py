@@ -535,7 +535,7 @@ def _count_default_rng(monkeypatch):
 
 def test_batches_draw_through_the_port_and_one_graph_calls_through_numpy(monkeypatch, k23):
     # Both paths stay live: a batch's chunks hold at least _STREAM_JOBS
-    # trials and draw through _kernels.uniform_streams, and a one-graph
+    # trials and draw through rigidity.uniform_streams, and a one-graph
     # ten-trial call through numpy's generator; both give the same reports.
     plane, seeds = LpPlane(4.0), [3000 + i for i in range(len(PAIR_CLASSES))]
     calls = _count_default_rng(monkeypatch)
@@ -589,9 +589,9 @@ def test_edgeless_chunks_stay_within_the_budget(monkeypatch, plane4):
     # an edgeless job has no matrix entry but draws 2n coordinates, which
     # count against _BATCH_ENTRIES as one row would
     graphs, sizes = [Graph.from_edges(range(8))] * 600, []
-    streams = rigidity._kernels.uniform_streams
-    monkeypatch.setattr(rigidity._kernels, "uniform_streams",
-                        lambda e, counts, *r: sizes.append(sum(counts)) or streams(e, counts, *r))
+    streams = rigidity.uniform_streams
+    monkeypatch.setattr(rigidity, "uniform_streams",
+                        lambda e, counts: sizes.append(sum(counts)) or streams(e, counts))
     reps = generic_ranks(graphs, range(600), False, plane4, 10)
     assert sum(sizes) == 600 * 10 * 16 and max(sizes) <= rigidity._BATCH_ENTRIES
     assert all(rep.rank == 0 and rep.per_trial_ranks == (0,) * 10 for rep in reps)
