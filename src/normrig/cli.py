@@ -3,8 +3,9 @@
 Verdicts go to stdout as stable ``key: value`` lines (or one JSON record
 with --json); diagnostics and timings go to stderr.  Exit status is 0
 whenever a verdict was computed — verdicts are never encoded in exit
-codes — and 1 for input or configuration errors.  Identical
-configuration yields byte-identical stdout.
+codes — and 1 for input or configuration errors.  Every refused input
+raises a ``graph.InputError``, the one class ``main`` catches besides
+file errors.  Identical configuration yields byte-identical stdout.
 
 The counting commands (check-sparse, check-uv-sparse, cover-bound,
 uv-rigid-comb, op apply, certify-global without --numeric) and --help and
@@ -25,7 +26,6 @@ from . import __version__
 from .globalrig import (
     BASE_TAGS,
     GenerationError,
-    SequenceError,
     certify_sequence,
     format_sequence,
     format_step,
@@ -36,6 +36,7 @@ from .globalrig import (
 from .graph import (
     Graph,
     GraphError,
+    InputError,
     apply_step,
     contract_pair,
     delete_edge,
@@ -49,7 +50,6 @@ from .graph import (
     zero_extension,
 )
 from .sparsity import (
-    SparsityError,
     delete_contract,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
@@ -217,9 +217,12 @@ def _pairs(tokens: list[str], what: str) -> dict[int, int]:
         if not sep:
             raise GraphError(f"{what} entries look like 'y>t', got {tok!r}")
         try:
-            out[int(a)] = int(b)
+            y, t = int(a), int(b)
         except ValueError:
             raise GraphError(f"non-integer in {what} entry {tok!r}") from None
+        if y in out:
+            raise GraphError(f"{what} names vertex {y} twice")
+        out[y] = t
     return out
 
 
@@ -283,13 +286,13 @@ def _cmd_certify(args) -> int:
     # Without --numeric the replay only counts: the numeric flags go unread.
     seed = None
     if args.numeric:
-        from .rigidity import RigidityError, resolve_seed
+        from .rigidity import resolve_seed
 
         if args.tol is not None:
-            raise RigidityError("--tol: certify-global --numeric always uses the default tolerance")
+            raise InputError("--tol: certify-global --numeric always uses the default tolerance")
         seed = resolve_seed(args.seed)
         if args.trials < 1:
-            raise RigidityError("need at least one trial")
+            raise InputError("need at least one trial")
     with open(args.sequence, "r", encoding="ascii") as fh:
         seq = parse_sequence(fh.read())
     plane = _single_norm(args) if args.numeric else None
@@ -359,8 +362,6 @@ _EXPERIMENT_OPTIONS = {
 
 
 def _experiment_kwargs(args) -> dict:
-    from .rigidity import RigidityError
-
     if args.name == "conjecture":
         kw = {"desc_list": args.norm} if args.norm else {}
     else:
@@ -371,19 +372,18 @@ def _experiment_kwargs(args) -> dict:
         if value is None:
             continue
         if key is None:
-            raise RigidityError(f"{flag}: experiment {args.name} has no such parameter")
+            raise InputError(f"{flag}: experiment {args.name} has no such parameter")
         if value < 0:
-            raise RigidityError(f"{flag} must be a non-negative integer, got {value}")
+            raise InputError(f"{flag} must be a non-negative integer, got {value}")
         kw[key] = (4, value) if key == "n_range" else value
     return kw
 
 
 def _cmd_experiment(args) -> int:
     from .experiments import SWEEPS, format_report
-    from .rigidity import RigidityError
 
     if args.tol is not None:
-        raise RigidityError("--tol: experiment always uses the default tolerance")
+        raise InputError("--tol: experiment always uses the default tolerance")
     rep = SWEEPS[args.name](trials=args.trials, seed=args.seed, **_experiment_kwargs(args))
     text = format_report(rep, verbose=args.verbose)
     if args.out:
@@ -505,24 +505,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _numeric_errors() -> tuple[type[Exception], ...]:
-    """The numerical modules' input errors, imported when an exception
-    that is none of the counting ones reaches main."""
-    from .norms import NormError
-    from .rigidity import RigidityError
-
-    return NormError, RigidityError
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         status = args.fn(args)
-    except (GraphError, SequenceError, SparsityError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _numeric_errors() as exc:  # evaluated only when an exception gets here
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.verbose:

@@ -50,6 +50,7 @@ from .graph import (
     GeneralizedVertexSplit,
     Graph,
     GraphError,
+    InputError,
     apply_step,
     norm_edge,
     numbered_lines,
@@ -62,14 +63,8 @@ if TYPE_CHECKING:
 BASE_TAGS = ("K5_MINUS_E", "H_GRAPH")
 
 
-class SequenceError(ValueError):
+class SequenceError(InputError):
     """Malformed construction sequence."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class GenerationError(RuntimeError):

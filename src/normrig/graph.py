@@ -13,6 +13,9 @@ preconditions.
 A one-line text format is provided for files and stdout, and a JSON
 record for --json output.  Emission always relabels vertices to 0..n-1
 in sorted order, so emitted files are canonical and byte-stable.
+
+Every error the package raises for refused input derives from
+``InputError``, defined here, so a caller catches that one class.
 """
 
 from __future__ import annotations
@@ -21,18 +24,22 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 
-class GraphError(ValueError):
-    """Invalid graph data or a violated operation precondition."""
-
-
-class GraphFormatError(GraphError):
-    """Malformed graph text; carries a 1-based line number when known."""
+class InputError(ValueError):
+    """Refused input; carries a 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GraphError(InputError):
+    """Invalid graph data or a violated operation precondition."""
+
+
+class GraphFormatError(GraphError):
+    """Malformed graph text."""
 
 
 def norm_edge(a: int, b: int) -> tuple[int, int]:

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import InputError
 
-class NormError(ValueError):
+
+class NormError(InputError):
     """Invalid norm parameter or vector."""
 
 

@@ -57,7 +57,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .graph import Graph, delete_edge
+from .graph import Graph, InputError, delete_edge
 from .norms import DEFAULT_PLANE, LpPlane
 
 DEFAULT_SEED = 1729
@@ -71,7 +71,7 @@ _BOX_RADIUS = 1.0
 # the number of graphs.
 _BATCH_ENTRIES = 1 << 16
 
-class RigidityError(ValueError):
+class RigidityError(InputError):
     """Degenerate placement or inconsistent framework data."""
 
 

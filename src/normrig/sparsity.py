@@ -32,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, contract_pair, delete_edge
+from .graph import Graph, InputError, contract_pair, delete_edge
 
 
 # Largest graph the brute-force uv-sparsity checker accepts.
 BRUTEFORCE_MAX_N = 7
 
 
-class SparsityError(ValueError):
+class SparsityError(InputError):
     """Invalid counting query."""
 
 

@@ -16,10 +16,10 @@ import normrig
 from normrig import __version__, cli, globalrig, norms, rigidity
 from normrig.cli import main
 from normrig.experiments import SWEEPS, format_report
-from normrig.graph import format_graph, parse_graph
+from normrig.graph import GraphError, GraphFormatError, InputError, format_graph, parse_graph
 from normrig.norms import parse_norm
 from normrig.rigidity import DEFAULT_TOL, TolerancePolicy, generic_ranks
-from normrig.sparsity import pebble_rank
+from normrig.sparsity import SparsityError, pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
 TWO_K4 = (
@@ -390,8 +390,11 @@ def test_op_non_integer_operand_exit_1(files, capsys, line):
     ("vertex2h 2", "vertex2h takes 'w H-file [y>t ...]'"),
     ("contractpair 1", "contractpair takes no or two vertices"),
     ("frob 1", "unknown operation 'frob'"),
+    ("fourcycle 0 6 2 3 4>0 4>6", "reassignment names vertex 4 twice"),
+    ("vertex2h 2 k4.graph 0>1 1>2 0>3", "attachment names vertex 0 twice"),
 ])
-def test_op_usage_exit_1(files, capsys, line, message):
+def test_op_usage_exit_1(files, capsys, monkeypatch, tmp_path, line, message):
+    monkeypatch.chdir(tmp_path)  # where the fixture wrote k4.graph
     rc, out, err = run(capsys, "op", "apply", files["k23.graph"], line)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
@@ -663,6 +666,22 @@ def test_negative_seed_exit_1(files, capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_every_input_error_is_one_class(files, monkeypatch):
+    for cls in (GraphError, GraphFormatError, globalrig.SequenceError,
+                SparsityError, norms.NormError, rigidity.RigidityError):
+        assert issubclass(cls, InputError), cls
+    err = InputError("m", 3)
+    assert (str(err), err.line) == ("line 3: m", 3)
+
+    def boom(g):
+        raise ValueError("not an input error")
+
+    # main catches InputError only: any other ValueError is a bug and escapes
+    monkeypatch.setattr(cli, "cover_rank_bound", boom)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["cover-bound", files["k4.graph"]])
+
+
 def test_version_line(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["--version"])
@@ -710,16 +729,19 @@ from normrig import cli
 cli.build_parser()
 for argv in {counting!r}:
     assert cli.main(argv) == 0, argv
+for argv in {refused!r}:
+    assert cli.main(argv) == 1, argv
 assert "numpy" not in sys.modules, "a counting command imported numpy"
 assert cli.main({rank!r}) == 0
 assert "numpy" in sys.modules
 """
 
 
-def test_counting_commands_run_without_numpy(files, capsys):
-    """A fresh interpreter builds the parser and runs the counting commands
-    without importing numpy; rank then imports it.  Every command prints
-    what in-process main prints."""
+def test_counting_commands_run_without_numpy(files, capsys, tmp_path):
+    """A fresh interpreter builds the parser and runs the counting commands,
+    those that succeed and those that refuse their input, without importing
+    numpy; rank then imports it.  Every command prints what in-process main
+    prints."""
     g = files["two_k4.graph"]
     counting = [
         ["check-sparse", g], ["check-uv-sparse", g], ["check-uv-sparse", g, "--bruteforce"],
@@ -727,15 +749,23 @@ def test_counting_commands_run_without_numpy(files, capsys):
         ["op", "apply", g, "zeroext 0 2 7"], ["op", "apply", g, "addedge 2 4"],
         ["certify-global", files["left.seq"]],
     ]
+    bad_seq = tmp_path / "bad_step.seq"
+    bad_seq.write_text("base H_GRAPH\nfrob 1\n")
+    refused = [
+        ["check-uv-sparse", files["dup.graph"]], ["op", "apply", g, "frob 1"],
+        ["certify-global", str(bad_seq)],
+    ]
     rank = ["rank", g]
     src = str(Path(normrig.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT.format(counting=counting, rank=rank)],
+        [sys.executable, "-c", GUARD_SCRIPT.format(counting=counting, refused=refused, rank=rank)],
         env=env, capture_output=True, text=True,
     )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "".join(run(capsys, *argv)[1] for argv in [*counting, rank])
+    assert proc.returncode == 0, proc.stderr
+    printed = [run(capsys, *argv) for argv in [*counting, *refused, rank]]
+    assert proc.stdout == "".join(out for _, out, _ in printed)
+    assert proc.stderr == "".join(err for _, _, err in printed)
 
 
 def _chain_text(n, extra=()):
