@@ -76,7 +76,7 @@ class GenerationError(RuntimeError):
         self.graph = graph
 
 
-def base_graph(tag: str) -> Graph:
+def base_graph(tag: str, lineno: int | None = None) -> Graph:
     """K5_MINUS_E: K5 minus one edge.  H_GRAPH: two K4s sharing an edge."""
     if tag == "K5_MINUS_E":
         return Graph.from_edges(
@@ -89,7 +89,7 @@ def base_graph(tag: str) -> Graph:
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
              (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
         )
-    raise SequenceError(f"unknown base tag {tag!r} (expected one of {BASE_TAGS})")
+    raise SequenceError(f"unknown base tag {tag!r} (expected one of {BASE_TAGS})", lineno)
 
 
 def is_redundantly_rigid_comb(g: Graph) -> bool:
@@ -299,7 +299,7 @@ def parse_sequence(text: str) -> ConstructionSequence:
     if len(parts) != 2 or parts[0] != "base":
         raise SequenceError("header must be 'base <TAG>'", lineno)
     base = parts[1]
-    base_graph(base)  # validate tag early, with a line number on failure
+    base_graph(base, lineno)  # validate tag early, with a line number on failure
     steps = [parse_step(body, lineno) for lineno, body in rows[1:]]
     return ConstructionSequence(base, tuple(steps))
 

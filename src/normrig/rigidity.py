@@ -35,8 +35,9 @@ seeded with [s, t], whatever the batch: uniform_streams draws a chunk's
 streams together, and gives the same bits however it computes them.  So
 per-trial ranks do not depend on the path.  It and derive_seeds, which
 hashes the rows [seed, i, 0] for the sweeps, run a port of numpy's
-SeedSequence and PCG64 generator over many seeds at once, in uint32
-lanes and exact float64 products.
+SeedSequence over many seeds at once, in uint32 lanes: hashing a seed
+costs default_rng most of its time.  uniform_streams hands each hashed
+state to numpy's own PCG64.
 
 Callers that read only the verdict settle: no placement's rank exceeds
 min(rows, 2|V| - 2), since translations always lie in the kernel, so a
@@ -87,18 +88,14 @@ def resolve_seed(seed: int | None) -> int:
     return int(seed)
 
 
-# numpy's SeedSequence (a 4-word pool, hashmix in uint32 arithmetic) and
-# the PCG64 multiplier.  uint32 arrays wrap on overflow, as its C does.
+# numpy's SeedSequence (a 4-word pool, hashmix in uint32 arithmetic).
+# uint32 arrays wrap on overflow, as its C does.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Most padded draws the port carries at once (512 KiB of column sums).
-_BLOCK_DRAWS = 1 << 13
-
-# Jobs below this count draw through numpy's own generator, which is
-# faster there: one stream takes it about 30 us, and the port over 200 us.
+# Jobs below this count draw through default_rng, which is faster there:
+# one stream takes it about 15 us, and the batched path about 66 us.
 _STREAM_JOBS = 24
 
 
@@ -169,72 +166,15 @@ def derive_seeds(seed, count):
     return _seed_states(entropy, entropy.shape[1], 1)[:, 0].tolist()
 
 
-@lru_cache(maxsize=32)
-def _jump_matrix(draws):
-    """(16, 8 * draws) float64 J with [limbs of x, limbs of inc] @ J the
-    16-bit column sums of the PCG64 state that gives draw k < draws,
-    A x + S inc mod 2**128 with A = M**(k + 2) and S = M**(k + 1) + ... + 1."""
-    out = np.zeros((2, 8, draws, 8))
-    a, s = _PCG_MULT**2 % (1 << 128), 1 + _PCG_MULT
-    for k in range(draws):
-        for half, value in enumerate((a, s)):
-            limbs = [value >> 16 * i & 0xFFFF for i in range(8)]
-            for b in range(8):
-                out[half, b, k, b:] = limbs[:8 - b]
-        a, s = a * _PCG_MULT % (1 << 128), (s + a) % (1 << 128)
-    return out.reshape(16, 8 * draws)
+class _HashedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the state it was given: a row of
+    SeedSequence.generate_state(4, np.uint64) already hashed."""
 
+    def __init__(self, state):
+        self.state = state
 
-def _doubles(sums, counts):
-    """next_double of each wanted draw from its state's 16-bit column sums
-    (rows, draws, 8): carry them into the state's two 64-bit halves, take
-    the XSL-RR output and keep its top 53 bits."""
-    c = sums[np.arange(sums.shape[1]) < counts[:, None]].astype(np.uint64).T
-    carry = c[0]
-    for i in range(1, 4):
-        carry = (carry >> 16) + c[i]
-    lo = c[0] + (c[1] << 16) + (c[2] << 32) + (c[3] << 48)
-    hi = c[4] + (c[5] << 16) + (c[6] << 32) + (c[7] << 48) + (carry >> 16)
-    rot = hi >> 58
-    out = lo ^ hi
-    out = out >> rot | out << (-rot & 63)
-    return (out >> 11) * (1.0 / 9007199254740992.0)
-
-
-def _uniform_port(entropy, lengths, counts):
-    """The first counts[j] draws of default_rng(row j).uniform(-r, r), r
-    the box radius, for each row j of entropy and its length (as in
-    _seed_states), concatenated.
-
-    PCG64 seeds from generate_state(4, uint64): state s and increment
-    inc = 2 seq + 1, then state 0 is (s + inc) M + inc.  Draw k comes from
-    state k + 1, M**(k + 2) x + (M**(k + 1) + ... + 1) inc with x = s + inc,
-    so every draw of every row is one product of 16-bit limbs: below
-    2**32 each, at most 16 of them in a sum, exact in float64 in any
-    order.  Rows go through in blocks of about _BLOCK_DRAWS draws, so
-    memory stays bounded.  The output is XSL-RR, (out >> 11) * 2**-53 the
-    double, and 2r * double - r the uniform: numpy's low + (high - low) *
-    double, bit for bit.
-    """
-    counts = np.asarray(counts, dtype=np.intp)
-    draws = int(counts.max(initial=0))
-    if draws == 0:
-        return np.zeros(0)
-    w = _seed_states(entropy, lengths, 8).astype(np.uint64)
-    init_lo, init_hi = w[:, 2] | w[:, 3] << 32, w[:, 0] | w[:, 1] << 32
-    seq_lo, seq_hi = w[:, 6] | w[:, 7] << 32, w[:, 4] | w[:, 5] << 32
-    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
-    x_lo = init_lo + inc_lo
-    x_hi = init_hi + inc_hi + (x_lo < init_lo)
-    halves = np.stack([x_lo, x_hi, inc_lo, inc_hi], axis=1)[:, :, None]
-    limbs = (halves >> np.arange(0, 64, 16, dtype=np.uint64) & 0xFFFF).reshape(-1, 16)
-    limbs, jump = limbs.astype(np.float64), _jump_matrix(draws)
-    step = max(1, _BLOCK_DRAWS // draws)
-    doubles = np.concatenate([
-        _doubles((limbs[i:i + step] @ jump).reshape(-1, draws, 8), counts[i:i + step])
-        for i in range(0, len(counts), step)
-    ])
-    return 2 * _BOX_RADIUS * doubles - _BOX_RADIUS
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def uniform_streams(jobs, counts):
@@ -242,9 +182,11 @@ def uniform_streams(jobs, counts):
     the box radius, for each job j = (seed, t) of non-negative ints,
     concatenated.
 
-    Fewer than _STREAM_JOBS jobs draw through numpy's own generator, more
-    through the port, in one call whatever the seeds' widths.  Both give
-    the same bits.
+    Fewer than _STREAM_JOBS jobs draw through default_rng itself.  More
+    hash their seeds in one call, whatever the seeds' widths, and hand
+    each hashed state to numpy's PCG64, whose raw draws give numpy's
+    next_double, (raw >> 11) * 2**-53, and its uniform, low + (high -
+    low) * double.  Both give the same bits.
     """
     if len(jobs) < _STREAM_JOBS:
         return np.concatenate([
@@ -255,7 +197,15 @@ def uniform_streams(jobs, counts):
     lengths = np.array([len(row) for row in rows])
     width = lengths.max()
     entropy = np.array([row + (0,) * (width - len(row)) for row in rows], dtype=np.uint32)
-    return _uniform_port(entropy, lengths, counts)
+    # generate_state(4, np.uint64): each word pair composed low word first,
+    # so the host's byte order does not matter, and C-contiguous, since
+    # PCG64 reads each row's memory as its four words
+    w = _seed_states(entropy, lengths, 8).astype(np.uint64)
+    states = np.ascontiguousarray(w[:, 0::2] | w[:, 1::2] << 32)
+    raw = np.concatenate([
+        np.random.PCG64(_HashedState(state)).random_raw(c) for state, c in zip(states, counts)
+    ])
+    return 2 * _BOX_RADIUS * ((raw >> 11) * 2.0**-53) - _BOX_RADIUS
 
 
 @dataclass(frozen=True)

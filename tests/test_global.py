@@ -462,6 +462,9 @@ def test_parse_errors_carry_line_numbers():
         parse_sequence("base H_GRAPH\n# fine\nfrobnicate 1 2\n")
     with pytest.raises(SequenceError, match="line 2"):
         parse_sequence("base H_GRAPH\nsplit 2 | 0 1 | 3 | 3 ->\n")
+    with pytest.raises(SequenceError, match="^line 2: unknown base tag 'FOO'") as err:
+        parse_sequence("# hi\nbase FOO\naddedge 0 1\n")
+    assert err.value.line == 2
     with pytest.raises(SequenceError):
         parse_sequence("")
 

@@ -119,7 +119,9 @@ def test_uniform_streams_equal_default_rng():
     got = rigidity.uniform_streams([(s, t) for s, t, _ in few], [c for *_, c in few])
     assert np.array_equal(got.view(np.uint64), _numpy_streams(few).view(np.uint64))
     assert rigidity.uniform_streams([(5, 0)], [0]).shape == (0,)
-    assert rigidity._uniform_port(np.array([[5, 0]], dtype=np.uint32), 2, [0]).shape == (0,)
+    jobs = [(5, t) for t in range(rigidity._STREAM_JOBS)]
+    empty = rigidity.uniform_streams(jobs, [0] * len(jobs))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_index_draws_equal_choice():

@@ -575,7 +575,7 @@ def _numpy_placements(graphs, seeds, trials):
     [i if i % 2 else 2**32 + i for i in range(40)],  # one and two words
 ])
 def test_multi_word_seeds(monkeypatch, seeds, k23, two_k4):
-    # the port groups a chunk's streams by word count itself
+    # the SeedSequence port hashes seeds of mixed word counts in one call
     plane, graphs = LpPlane(4.0), [k23, two_k4] * 20
     calls, drawn = _count_default_rng(monkeypatch), _drawn_placements(monkeypatch)
     got = generic_ranks(graphs, seeds, True, plane, 2)
