@@ -70,10 +70,9 @@ class SequenceError(InputError):
 class GenerationError(RuntimeError):
     """Random construction ran out of retries; carries the partial state."""
 
-    def __init__(self, message: str, partial: "ConstructionSequence", graph: Graph):
+    def __init__(self, message: str, partial: "ConstructionSequence"):
         super().__init__(message)
         self.partial = partial
-        self.graph = graph
 
 
 def base_graph(tag: str, lineno: int | None = None) -> Graph:
@@ -209,9 +208,16 @@ def certify_sequence(
     a randomized uv-rigidity cross-check here, by rigidity.generic_ranks on
     G', settled: it stops after trial 0 when it reaches the rank cap.
     A step that fails to apply aborts the replay and fails both regimes.
+    With numeric=True a negative seed or fewer than one trial is refused
+    before anything is replayed, whether or not the sequence splits.
     """
     if numeric:
-        from .rigidity import generic_ranks  # imports numpy, which counting never needs
+        # imports numpy, which counting never needs
+        from .rigidity import RigidityError, generic_ranks, resolve_seed
+
+        seed = resolve_seed(seed)
+        if trials < 1:
+            raise RigidityError("need at least one trial")
 
     g = base_graph(seq.base)
     game = PebbleState(g)
@@ -389,7 +395,6 @@ def random_certified_graph(
                     f"no certifiable split found in {_SPLIT_TRIES} tries "
                     f"at {g.n} vertices",
                     ConstructionSequence(base, tuple(v.step for v in verdicts)),
-                    g,
                 )
         else:
             z = max(g.vertices) + 1

@@ -31,13 +31,14 @@ each matrix's own size, so the padding changes no rank.  On one graph
 every chunk holds one shape and is never padded.
 
 Trial t of a graph under seed s draws its points from numpy's generator
-seeded with [s, t], whatever the batch: uniform_streams draws a chunk's
-streams together, and gives the same bits however it computes them.  So
-per-trial ranks do not depend on the path.  It and derive_seeds, which
-hashes the rows [seed, i, 0] for the sweeps, run a port of numpy's
-SeedSequence over many seeds at once, in uint32 lanes: hashing a seed
-costs default_rng most of its time.  uniform_streams hands each hashed
-state to numpy's own PCG64.
+seeded with [s, t], whatever the batch: default_rng([s, t]) is the
+contract, and per-trial ranks do not depend on the chunk.
+uniform_streams, which draws a chunk's streams together, and
+derive_seeds, which hashes the rows [seed, i, 0] for the sweeps, run a
+port of numpy's SeedSequence over many seeds at once, in uint32 lanes:
+hashing a seed costs default_rng most of its time.  uniform_streams
+hands each hashed state to numpy's own PCG64, for one stream as for
+many.
 
 Callers that read only the verdict settle: no placement's rank exceeds
 min(rows, 2|V| - 2), since translations always lie in the kernel, so a
@@ -93,10 +94,6 @@ def resolve_seed(seed: int | None) -> int:
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-# Jobs below this count draw through default_rng, which is faster there:
-# one stream takes it about 15 us, and the batched path about 66 us.
-_STREAM_JOBS = 24
 
 
 @lru_cache(maxsize=None)
@@ -182,17 +179,11 @@ def uniform_streams(jobs, counts):
     the box radius, for each job j = (seed, t) of non-negative ints,
     concatenated.
 
-    Fewer than _STREAM_JOBS jobs draw through default_rng itself.  More
-    hash their seeds in one call, whatever the seeds' widths, and hand
-    each hashed state to numpy's PCG64, whose raw draws give numpy's
-    next_double, (raw >> 11) * 2**-53, and its uniform, low + (high -
-    low) * double.  Both give the same bits.
+    The jobs' seeds are hashed in one call, whatever their widths, and
+    each hashed state goes to numpy's own PCG64, whose raw draws give
+    numpy's next_double, (raw >> 11) * 2**-53, and its uniform, low +
+    (high - low) * double.
     """
-    if len(jobs) < _STREAM_JOBS:
-        return np.concatenate([
-            np.random.default_rng([s, t]).uniform(-_BOX_RADIUS, _BOX_RADIUS, c)
-            for (s, t), c in zip(jobs, counts)
-        ])
     rows = [_seed_words(s) + _seed_words(t) for s, t in jobs]
     lengths = np.array([len(row) for row in rows])
     width = lengths.max()
@@ -362,17 +353,6 @@ def _chunks(jobs, shapes):
     return chunks
 
 
-def _chunk_matrices(chunk, works, seeds, plane):
-    """Draw and build one chunk: its jobs' placements, in one batch, and
-    their matrices in one _matrix_stack call, with each matrix's rows and
-    columns.  The stack is padded only where the chunk holds several
-    shapes, and every chunk of a one-graph call holds one."""
-    preps = [works[i] for i, _ in chunk]
-    counts = [2 * work.n for work, *_ in preps]
-    draws = uniform_streams([(seeds[i], t) for i, t in chunk], counts)
-    return _matrix_stack(plane, draws.reshape(-1, 2), preps)
-
-
 def generic_ranks(
     graphs: Sequence[Graph],
     seeds: Sequence[int | None],
@@ -411,7 +391,10 @@ def generic_ranks(
 
     def run(jobs):
         for chunk in _chunks(jobs, shapes):
-            stack, rows, cols = _chunk_matrices(chunk, works, seeds, plane)
+            preps = [works[i] for i, _ in chunk]
+            draws = uniform_streams([(seeds[i], t) for i, t in chunk],
+                                    [2 * work.n for work, *_ in preps])
+            stack, rows, cols = _matrix_stack(plane, draws.reshape(-1, 2), preps)
             sigmas = _singular_values(stack)
             del stack  # one chunk's matrices at a time: freed before the next is built
             rank, tau, near = _ranks(sigmas, tol, rows, cols)

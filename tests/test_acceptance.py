@@ -221,14 +221,17 @@ def pair_class_oracles(n: int) -> int:
     numerical uv-independence, and one settled generic_ranks batch over
     those classes against those reports, in every field where trial 0
     falls short of the rank cap (the batch reruns them) and in the
-    verdict fields elsewhere.  Last, the counting uv-rank against greedy
-    insertion under the brute-force checker on every pair class on n - 1
-    and n vertices.  Each step prints its counts and time.
+    verdict fields elsewhere.  Each class's ten placement streams, as a
+    one-graph call draws them, are then checked bit for bit against
+    numpy's own generator, the oracle of the SeedSequence port.  Last,
+    the counting uv-rank against greedy insertion under the brute-force
+    checker on every pair class on n - 1 and n vertices.  Each step
+    prints its counts and time.
     """
     from test_rigidity import VERDICT_FIELDS
     from test_sparsity import _greedy_uv_rank
 
-    from normrig.rigidity import derive_seeds, generic_ranks
+    from normrig.rigidity import _BOX_RADIUS, derive_seeds, generic_ranks, uniform_streams
     from normrig.sparsity import uv_rank_comb
 
     classes = enumerate_graphs(n, pair=True)
@@ -253,11 +256,21 @@ def pair_class_oracles(n: int) -> int:
     print(f"settled batch vs one-graph ranks: graphs {len(classes)} rerun {sum(short)} "
           f"mismatches {batch_bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
+    r, trials = _BOX_RADIUS, range(10)
+    stream_bad = sum(
+        uniform_streams([(s, t) for t in trials], [2 * g.n] * len(trials)).tobytes()
+        != b"".join(np.random.default_rng([s, t]).uniform(-r, r, 2 * g.n).tobytes()
+                    for t in trials)
+        for g, s in zip(classes, seeds)
+    )
+    print(f"placement streams vs numpy's generator: graphs {len(classes)} "
+          f"mismatches {stream_bad} time {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
     greedy_classes = enumerate_graphs(n - 1, pair=True) + classes
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)
     print(f"counting uv-rank vs greedy: graphs {len(greedy_classes)} mismatches {rank_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
-    return brute_bad + bad + batch_bad + rank_bad
+    return brute_bad + bad + batch_bad + stream_bad + rank_bad
 
 
 def test_pair_class_oracles_at_five_vertices():

@@ -42,6 +42,7 @@ from normrig.graph import (
     apply_step,
     delete_edge,
 )
+from normrig.rigidity import RigidityError
 from normrig.sparsity import SparsityError, circuit_parts, is_rigid_comb, pebble_game
 
 SEQ_SPLIT = """base H_GRAPH
@@ -184,6 +185,21 @@ def test_numeric_cross_check():
     report = certify_sequence(seq, numeric=True, trials=6, seed=5)
     (sv,) = [s for s in report.steps if isinstance(s.step, GeneralizedVertexSplit)]
     assert sv.numeric_uv_rigid is True
+
+
+@pytest.mark.parametrize("text", ["base K5_MINUS_E\n", SEQ_SPLIT], ids=["no-split", "split"])
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": 0}, "need at least one trial"),
+    ({"seed": -3}, "seed must be a non-negative integer"),
+], ids=["trials", "seed"])
+def test_numeric_flags_refused_before_replay(monkeypatch, text, kwargs, message):
+    # with or without a split to check, as the CLI refuses them
+    def no_replay(*args):
+        raise AssertionError("step replayed")
+
+    monkeypatch.setattr(globalrig, "_check_step", no_replay)
+    with pytest.raises(RigidityError, match=message):
+        certify_sequence(parse_sequence(text), numeric=True, **kwargs)
 
 
 def test_bad_split_aborts():
@@ -698,8 +714,7 @@ def test_generation_error_carries_partial(monkeypatch):
     monkeypatch.setattr(globalrig, "_SPLIT_TRIES", 0)
     with pytest.raises(GenerationError, match="no certifiable split found in 0 tries at 5") as ei:
         random_certified_graph(7, seed=0, base="K5_MINUS_E", split_prob=1.0)
-    assert ei.value.partial is not None
-    assert ei.value.graph.n >= 5
+    assert certify_sequence(ei.value.partial).final_graph.n == 5
 
 
 if __name__ == "__main__":

@@ -113,13 +113,17 @@ def test_uniform_streams_equal_default_rng():
     assert {len(rigidity._seed_words(s)) for s, *_ in rows} == {1, 2, 3, 4, 5}
     got = rigidity.uniform_streams([(s, t) for s, t, _ in rows], [c for *_, c in rows])
     assert np.array_equal(got.view(np.uint64), _numpy_streams(rows).view(np.uint64))
-    # few streams take numpy's own generator, and a zero count draws nothing
+    # a few streams, and one stream alone, as a one-graph call draws it, of
+    # seeds one to five words wide; a zero count draws nothing
     few = rows[:: len(rows) // 7]
-    assert len(few) < rigidity._STREAM_JOBS
     got = rigidity.uniform_streams([(s, t) for s, t, _ in few], [c for *_, c in few])
     assert np.array_equal(got.view(np.uint64), _numpy_streams(few).view(np.uint64))
+    for s in (1729, 2**32 + 3, 2**64 + 5, 2**100 + 7, 2**128 + 3):
+        for row in ((s, 0, 14), (s, 9, 200)):
+            got = rigidity.uniform_streams([row[:2]], [row[2]])
+            assert np.array_equal(got.view(np.uint64), _numpy_streams([row]).view(np.uint64))
     assert rigidity.uniform_streams([(5, 0)], [0]).shape == (0,)
-    jobs = [(5, t) for t in range(rigidity._STREAM_JOBS)]
+    jobs = [(5, t) for t in range(30)]
     empty = rigidity.uniform_streams(jobs, [0] * len(jobs))
     assert empty.shape == (0,) and empty.dtype == np.float64
 

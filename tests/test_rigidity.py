@@ -460,7 +460,7 @@ def test_settled_rank_rejects_no_trials(monkeypatch, two_k4):
     def no_work(*args, **kwargs):
         raise AssertionError("placement drawn with no trials")
 
-    monkeypatch.setattr(np.random, "default_rng", no_work)
+    monkeypatch.setattr(rigidity, "uniform_streams", no_work)
     for graphs, seeds in (([two_k4], [1]), ([], [])):
         with pytest.raises(RigidityError, match="need at least one trial"):
             generic_ranks(graphs, seeds, True, trials=0, settle=True)
@@ -533,16 +533,17 @@ def _count_default_rng(monkeypatch):
     return calls
 
 
-def test_batches_draw_through_the_port_and_one_graph_calls_through_numpy(monkeypatch, k23):
-    # Both paths stay live: a batch's chunks hold at least _STREAM_JOBS
-    # trials and draw through rigidity.uniform_streams, and a one-graph
-    # ten-trial call through numpy's generator; both give the same reports.
+def test_generic_ranks_builds_no_numpy_generator(monkeypatch, k23):
+    # One draw path: a batch and a one-graph call of 1 or 10 trials all draw
+    # through rigidity.uniform_streams, and build no default_rng; a graph's
+    # report is the same in a batch and alone.
     plane, seeds = LpPlane(4.0), [3000 + i for i in range(len(PAIR_CLASSES))]
     calls = _count_default_rng(monkeypatch)
     batch = generic_ranks(PAIR_CLASSES, seeds, True, plane, 10, settle=True)
-    assert calls == [] and sum(rep.trials > 1 for rep in batch) >= 3
+    assert sum(rep.trials > 1 for rep in batch) >= 3
     one = generic_ranks([k23], [7], True, plane, 10)[0]
-    assert len(calls) == 10
+    single = generic_ranks([k23], [7], True, plane, 1)[0]
+    assert calls == [] and single.per_trial_ranks == one.per_trial_ranks[:1]
     monkeypatch.undo()
     for g, s, got in zip(PAIR_CLASSES, seeds, batch):
         assert got == generic_ranks([g], [s], True, plane, 10, settle=True)[0], g
@@ -577,9 +578,12 @@ def _numpy_placements(graphs, seeds, trials):
 def test_multi_word_seeds(monkeypatch, seeds, k23, two_k4):
     # the SeedSequence port hashes seeds of mixed word counts in one call
     plane, graphs = LpPlane(4.0), [k23, two_k4] * 20
-    calls, drawn = _count_default_rng(monkeypatch), _drawn_placements(monkeypatch)
+    calls, streams = [], rigidity.uniform_streams
+    monkeypatch.setattr(rigidity, "uniform_streams",
+                        lambda jobs, counts: calls.append(jobs) or streams(jobs, counts))
+    drawn = _drawn_placements(monkeypatch)
     got = generic_ranks(graphs, seeds, True, plane, 2)
-    assert calls == []
+    assert [sorted(jobs) for jobs in calls] == [sorted((s, t) for s in seeds for t in range(2))]
     monkeypatch.undo()
     assert sorted(drawn) == sorted(_numpy_placements(graphs, seeds, 2))
     assert got == [generic_ranks([g], [s], True, plane, 2)[0] for g, s in zip(graphs, seeds)]
