@@ -28,12 +28,10 @@ from .sparsity import (
     SparsityError,
     UvSparseVerdict,
     cover_rank_bound,
-    is_kl_sparse,
     is_rigid_comb,
     is_uv_rigid_comb,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
-    pebble_game,
 )
 
 __version__ = "0.1.0"
@@ -42,7 +40,7 @@ __version__ = "0.1.0"
 _NUMERIC = {
     **dict.fromkeys(("DEFAULT_PLANE", "LpPlane", "NormError", "parse_norm"), "norms"),
     **dict.fromkeys(
-        ("DEFAULT_SEED", "RankReport", "RigidityError", "TolerancePolicy", "generic_ranks"),
+        ("DEFAULT_SEED", "RankReport", "RigidityError", "generic_ranks"),
         "rigidity",
     ),
 }
@@ -71,15 +69,12 @@ __all__ = [
     "parse_norm",
     "RankReport",
     "RigidityError",
-    "TolerancePolicy",
     "DEFAULT_SEED",
     "generic_ranks",
     "PebbleState",
     "UvSparseVerdict",
     "CoverBound",
     "SparsityError",
-    "pebble_game",
-    "is_kl_sparse",
     "is_rigid_comb",
     "is_uv_sparse",
     "is_uv_sparse_bruteforce",

@@ -50,12 +50,12 @@ from .graph import (
     zero_extension,
 )
 from .sparsity import (
+    PebbleState,
     delete_contract,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
     cover_rank_bound,
     covered_edge_count,
-    pebble_game,
 )
 
 def _yesno(b: bool) -> str:
@@ -78,12 +78,6 @@ def _single_norm(args):
     if len(norms) > 1:
         raise NormError("--norm: this command accepts a single norm")
     return parse_norm(norms[0])
-
-
-def _tol(args):
-    from .rigidity import DEFAULT_TOL, TolerancePolicy
-
-    return DEFAULT_TOL if args.tol is None else TolerancePolicy(rel=args.tol)
 
 
 def _jsonable(x):
@@ -130,9 +124,9 @@ def _cmd_rank(args) -> int:
 
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
-    plane, tol = _single_norm(args), _tol(args)
+    plane = _single_norm(args)
     settle = not (args.json or (args.verbose and per_trial))  # only verdicts: fixed at the cap
-    rep = generic_ranks([g], [args.seed], coincident, plane, args.trials, tol, settle)[0]
+    rep = generic_ranks([g], [args.seed], coincident, plane, args.trials, args.tol, settle)[0]
     values = {
         "rank": rep.rank,
         "rows": rep.rows,
@@ -150,7 +144,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_check_sparse(args) -> int:
     g = _load_graph(args.graph)
-    res = pebble_game(g, args.k, args.l)
+    res = PebbleState(g, args.k, args.l)
     sparse = res.rank == g.m
     lines = [f"sparse: {_yesno(sparse)}"]
     record = {"sparse": sparse, "k": args.k, "l": args.l}
@@ -417,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         " and rank and uv-rank's --verbose, run every trial",
     )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
-    common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold (default 1e-9)")
+    common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold"
+                        " (default 1e-9), read by rank, uv-rank, rigid and uv-rigid; experiment and"
+                        " certify-global --numeric refuse it, and the other commands ignore it")
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     common.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
 

@@ -39,11 +39,11 @@ from .graph import (
 from .norms import DEFAULT_PLANE, LpPlane, parse_norm
 from .rigidity import derive_seeds, generic_ranks, resolve_seed
 from .sparsity import (
+    PebbleState,
     cover_rank_bound,
     is_uv_rigid_comb,
     is_uv_sparse,
     is_rigid_comb,
-    pebble_game,
 )
 
 _PAIR_EXHAUSTIVE_MAX_N = 6  # n = 7 has 13128 pair classes, ten times those below
@@ -79,14 +79,6 @@ class SweepReport:
         return not self.disagreements
 
 
-def _plane(desc: LpPlane | str | None) -> LpPlane:
-    if desc is None:
-        return DEFAULT_PLANE
-    if isinstance(desc, str):
-        return parse_norm(desc)
-    return desc
-
-
 def _config(**kw) -> tuple[tuple[str, object], ...]:
     return tuple(sorted(kw.items()))
 
@@ -100,7 +92,7 @@ def _run(name, items, comb_fn, kind, attr, desc, trials, seed, **keys) -> SweepR
     by one rigidity.derive_seeds call.  keys join norm, trials and seed
     in the report's config."""
     t0 = time.perf_counter()
-    plane = _plane(desc)
+    plane = desc or DEFAULT_PLANE
     seed = resolve_seed(seed)
     instances = list(items(seed))
     graphs = [g for _, g in instances]
@@ -134,7 +126,7 @@ def _pair_instances(max_n: int, samples_per_large_n: int, seed: int):
 
 def equivalence_sweep(
     max_n: int = 8,
-    desc: LpPlane | str | None = None,
+    desc: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
     samples_per_large_n: int = 100,
@@ -156,7 +148,7 @@ def equivalence_sweep(
 def delete_contract_sweep(
     samples: int = 500,
     n_range: tuple[int, int] = (4, 8),
-    desc: LpPlane | str | None = None,
+    desc: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -178,7 +170,7 @@ def delete_contract_sweep(
 
 def rigidity_sweep(
     max_n: int = 6,
-    desc: LpPlane | str | None = None,
+    desc: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -194,7 +186,7 @@ def rigidity_sweep(
 
 def cover_bound_sweep(
     max_n: int = 5,
-    desc: LpPlane | str | None = None,
+    desc: LpPlane | None = None,
     trials: int = 10,
     seed: int | None = None,
 ) -> SweepReport:
@@ -241,7 +233,7 @@ _HOST_SIZES = (4, 8)  # rng.integers bounds: operation hosts have 4 to 7 vertice
 
 def _independent_subgraph(g: Graph) -> Graph:
     # the accepted edges are some of g's own, so no from_edges checks
-    return Graph(g.vertices, frozenset(pebble_game(g).accepted), g.designated_pair)
+    return Graph(g.vertices, frozenset(PebbleState(g).accepted), g.designated_pair)
 
 
 def _sparse_host(rng: np.random.Generator) -> Graph:
@@ -353,7 +345,7 @@ def _apply_variant(variant: str, rng: np.random.Generator) -> Graph:
 
 def operation_preservation_suite(
     samples: int = 100,
-    desc: LpPlane | str | None = None,
+    desc: LpPlane | None = None,
     seed: int | None = None,
     trials: int = 10,
 ) -> SweepReport:
@@ -383,7 +375,8 @@ def conjecture_probe(
     max_n: int = 5,
     trials: int = 10,
 ) -> SweepReport:
-    """The uv-sparsity equivalence re-run across several norms.
+    """The uv-sparsity equivalence re-run across several norms, each given
+    as a norm spec string that parse_norm reads.
 
     The combinatorial side never sees the norm, so any verdict that
     moves with the exponent would show up as a disagreement.  Every
@@ -392,7 +385,7 @@ def conjecture_probe(
     """
     seed = resolve_seed(seed)
     t0 = time.perf_counter()
-    planes = [_plane(d) for d in desc_list]
+    planes = [parse_norm(d) for d in desc_list]
     reps = [
         equivalence_sweep(max_n, p, trials=trials, seed=seed, samples_per_large_n=samples)
         for p in planes

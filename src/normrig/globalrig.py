@@ -55,7 +55,7 @@ from .graph import (
     norm_edge,
     numbered_lines,
 )
-from .sparsity import PebbleState, SparsityError, circuit_parts, pebble_game
+from .sparsity import PebbleState, circuit_parts
 
 if TYPE_CHECKING:
     from .norms import LpPlane
@@ -93,12 +93,10 @@ def base_graph(tag: str, lineno: int | None = None) -> Graph:
 
 def is_redundantly_rigid_comb(g: Graph) -> bool:
     """Rigid, and still rigid after deleting any single edge: rigid with
-    no coloop, read by circuit_parts from one (2,2) pebble game.  One
-    vertex is rigid by convention, as in is_rigid_comb."""
-    if g.n < 1:
-        raise SparsityError("rigidity needs at least one vertex")
-    res = pebble_game(g, 2, 2)
-    return res.rank == 2 * g.n - 2 and not circuit_parts(res)[1]
+    no coloop, read by circuit_parts from one (2,2) pebble game.  Rigid
+    means rank max(0, 2|V| - 2), as in is_rigid_comb."""
+    res = PebbleState(g, 2, 2)
+    return res.rank == max(0, 2 * g.n - 2) and not circuit_parts(res)[1]
 
 
 # ---------------------------------------------------------------------------

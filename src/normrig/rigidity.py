@@ -64,6 +64,8 @@ from .norms import DEFAULT_PLANE, LpPlane
 
 DEFAULT_SEED = 1729
 
+DEFAULT_TOL = 1e-9  # the relative rank threshold of _ranks
+
 # Placements are drawn uniformly from the square [-r, r]^2 of this r.
 _BOX_RADIUS = 1.0
 
@@ -199,24 +201,6 @@ def uniform_streams(jobs, counts):
     return 2 * _BOX_RADIUS * ((raw >> 11) * 2.0**-53) - _BOX_RADIUS
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Singular values below rel * sigma_max * max(rows, cols) are noise."""
-
-    rel: float = 1e-9
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rel) and self.rel >= 0):
-            raise RigidityError(f"tolerance must be finite and non-negative, got {self.rel}")
-
-    def threshold(self, sigma_max, rows, cols):
-        """Of one matrix, or elementwise of arrays of them."""
-        return self.rel * sigma_max * np.maximum(rows, cols)
-
-
-DEFAULT_TOL = TolerancePolicy()
-
-
 def _matrix_stack(plane: LpPlane, pts: np.ndarray, preps):
     """The rigidity matrices of B placements, each in the top-left corner of
     its layer of one zero stack (B, M, 2N), and each matrix's rows and
@@ -262,13 +246,14 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _ranks(sigmas: np.ndarray, tol: TolerancePolicy, rows, cols):
+def _ranks(sigmas: np.ndarray, tol: float, rows, cols):
     """Rank, threshold and near-threshold flag of each row of singular values,
-    of the matrices with the given rows and cols, one count per row."""
+    of the matrices with the given rows and cols, one count per row: values
+    below tol * sigma_max * max(rows, cols) are noise."""
     count, k = sigmas.shape
     if k == 0:
         return np.zeros(count, dtype=int), np.zeros(count), np.zeros(count, dtype=bool)
-    tau = tol.threshold(sigmas[:, 0], rows, cols)
+    tau = tol * sigmas[:, 0] * np.maximum(rows, cols)
     rank = np.sum(sigmas > tau[:, None], axis=1)
     # A kept singular value within a decade of the cutoff means the
     # verdict leans on the tolerance; callers surface this.
@@ -359,7 +344,7 @@ def generic_ranks(
     coincident: bool = False,
     plane: LpPlane | None = None,
     trials: int = 10,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float | None = None,
     settle: bool = False,
 ) -> list[RankReport]:
     """The plain or coincident rank report of each graph under its seed.
@@ -368,8 +353,9 @@ def generic_ranks(
     built and decomposed, and the tolerance rule turns its singular values
     into ranks and notes.  A report's rank is the best of its trials: rank
     never exceeds the generic value and random placements reach it with
-    overwhelming probability.  Rigidity is rank 2|V| - 2, which needs
-    |V| >= 3; graphs on at most one vertex are rigid by convention.
+    overwhelming probability.  Rigidity is rank max(0, 2|V| - 2), as in
+    is_rigid_comb; past one vertex it needs |V| >= 3.  tol is checked
+    first, before the seeds and trials; None means DEFAULT_TOL.
 
     A coincident report places the designated pair at one random point,
     and its matrix is built on G minus the pair edge (a coincident pair
@@ -380,6 +366,9 @@ def generic_ranks(
     only for the graphs below the rank cap; a report holds the trials it
     ran, in order.
     """
+    tol = DEFAULT_TOL if tol is None else tol
+    if not (np.isfinite(tol) and tol >= 0):
+        raise RigidityError(f"tolerance must be finite and non-negative, got {tol}")
     plane = plane or DEFAULT_PLANE
     seeds = [resolve_seed(s) for s in seeds]
     if trials < 1:
@@ -421,7 +410,7 @@ def generic_ranks(
             rows=work.m,
             rank=best,
             independent=not had_pair_edge and best == work.m,
-            rigid=g.n <= 1 or best == 2 * g.n - 2,
+            rigid=best == max(0, 2 * g.n - 2),
             per_trial_ranks=tuple(tried),
             affine_span_full=g.n - coincident >= 3,
             pair=g.designated_pair,
@@ -429,7 +418,7 @@ def generic_ranks(
             trials=len(tried),
             seed=seed,
             box_radius=_BOX_RADIUS,
-            tol_rel=tol.rel,
+            tol_rel=tol,
             norm_spec=plane.spec_string(),
             near_threshold=bool(noted),
             notes=tuple(noted),

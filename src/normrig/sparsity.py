@@ -23,8 +23,8 @@ one routine behind is_uv_rigid_comb and uv-rigid-comb) and the counting
 uv-rank uv_rank_comb.  is_uv_sparse_bruteforce checks the definition on
 small graphs.  circuit_parts is the one reader of the pebble game's
 circuits: the cover bound and globalrig's redundancy verdicts read its
-parts and coloops.  PebbleState is the pebble game: pebble_game plays a
-fresh one, and globalrig carries one through a construction sequence.
+parts and coloops.  PebbleState(g, k, l) plays a fresh pebble game, and
+globalrig carries one through a construction sequence.
 """
 
 from __future__ import annotations
@@ -228,30 +228,15 @@ class PebbleState:
         return again
 
 
-def pebble_game(g: Graph, k: int = 2, l: int = 2) -> PebbleState:
-    """A fresh (k, l) pebble game on g.  Its rank is the size of a maximum
-    (k, l)-sparse subset of E, and its witness, if an edge was rejected,
-    is a vertex set U with i(U) > k|U| - l, which certifies non-sparsity.
-    """
-    return PebbleState(g, k, l)
-
-
 def pebble_rank(g: Graph, k: int = 2, l: int = 2) -> int:
-    return pebble_game(g, k, l).rank
-
-
-def is_kl_sparse(g: Graph, k: int = 2, l: int = 2) -> bool:
-    return pebble_game(g, k, l).rank == g.m
+    """A fresh game's rank; normbench's make_cases calls it."""
+    return PebbleState(g, k, l).rank
 
 
 def is_rigid_comb(g: Graph) -> bool:
-    """Combinatorial rigidity: the (2,2)-matroid rank reaches 2|V| - 2.
-
-    One vertex is rigid: its rank 0 is 2 * 1 - 2.
-    """
-    if g.n < 1:
-        raise SparsityError("rigidity needs at least one vertex")
-    return pebble_rank(g, 2, 2) == 2 * g.n - 2
+    """The (2,2)-matroid rank reaches max(0, 2|V| - 2): the empty graph and
+    one vertex are rigid at rank 0, as in rigidity.generic_ranks."""
+    return pebble_rank(g, 2, 2) == max(0, 2 * g.n - 2)
 
 
 def circuit_parts(game: PebbleState) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
@@ -440,7 +425,7 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     if g.has_edge(u, v):
         return _violation(g, "pair-edge")
 
-    res = pebble_game(g, 2, 2)
+    res = PebbleState(g, 2, 2)
     if res.rank < g.m:
         return _violation(g, "subset", (res.witness,))
 
@@ -448,7 +433,7 @@ def is_uv_sparse(g: Graph) -> UvSparseVerdict:
     if len(common) >= 3:
         fam = tuple(frozenset((c, u, v)) for c in common[:3])
     else:
-        con = pebble_game(contract_pair(g))
+        con = PebbleState(contract_pair(g))
         if con.rank + 2 >= g.m:
             return UvSparseVerdict(True, None)
         x = frozenset((u, v)).union(*con.reaches[: 3 - len(common)])
@@ -460,7 +445,7 @@ def _uv_games(g: Graph) -> tuple[PebbleState, PebbleState]:
     """The (2,2) pebble games on G - uv and on G/uv, in that order."""
     u, v = g.require_pair()
     minus = delete_edge(g, u, v) if g.has_edge(u, v) else g
-    return pebble_game(minus), pebble_game(contract_pair(g))
+    return PebbleState(minus), PebbleState(contract_pair(g))
 
 
 def delete_contract(g: Graph) -> tuple[bool, bool]:
@@ -482,7 +467,7 @@ def uv_rank_comb(g: Graph) -> int:
 
 
 def is_uv_rigid_comb(g: Graph) -> bool:
-    """Delete-contract test: G - uv and G/uv both combinatorially rigid."""
+    """G - uv and G/uv both combinatorially rigid; normbench's make_cases calls it."""
     return all(delete_contract(g))
 
 
@@ -508,7 +493,7 @@ def cover_rank_bound(g: Graph) -> CoverBound:
     tight parts hold every edge in a circuit, and the coloops join the
     cover as pairs.
     """
-    res = pebble_game(g, 2, 2)
+    res = PebbleState(g, 2, 2)
     parts, coloops = circuit_parts(res)
     cover = tuple(sorted(parts, key=sorted)) + tuple(frozenset(e) for e in sorted(coloops))
     return CoverBound(res.rank, cover)

@@ -18,7 +18,7 @@ from normrig.cli import main
 from normrig.experiments import SWEEPS, format_report
 from normrig.graph import GraphError, GraphFormatError, InputError, format_graph, parse_graph
 from normrig.norms import parse_norm
-from normrig.rigidity import DEFAULT_TOL, TolerancePolicy, generic_ranks
+from normrig.rigidity import DEFAULT_TOL, generic_ranks
 from normrig.sparsity import SparsityError, pebble_rank
 
 K23 = "5 6 0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
@@ -204,7 +204,7 @@ def test_text_rank_commands_equal_the_full_report(tmp_path, capsys, norm, tol):
     # there, K2,3 is below it with its pair coincident and NEAR_TIGHT always
     # is; at lp:1.5 the loose tolerance leaves most trial-0 ranks short, and
     # some later trials rank higher (two K4s and NEAR_TIGHT at seed 3)
-    policy = DEFAULT_TOL if tol is None else TolerancePolicy(rel=float(tol))
+    rel = DEFAULT_TOL if tol is None else float(tol)
     extra = [] if tol is None else ["--tol", tol]
     for name, text in (("two_k4", TWO_K4), ("k23", K23), ("near_tight", NEAR_TIGHT)):
         path = tmp_path / f"{name}.graph"
@@ -214,7 +214,7 @@ def test_text_rank_commands_equal_the_full_report(tmp_path, capsys, norm, tol):
                 for trials in (1, 2, 10):
                     rc, out, _ = run(capsys, cmd, str(path), "--norm", norm, "--seed", str(seed),
                                      "--trials", str(trials), *extra)
-                    want = _full_report_text(cmd, text, norm, trials, seed, policy)
+                    want = _full_report_text(cmd, text, norm, trials, seed, rel)
                     assert (rc, out) == (0, want), (name, cmd, seed, trials)
 
 
@@ -249,6 +249,12 @@ def test_bad_tolerance_exit_1(files, capsys, cmd, tol):
     rc, out, err = run(capsys, cmd, files["k23.graph"], "--tol", tol)
     assert rc == 1 and out == ""
     assert err.startswith("error: tolerance must be finite and non-negative")
+
+
+def test_bad_tolerance_wins_over_bad_seed(files, capsys):
+    rc, out, err = run(capsys, "rank", files["k23.graph"], "--tol", "nan", "--seed", "-1")
+    assert (rc, out) == (1, "")
+    assert err == "error: tolerance must be finite and non-negative, got nan\n"
 
 
 def test_tol_changes_the_rank(files, capsys):
@@ -692,11 +698,11 @@ def test_version_line(capsys):
 PUBLIC_NAMES = [
     "CoverBound", "DEFAULT_PLANE", "DEFAULT_SEED", "Graph", "GraphError",
     "GraphFormatError", "LpPlane", "NormError", "PebbleState", "RankReport",
-    "RigidityError", "SparsityError", "TolerancePolicy", "UvSparseVerdict",
+    "RigidityError", "SparsityError", "UvSparseVerdict",
     "__version__", "cover_rank_bound", "format_graph", "generic_ranks",
-    "graph_to_json", "is_kl_sparse", "is_rigid_comb",
+    "graph_to_json", "is_rigid_comb",
     "is_uv_rigid_comb", "is_uv_sparse", "is_uv_sparse_bruteforce", "parse_graph",
-    "parse_norm", "pebble_game",
+    "parse_norm",
 ]
 
 
@@ -711,7 +717,7 @@ def test_public_names():
 NUMERIC_NAMES = {
     "DEFAULT_PLANE": norms, "LpPlane": norms, "NormError": norms, "parse_norm": norms,
     "DEFAULT_SEED": rigidity, "RankReport": rigidity, "RigidityError": rigidity,
-    "TolerancePolicy": rigidity, "generic_ranks": rigidity,
+    "generic_ranks": rigidity,
 }
 
 

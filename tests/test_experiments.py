@@ -22,6 +22,7 @@ from normrig.experiments import (
     rigidity_sweep,
 )
 from normrig.graph import Graph, GraphError, vertex_to_four_cycle
+from normrig.norms import parse_norm
 from normrig.rigidity import generic_ranks
 from normrig.sparsity import (
     cover_rank_bound,
@@ -295,7 +296,7 @@ def test_forced_disagreements_pinned(monkeypatch, name):
         own = [
             dataclasses.replace(d, note=f"norm {desc}")
             for desc in ("lp:1.5", "lp:3")
-            for d in equivalence_sweep(4, desc, seed=9).disagreements
+            for d in equivalence_sweep(4, parse_norm(desc), seed=9).disagreements
         ]
         assert rep.disagreements == tuple(
             dataclasses.replace(d, index=i) for i, d in enumerate(own)

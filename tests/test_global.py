@@ -43,7 +43,7 @@ from normrig.graph import (
     delete_edge,
 )
 from normrig.rigidity import RigidityError
-from normrig.sparsity import SparsityError, circuit_parts, is_rigid_comb, pebble_game
+from normrig.sparsity import PebbleState, circuit_parts, is_rigid_comb
 
 SEQ_SPLIT = """base H_GRAPH
 split 2 | 0 1 | 3 4 5 | 3 -> 6 7
@@ -72,8 +72,7 @@ def test_redundant_rigidity_pinned():
     assert is_redundantly_rigid_comb(Graph.complete(5))
     assert not is_redundantly_rigid_comb(Graph.complete(3))
     assert is_redundantly_rigid_comb(Graph.from_edges([0], []))  # as is_rigid_comb
-    with pytest.raises(SparsityError):
-        is_redundantly_rigid_comb(Graph.from_edges([], []))
+    assert is_redundantly_rigid_comb(Graph.from_edges([], []))  # rank 0 = max(0, 2n - 2)
 
 
 def redundant_oracle(g: Graph) -> bool:
@@ -251,7 +250,7 @@ def test_redundancy_tested_only_where_minus_pair_holds(monkeypatch):
     # the rejected edge whose reach set held z, z's replacement edges, and
     # uv last.
     base = base_graph("K5_MINUS_E")
-    (rejected,) = set(base.edges) - set(pebble_game(base).accepted)
+    (rejected,) = set(base.edges) - set(PebbleState(base).accepted)
     calls = record_pebble_games(monkeypatch)
     step = GeneralizedVertexSplit(3, (), (0, 1, 2), 0, 5, 6)
     (sv,) = certify_sequence(ConstructionSequence("K5_MINUS_E", (step,))).steps
@@ -320,7 +319,7 @@ HAND_SPLITS = {
 
 def uv_branch(g: Graph, u: int, v: int) -> str:
     """Where the pair edge uv sits in the (2,2) pebble game on g."""
-    res = pebble_game(g, 2, 2)
+    res = PebbleState(g, 2, 2)
     if res.rank < 2 * g.n - 2:
         return "flexible"
     if (min(u, v), max(u, v)) not in res.accepted:
@@ -589,7 +588,7 @@ def test_generator_report_is_certifiers(size, setting):
 def same_game(game: sparsity.PebbleState, g: Graph) -> bool:
     """Whether the carried game holds g's vertices and edges, and its rank
     and coloops are those of a fresh game on g."""
-    fresh = pebble_game(g)
+    fresh = PebbleState(g)
     return (
         set(game.pebbles) == set(g.vertices)
         and set(game.accepted).isdisjoint(game.rejected)

@@ -31,7 +31,7 @@ from normrig.graph import (
     vertex_to_h,
     zero_extension,
 )
-from normrig.sparsity import pebble_game
+from normrig.sparsity import PebbleState
 
 
 def test_from_edges_rejects_bad_input():
@@ -351,7 +351,7 @@ def _random_graph(rng):
 def _independent(rng):
     g = _host(rng, pair=bool(rng.random() < 0.5))
     return _independent_subgraph(g), Graph.from_edges(
-        g.vertices, pebble_game(g).accepted, g.designated_pair)
+        g.vertices, PebbleState(g).accepted, g.designated_pair)
 
 
 @pytest.mark.parametrize("make", [_with_pair, _relabel, _four_cycle, _to_h,

@@ -16,7 +16,7 @@ import pytest
 import normrig
 from normrig import rigidity
 from normrig.graph import Graph
-from normrig.sparsity import PebbleState, family_best, pebble_game
+from normrig.sparsity import PebbleState, family_best
 
 
 def _greedy_oracle(n, edges, k, l):
@@ -51,7 +51,7 @@ def test_pebble_game_equals_greedy_oracle(kl, small_graphs):
     rng = np.random.default_rng(5)
     for g in small_graphs:
         edges = g.sorted_edges()
-        res = pebble_game(g, k, l)
+        res = PebbleState(g, k, l)
         expect_kept, expect_reaches = _greedy_oracle(g.n, edges, k, l)
         assert (list(res.accepted), res.reaches) == (expect_kept, tuple(expect_reaches)), edges
         assert list(res.rejected) == [e for e in edges if e not in res.accepted]

@@ -13,7 +13,6 @@ from normrig.rigidity import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     RigidityError,
-    TolerancePolicy,
     RankReport,
     generic_ranks,
     resolve_seed,
@@ -104,7 +103,7 @@ def test_zero_length_edge_rejected(plane4):
 def test_numerical_rank_tolerance():
     a = np.diag([1.0, 1e-3, 1e-14])
     assert rank_of(a) == 2
-    assert rank_of(a, TolerancePolicy(rel=1e-16)) == 3
+    assert rank_of(a, 1e-16) == 3
     assert rank_of(np.zeros((3, 3))) == 0
     assert rank_of(np.zeros((0, 4))) == 0
     assert rank_of(np.zeros((3, 0))) == 0
@@ -138,7 +137,7 @@ def test_pair_edge_removed_flag(plane4):
 
 def test_trial_determinism(two_k4, plane4):
     # a loose tolerance, so the per-trial ranks and notes move with the seed
-    loose = TolerancePolicy(1e-2)
+    loose = 1e-2
     a = generic_ranks([two_k4], [11], True, plane4, 10, loose)[0]
     assert generic_ranks([two_k4], [11], True, plane4, 10, loose)[0] == a
     c = generic_ranks([two_k4], [12], True, plane4, 10, loose)[0]
@@ -167,12 +166,13 @@ def test_affine_span_guard(plane4):
 
 @pytest.mark.parametrize("rel", [float("nan"), float("inf"), -1.0, -1e-12])
 def test_bad_tolerance_rejected(rel):
-    with pytest.raises(RigidityError):
-        TolerancePolicy(rel=rel)
+    # checked before the seeds and the trial count
+    with pytest.raises(RigidityError, match="^tolerance must be finite and non-negative, got "):
+        generic_ranks([Graph.complete(3)], [-1], trials=0, tol=rel)
 
 
 def test_zero_tolerance_allowed():
-    assert rank_of(np.diag([1.0, 1e-300]), TolerancePolicy(rel=0.0)) == 2
+    assert rank_of(np.diag([1.0, 1e-300]), 0.0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def reference_report(graph, plane, trials, seed, tol, coincident):
         sig = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
         rank = 0
         if sig.size and sig[0] > 0:
-            tau = tol.rel * sig[0] * max(mat.shape)
+            tau = tol * sig[0] * max(mat.shape)
             rank = int(np.sum(sig > tau))
             if rank and sig[rank - 1] < 10.0 * tau:
                 notes.append(
@@ -227,7 +227,7 @@ def reference_report(graph, plane, trials, seed, tol, coincident):
         trials=trials,
         seed=seed,
         box_radius=1.0,
-        tol_rel=tol.rel,
+        tol_rel=tol,
         norm_spec=plane.spec_string(),
         near_threshold=bool(notes),
         notes=tuple(notes),
@@ -262,14 +262,14 @@ def test_batched_ranks_match_reference_edge_cases(k23, two_k4):
         Graph.complete(5),
     ]
     _check_against_reference(small, LpPlane(4.0), 10, seed=3)
-    loose = TolerancePolicy(rel=3e-2)
+    loose = 3e-2
     single_edge = Graph.from_edges([0, 1], [(0, 1)])  # rank 1, yet near the cutoff
     _check_against_reference([k23, two_k4, single_edge], LpPlane(1.5), 6, seed=5, tol=loose)
     assert generic_ranks([k23], [5], False, LpPlane(1.5), 6, loose)[0].notes
 
 
 def test_trials_are_independent_of_batching(monkeypatch, k23):
-    plane, loose = LpPlane(1.5), TolerancePolicy(rel=3e-2)  # ranks vary, notes on every trial
+    plane, loose = LpPlane(1.5), 3e-2  # ranks vary, notes on every trial
     full = generic_ranks([k23], [8], True, plane, 25, loose)[0]
     assert len(set(full.per_trial_ranks)) > 1 and len(full.notes) == 25
     monkeypatch.setattr(rigidity, "_BATCH_ENTRIES", 130)  # two trials of 6 x 10 a chunk
@@ -342,7 +342,7 @@ def test_padded_chunks_equal_one_graph_reports(monkeypatch, desc, rel, k23, two_
     """Chunks of several shapes, padded to their largest, rank as one-graph
     calls do: the threshold (printed in the notes) takes each matrix's own
     rows and 2n, not the padded shape."""
-    plane, tol = parse_norm(desc), TolerancePolicy(rel=rel)
+    plane, tol = parse_norm(desc), rel
     big = Graph.complete(8, pair=(2, 5))  # 28 x 16 entries, over the budget alone
     graphs = [
         Graph.from_edges([]),
@@ -443,7 +443,7 @@ def test_unspannable_instances_settle_after_trial_zero(small_graphs, plane4):
 
 def test_trial_zero_below_the_cap_runs_every_trial(k23):
     # a loose tolerance puts trial 0 one below the cap, which trial 1 reaches
-    loose = TolerancePolicy(rel=3e-3)
+    loose = 3e-3
     full = generic_ranks([k23], [6], False, LpPlane(1.5), 10, loose)[0]
     assert full.per_trial_ranks[:2] == (5, 6) and at_rank_cap(full) and full.independent
     assert generic_ranks([k23], [6], False, LpPlane(1.5), 10, loose, settle=True)[0] == full
@@ -479,7 +479,7 @@ def _batch_cases():
 @pytest.mark.parametrize("desc,rel", [("lp:4", 1e-9), ("lp:3", 1e-9), ("lp:1.5", 3e-3)])
 def test_batched_reports_equal_one_graph_reports(desc, rel):
     # plain ranks of the plain graphs, coincident ranks of the pair classes
-    plane, tol, batch = parse_norm(desc), TolerancePolicy(rel=rel), _batch_cases()
+    plane, tol, batch = parse_norm(desc), rel, _batch_cases()
     for coincident in (False, True):
         graphs = [g for g in batch if (g.designated_pair is not None) == coincident]
         seeds = [1000 + i for i in range(len(graphs))]
@@ -496,7 +496,7 @@ def test_batched_reports_equal_one_graph_reports(desc, rel):
 def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
     # at lp:1.5 with rel 3e-3 many trial-0 ranks fall short of the cap, and
     # most of those carry notes, which a rerun must keep in front of its own
-    plane, tol, trials = LpPlane(1.5), TolerancePolicy(rel=3e-3), 10
+    plane, tol, trials = LpPlane(1.5), 3e-3, 10
     graphs = [g for g in _batch_cases() if (g.designated_pair is not None) == coincident]
     seeds = [2000 + i for i in range(len(graphs))]
     first = generic_ranks(graphs, seeds, coincident, plane, 1, tol)
@@ -518,7 +518,7 @@ def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
 
 def test_settled_batches_build_each_report_once(monkeypatch):
     # a rerun graph's report is built once, from both passes' trials
-    plane, tol = LpPlane(1.5), TolerancePolicy(rel=3e-3)
+    plane, tol = LpPlane(1.5), 3e-3
     graphs = [g for g in _batch_cases() if g.designated_pair is None]
     built, report = [], rigidity.RankReport
     monkeypatch.setattr(rigidity, "RankReport", lambda **kw: built.append(kw) or report(**kw))

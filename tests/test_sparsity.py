@@ -16,24 +16,23 @@ import numpy as np
 import pytest
 
 from normrig.enumeration import edge_slots, enumerate_graphs, random_graph
-from normrig.globalrig import random_certified_graph
+from normrig.globalrig import is_redundantly_rigid_comb, random_certified_graph
 from normrig.graph import Graph, contract_pair, delete_edge, parse_graph, zero_extension
 from normrig.rigidity import generic_ranks
 from normrig.sparsity import (
     BRUTEFORCE_MAX_N,
     CoverBound,
+    PebbleState,
     SparsityError,
     UvWitness,
     check_family,
     circuit_parts,
     cover_rank_bound,
     covered_edge_count,
-    is_kl_sparse,
     is_rigid_comb,
     is_uv_rigid_comb,
     is_uv_sparse,
     is_uv_sparse_bruteforce,
-    pebble_game,
     pebble_rank,
     uv_rank_comb,
     val_family,
@@ -78,9 +77,8 @@ def test_check_family_rejects_bad_input():
 @pytest.mark.parametrize("op,args,message", [
     (val_set, ([], 0, 1), "val is undefined for the empty set"),
     (val_set, ([0, 1], 0, 0), "u and v must be distinct"),
-    (is_rigid_comb, (Graph.from_edges([], []),), "rigidity needs at least one vertex"),
-    (pebble_game, (Graph.complete(3), 0, 0), "unsupported pebble parameters (0, 0)"),
-    (pebble_game, (Graph.complete(3), 1, 2), "unsupported pebble parameters (1, 2)"),
+    (PebbleState, (Graph.complete(3), 0, 0), "unsupported pebble parameters (0, 0)"),
+    (PebbleState, (Graph.complete(3), 1, 2), "unsupported pebble parameters (1, 2)"),
 ])
 def test_bad_input_messages(op, args, message):
     with pytest.raises(SparsityError) as e:
@@ -125,21 +123,21 @@ def test_pebble_rank_matches_bruteforce(kl):
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(3, 6)))
-        res = pebble_game(g, k, l)
+        res = PebbleState(g, k, l)
         assert res.rank == _count_matroid_rank(g, k, l)
         assert len(res.accepted) == res.rank
 
 
 def test_pebble_accepted_is_independent_basis():
     g = Graph.complete(5)
-    res = pebble_game(g)
+    res = PebbleState(g)
     sub = Graph.from_edges(g.vertices, res.accepted)
-    assert is_kl_sparse(sub)
+    assert PebbleState(sub).rank == sub.m
     assert len(res.accepted) == 8 == res.rank
 
 
 def test_pebble_witness_violates_count():
-    res = pebble_game(Graph.complete(5))
+    res = PebbleState(Graph.complete(5))
     assert res.witness == frozenset(range(5))
     g = Graph.complete(5)
     assert _induced_edges(g, res.witness) > 2 * len(res.witness) - 2
@@ -147,7 +145,7 @@ def test_pebble_witness_violates_count():
     rng = np.random.default_rng(11)
     for _ in range(40):
         g = random_graph(rng, int(rng.integers(4, 7)))
-        res = pebble_game(g)
+        res = PebbleState(g)
         if res.witness is not None:
             U = res.witness
             assert _induced_edges(g, U) > 2 * len(U) - 2
@@ -155,11 +153,12 @@ def test_pebble_witness_violates_count():
 
 def test_kl_sparse_tight_pinned():
     k4 = Graph.complete(4)
-    assert k4.m == 2 * k4.n - 2 and is_kl_sparse(k4)
-    assert not is_kl_sparse(k4, 2, 3)
+    assert k4.m == 2 * k4.n - 2 and PebbleState(k4).rank == k4.m
+    assert PebbleState(k4, 2, 3).rank != k4.m
     tri = Graph.complete(3)
-    assert is_kl_sparse(tri) and tri.m < 2 * tri.n - 2
-    assert not is_kl_sparse(Graph.complete(5))
+    assert PebbleState(tri).rank == tri.m and tri.m < 2 * tri.n - 2
+    k5 = Graph.complete(5)
+    assert PebbleState(k5).rank != k5.m
 
 
 def test_rigid_comb_pinned(two_k4):
@@ -171,6 +170,14 @@ def test_rigid_comb_pinned(two_k4):
     assert pebble_rank(Graph.complete(4)) == 6
 
 
+def test_rigidity_answers_agree_on_tiny_graphs():
+    # rank 0 against max(0, 2n - 2) on every side, the empty graph included
+    for g, rigid in ((Graph.from_edges([], []), True), (Graph.from_edges([0], []), True),
+                     (Graph.from_edges([0, 1], []), False), (Graph.complete(2), False)):
+        (rep,) = generic_ranks([g], [None])
+        assert (is_rigid_comb(g), rep.rigid, is_redundantly_rigid_comb(g)) == (rigid,) * 3, g
+
+
 def test_rigid_comb_on_200_vertex_chain(two_k4):
     # 0-extensions keep the uv-tight two-K4 graph (2,2)-tight at any size
     g = two_k4
@@ -179,7 +186,7 @@ def test_rigid_comb_on_200_vertex_chain(two_k4):
     assert g.n == 200 and g.m == 2 * g.n - 2
     assert is_rigid_comb(g)
     assert is_uv_rigid_comb(g)
-    res = pebble_game(g)
+    res = PebbleState(g)
     assert res.rank == g.m and res.witness is None
     assert not is_rigid_comb(delete_edge(g, 198, 199))
 
@@ -317,7 +324,7 @@ def test_family_witness_needs_two_reach_sets():
     _check_witness(g, verdict)
     # the first reach set alone, with the pair and the triples, covers
     # 13 against a value of 13: no witness
-    first = pebble_game(contract_pair(g)).reaches[0] | {0, 1}
+    first = PebbleState(contract_pair(g)).reaches[0] | {0, 1}
     short = [first, frozenset({0, 1, 12})]
     assert (covered_edge_count(g, short), val_family(short, 0, 1)) == (13, 13)
 
@@ -408,7 +415,7 @@ def _packing_uv_sparse(g: Graph):
     and the packing's family witness (None unless the family condition
     alone fails)."""
     u, v = g.designated_pair
-    if g.has_edge(u, v) or not is_kl_sparse(g):
+    if g.has_edge(u, v) or PebbleState(g).rank != g.m:
         return False, None
 
     def gain(c):
@@ -444,7 +451,7 @@ def oracle_graphs():
         n = int(rng.integers(7, 10))
         slots = [e for e in edge_slots(n) if e != (0, 1)]
         chosen = rng.choice(len(slots), size=int(rng.integers(n, 3 * n)), replace=False)
-        base = pebble_game(Graph.from_edges(range(n), [slots[j] for j in chosen])).accepted
+        base = PebbleState(Graph.from_edges(range(n), [slots[j] for j in chosen])).accepted
         a, b = (0, 1) if i % 2 else sorted(int(x) for x in rng.choice(range(2, n), 2, replace=False))
         graphs.append(Graph.from_edges(range(n + 1), [*base, (a, n), (b, n)], (0, 1)))
     return graphs
@@ -517,7 +524,7 @@ def test_circuit_parts_equal_deletion_oracle(small_graphs):
                for size, seed, p in [(16, 1, 0.15), (24, 2, 0.6), (40, 3, 0.15)]]
     several = 0
     for g in graphs:
-        res = pebble_game(g)
+        res = PebbleState(g)
         parts, coloops = circuit_parts(res)
         assert set(coloops) == {
             (a, b) for a, b in g.sorted_edges() if pebble_rank(delete_edge(g, a, b)) < res.rank
