@@ -125,7 +125,7 @@ def _cmd_rank(args) -> int:
     coincident, shown, per_trial = _RANK_COMMANDS[args.command]
     g = _load_graph(args.graph)
     plane = _single_norm(args)
-    settle = not (args.json or (args.verbose and per_trial))  # only verdicts: fixed at the cap
+    settle = not (args.json or (args.verbose and per_trial))  # only verdicts: settle at cap/bound
     rep = generic_ranks([g], [args.seed], coincident, plane, args.trials, args.tol, settle)[0]
     values = {
         "rank": rep.rank,
@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="random placements per rank query (default 10); a query stops after a trial 0"
-        " at the rank cap unless it prints per-trial data: the rank commands' --json,"
-        " and rank and uv-rank's --verbose, run every trial",
+        " at the rank cap or the counting bound unless it prints per-trial data: the rank"
+        " commands' --json, and rank and uv-rank's --verbose, run every trial",
     )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
     common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold"

@@ -204,7 +204,8 @@ def certify_sequence(
     Vertex additions need at least three distinct existing neighbors;
     splits get both regime verdicts from _check_step and, with numeric=True,
     a randomized uv-rigidity cross-check here, by rigidity.generic_ranks on
-    G', settled: it stops after trial 0 when it reaches the rank cap.
+    G', settled: it stops after trial 0 when it reaches the rank cap or
+    the counting uv-rank, which no placement exceeds.
     A step that fails to apply aborts the replay and fails both regimes.
     With numeric=True a negative seed or fewer than one trial is refused
     before anything is replayed, whether or not the sequence splits.

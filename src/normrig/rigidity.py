@@ -41,13 +41,18 @@ hands each hashed state to numpy's own PCG64, for one stream as for
 many.
 
 Callers that read only the verdict settle: no placement's rank exceeds
-min(rows, 2|V| - 2), since translations always lie in the kernel, so a
-first trial at that cap already fixes rank, independence and rigidity.
+min(rows, 2|V| - 2) or the counting bound, pebble_rank plain and
+uv_rank_comb coincident.  A cover's part Y spans rank at most 2|Y| - 2,
+translations being in its kernel, and a coincident matrix, a placement
+matrix of G - uv, times the map moving u and v as one point is one of
+G/uv: by Sylvester's inequality its rank is at most G/uv's + 2.  So
 generic_ranks with settle runs trial 0 of all its graphs, then trials 1
-to T - 1 of those below the cap, and a graph's report then equals its
-full report.  The sweeps, certify-global --numeric and the rank
-commands settle, except where they print per-trial data: --json, and
-the --verbose of rank and uv-rank, run every trial.
+to T - 1 only of those below the cap, a free test, and below the bound,
+counted only then: a report's verdict fields equal the full report's,
+and a rerun report equals it.  The bound never enters a report.  The
+sweeps, certify-global --numeric and the rank commands settle, except
+where they print per-trial data: --json, and the --verbose of rank and
+uv-rank, run every trial.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import numpy as np
 
 from .graph import Graph, InputError, delete_edge
 from .norms import DEFAULT_PLANE, LpPlane
+from .sparsity import pebble_rank, uv_rank_comb
 
 DEFAULT_SEED = 1729
 
@@ -363,8 +369,10 @@ def generic_ranks(
     pair edge to be absent from G in the first place.
 
     With settle, trial 0 of every graph runs first, and trials 1 to T - 1
-    only for the graphs below the rank cap; a report holds the trials it
-    ran, in order.
+    only for the graphs below both the rank cap and the counting bound,
+    pebble_rank or uv_rank_comb; a report holds the trials it ran, in
+    order.  No trial passes the bound: a cover's part Y spans at most
+    2|Y| - 2, and by Sylvester a coincident rank is at most G/uv's + 2.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if not (np.isfinite(tol) and tol >= 0):
@@ -398,7 +406,10 @@ def generic_ranks(
     first = 1 if settle else trials
     run([(i, t) for i in order for t in range(first)])
     if first < trials:
-        run([(i, t) for i in order if ranks[i][0] < _rank_cap(*shapes[i])
+        bound = uv_rank_comb if coincident else pebble_rank
+        run([(i, t) for i in order
+             if ranks[i][0] < _rank_cap(*shapes[i])
+             and ranks[i][0] < bound(graphs[i])
              for t in range(first, trials)])
     reports = []
     for g, (work, had_pair_edge, *_), seed, tried, noted in zip(graphs, works, seeds, ranks, notes):

@@ -217,11 +217,13 @@ def pair_class_oracles(n: int) -> int:
 
     Criterion 08 on n vertices, then one pass of one-graph 10-trial ranks
     over every pair class on n vertices, each under the placement seed
-    the equivalence sweep gives it, read twice: counting against
-    numerical uv-independence, and one settled generic_ranks batch over
+    the equivalence sweep gives it, read three times: counting against
+    numerical uv-independence, every per-trial rank against the counting
+    uv-rank, which bounds it, and one settled generic_ranks batch over
     those classes against those reports, in every field where trial 0
-    falls short of the rank cap (the batch reruns them) and in the
-    verdict fields elsewhere.  Each class's ten placement streams, as a
+    falls short of both the rank cap and that bound (the batch reruns
+    them), and elsewhere in the verdict fields and trial 0, its only
+    trial.  Each class's ten placement streams, as a
     one-graph call draws them, are then checked bit for bit against
     numpy's own generator, the oracle of the SeedSequence port.  Last,
     the counting uv-rank against greedy insertion under the brute-force
@@ -247,10 +249,19 @@ def pair_class_oracles(n: int) -> int:
     print(f"counting vs numerical (one-graph 10-trial ranks): graphs {len(classes)} "
           f"mismatches {bad} time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
+    bounds = [uv_rank_comb(g) for g in classes]
+    over = sum(max(rep.per_trial_ranks) > b for rep, b in zip(full, bounds))
+    print(f"per-trial ranks vs counting uv-rank: graphs {len(classes)} over the bound {over} "
+          f"time {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
     batch = generic_ranks(classes, seeds, coincident=True, settle=True)
-    short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2) for rep in full]
+    short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2, b)
+             for rep, b in zip(full, bounds)]
     batch_bad = sum(
-        got != rep if rerun else any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
+        got != rep if rerun else (
+            got.per_trial_ranks != rep.per_trial_ranks[:1]
+            or any(getattr(got, f) != getattr(rep, f) for f in VERDICT_FIELDS)
+        )
         for got, rep, rerun in zip(batch, full, short)
     )
     print(f"settled batch vs one-graph ranks: graphs {len(classes)} rerun {sum(short)} "
@@ -270,7 +281,7 @@ def pair_class_oracles(n: int) -> int:
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)
     print(f"counting uv-rank vs greedy: graphs {len(greedy_classes)} mismatches {rank_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
-    return brute_bad + bad + batch_bad + stream_bad + rank_bad
+    return brute_bad + bad + over + batch_bad + stream_bad + rank_bad
 
 
 def test_pair_class_oracles_at_five_vertices():

@@ -200,10 +200,11 @@ def _full_report_text(cmd, text, norm, trials, seed, tol):
 
 @pytest.mark.parametrize("norm,tol", [("lp:4", None), ("lp:1.5", "3e-3")])
 def test_text_rank_commands_equal_the_full_report(tmp_path, capsys, norm, tol):
-    # the text modes stop after a trial 0 at the cap.  At lp:4 two K4s sit
-    # there, K2,3 is below it with its pair coincident and NEAR_TIGHT always
-    # is; at lp:1.5 the loose tolerance leaves most trial-0 ranks short, and
-    # some later trials rank higher (two K4s and NEAR_TIGHT at seed 3)
+    # the text modes stop after a trial 0 at the cap or the counting bound.
+    # At lp:4 two K4s sit at the cap, and K2,3 with its pair coincident and
+    # NEAR_TIGHT sit below it at the bound; at lp:1.5 the loose tolerance
+    # leaves most trial-0 ranks short of both, and some later trials rank
+    # higher (two K4s and NEAR_TIGHT at seed 3)
     rel = DEFAULT_TOL if tol is None else float(tol)
     extra = [] if tol is None else ["--tol", tol]
     for name, text in (("two_k4", TWO_K4), ("k23", K23), ("near_tight", NEAR_TIGHT)):

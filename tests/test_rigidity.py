@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normrig import rigidity
-from normrig.enumeration import enumerate_graphs
+from normrig.enumeration import enumerate_graphs, random_graph
 from normrig.graph import Graph, delete_edge
 from normrig.norms import LpPlane, parse_norm
 from normrig.rigidity import (
@@ -17,6 +19,7 @@ from normrig.rigidity import (
     generic_ranks,
     resolve_seed,
 )
+from normrig.sparsity import pebble_rank, uv_rank_comb
 
 
 def matrix_of(g, plane, pts):
@@ -396,7 +399,8 @@ def test_collinear_points_stay_below_rigidity(small_graphs):
 
 
 # ---------------------------------------------------------------------------
-# settle: verdict-only queries stop after trial 0 at the rank cap
+# settle: verdict-only queries stop after trial 0 at the rank cap or at the
+# counting bound
 # ---------------------------------------------------------------------------
 
 VERDICT_FIELDS = ("rank", "independent", "rigid", "affine_span_full", "rows")
@@ -405,6 +409,56 @@ VERDICT_FIELDS = ("rank", "independent", "rigid", "affine_span_full", "rows")
 def at_rank_cap(rep):
     """No further trial can change the report's rank, independent or rigid."""
     return rep.rank == rigidity._rank_cap(rep.n_vertices, rep.rows)
+
+
+def counting_bound(g, coincident):
+    """The counting rank no placement of g exceeds: the (2,2) pebble rank,
+    or the counting uv-rank for a coincident placement."""
+    return uv_rank_comb(g) if coincident else pebble_rank(g)
+
+
+def settles(rep, g, coincident):
+    """Trial 0 of rep reaches the rank cap or the counting bound of g."""
+    cap = rigidity._rank_cap(rep.n_vertices, rep.rows)
+    return rep.per_trial_ranks[0] >= min(cap, counting_bound(g, coincident))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_no_trial_exceeds_the_counting_bound(data):
+    # each part Y of a cover spans at most 2|Y| - 2, and a coincident rank
+    # is at most G/uv's + 2 (Sylvester), so no trial passes the bound, and
+    # a report settled there keeps the full report's verdicts
+    n = data.draw(st.integers(2, 9))
+    kind = data.draw(st.sampled_from(["plain", "pair edge", "no pair edge"]))
+    plane = parse_norm(data.draw(st.sampled_from(["lp:1.2", "lp:1.5", "lp:3", "lp:4", "lp:7"])))
+    seed = data.draw(st.integers(0, 2**40))
+    g = random_graph(np.random.default_rng(data.draw(st.integers(0, 10**6))), n)
+    coincident = kind != "plain"
+    if coincident:
+        edges = g.edges | {(0, 1)} if kind == "pair edge" else g.edges - {(0, 1)}
+        g = Graph.from_edges(range(n), edges, (0, 1))
+    full = generic_ranks([g], [seed], coincident, plane, 10)[0]
+    assert max(full.per_trial_ranks) <= counting_bound(g, coincident), g
+    got = generic_ranks([g], [seed], coincident, plane, 10, settle=True)[0]
+    assert [getattr(got, f) for f in VERDICT_FIELDS] == [
+        getattr(full, f) for f in VERDICT_FIELDS
+    ], g
+    assert got.per_trial_ranks == full.per_trial_ranks[: got.trials], g
+
+
+def test_the_bound_never_enters_a_report(monkeypatch):
+    # a bound of 0 settles every graph after trial 0, and each report is
+    # then trial 0's own, with its rank, however far below the cap
+    plane, tol = LpPlane(1.5), 3e-3
+    monkeypatch.setattr(rigidity, "pebble_rank", lambda g: 0)
+    monkeypatch.setattr(rigidity, "uv_rank_comb", lambda g: 0)
+    for coincident in (False, True):
+        graphs = [g for g in _batch_cases() if (g.designated_pair is not None) == coincident]
+        seeds = [4000 + i for i in range(len(graphs))]
+        settled = generic_ranks(graphs, seeds, coincident, plane, 10, tol, settle=True)
+        assert settled == generic_ranks(graphs, seeds, coincident, plane, 1, tol)
+        assert any(0 < rep.rank and not at_rank_cap(rep) for rep in settled)
 
 
 def test_settled_rank_keeps_every_verdict(small_graphs, plane4):
@@ -494,26 +548,34 @@ def test_batched_reports_equal_one_graph_reports(desc, rel):
 
 @pytest.mark.parametrize("coincident", [False, True])
 def test_reruns_draw_only_the_missing_trials(monkeypatch, coincident):
-    # at lp:1.5 with rel 3e-3 many trial-0 ranks fall short of the cap, and
-    # most of those carry notes, which a rerun must keep in front of its own
+    # at lp:1.5 with rel 3e-3 many trial-0 ranks fall short of the cap and
+    # the bound, and most of those carry notes, which a rerun must keep in
+    # front of its own.  Coincident ranks also settle below the cap, at
+    # the bound; no plain graph on 5 vertices has a (2,2) circuit short of
+    # its cap, so plain ones never do.
     plane, tol, trials = LpPlane(1.5), 3e-3, 10
     graphs = [g for g in _batch_cases() if (g.designated_pair is not None) == coincident]
     seeds = [2000 + i for i in range(len(graphs))]
     first = generic_ranks(graphs, seeds, coincident, plane, 1, tol)
-    below = [not at_rank_cap(rep) for rep in first]
+    below = [not settles(rep, g, coincident) for rep, g in zip(first, graphs)]
     assert 0 < sum(below) < len(graphs)
     assert any(rep.notes for rep, short in zip(first, below) if short)
+    assert any(not (short or at_rank_cap(rep)) for rep, short in zip(first, below)) == coincident
     built, stack = [], rigidity._matrix_stack
     monkeypatch.setattr(rigidity, "_matrix_stack",
                         lambda plane, pts, preps: built.append(len(preps)) or stack(plane, pts, preps))
     settled = generic_ranks(graphs, seeds, coincident, plane, trials, tol, settle=True)
     monkeypatch.undo()
     assert sum(built) == len(graphs) + (trials - 1) * sum(below)
-    for g, s, got, short in zip(graphs, seeds, settled, below):
+    full = generic_ranks(graphs, seeds, coincident, plane, trials, tol)
+    for g, s, got, whole, short in zip(graphs, seeds, settled, full, below):
         if short:
             assert got == generic_ranks([g], [s], coincident, plane, trials, tol)[0], g
         else:
-            assert got.trials == 1, g
+            assert got.trials == 1 and got.per_trial_ranks == whole.per_trial_ranks[:1], g
+            assert [getattr(got, f) for f in VERDICT_FIELDS] == [
+                getattr(whole, f) for f in VERDICT_FIELDS
+            ], g
 
 
 def test_settled_batches_build_each_report_once(monkeypatch):
@@ -534,20 +596,21 @@ def _count_default_rng(monkeypatch):
 
 
 def test_generic_ranks_builds_no_numpy_generator(monkeypatch, k23):
-    # One draw path: a batch and a one-graph call of 1 or 10 trials all draw
-    # through rigidity.uniform_streams, and build no default_rng; a graph's
-    # report is the same in a batch and alone.
-    plane, seeds = LpPlane(4.0), [3000 + i for i in range(len(PAIR_CLASSES))]
+    # One draw path: a batch, with its rerun pass, and a one-graph call of 1
+    # or 10 trials all draw through rigidity.uniform_streams, and build no
+    # default_rng; a graph's report is the same in a batch and alone.  The
+    # loose tolerance leaves trial 0 of some classes below their bound.
+    plane, tol, seeds = LpPlane(1.5), 3e-3, [3000 + i for i in range(len(PAIR_CLASSES))]
     calls = _count_default_rng(monkeypatch)
-    batch = generic_ranks(PAIR_CLASSES, seeds, True, plane, 10, settle=True)
+    batch = generic_ranks(PAIR_CLASSES, seeds, True, plane, 10, tol, settle=True)
     assert sum(rep.trials > 1 for rep in batch) >= 3
-    one = generic_ranks([k23], [7], True, plane, 10)[0]
-    single = generic_ranks([k23], [7], True, plane, 1)[0]
+    one = generic_ranks([k23], [7], True, plane, 10, tol)[0]
+    single = generic_ranks([k23], [7], True, plane, 1, tol)[0]
     assert calls == [] and single.per_trial_ranks == one.per_trial_ranks[:1]
     monkeypatch.undo()
     for g, s, got in zip(PAIR_CLASSES, seeds, batch):
-        assert got == generic_ranks([g], [s], True, plane, 10, settle=True)[0], g
-    assert one == generic_ranks([k23] * 30, [7] * 30, True, plane, 10)[0]
+        assert got == generic_ranks([g], [s], True, plane, 10, tol, settle=True)[0], g
+    assert one == generic_ranks([k23] * 30, [7] * 30, True, plane, 10, tol)[0]
 
 
 def _drawn_placements(monkeypatch):
