@@ -407,13 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="random placements per rank query (default 10); a query stops after a trial 0"
-        " at the rank cap or the counting bound unless it prints per-trial data: the rank"
-        " commands' --json, and rank and uv-rank's --verbose, run every trial",
+        " at the rank cap or the counting bound, or at integer p one proved there by an exact"
+        " rank mod a prime, unless it prints per-trial data: the rank commands' --json, and"
+        " rank and uv-rank's --verbose, run every trial",
     )
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 1729)")
     common.add_argument("--tol", type=float, default=None, help="relative SVD rank threshold"
-                        " (default 1e-9), read by rank, uv-rank, rigid and uv-rigid; experiment and"
-                        " certify-global --numeric refuse it, and the other commands ignore it")
+                        " (default 1e-9), read by rank, uv-rank, rigid and uv-rigid; at integer p a"
+                        " rank proved exactly to meet the counting bound does not depend on it;"
+                        " experiment and certify-global --numeric refuse it, and the other commands"
+                        " ignore it")
     common.add_argument("--json", action="store_true", help="emit one JSON record instead of text")
     common.add_argument("--verbose", action="store_true", help="diagnostics on stderr")
 

@@ -205,7 +205,9 @@ def certify_sequence(
     splits get both regime verdicts from _check_step and, with numeric=True,
     a randomized uv-rigidity cross-check here, by rigidity.generic_ranks on
     G', settled: it stops after trial 0 when it reaches the rank cap or
-    the counting uv-rank, which no placement exceeds.
+    the counting uv-rank, which no placement exceeds, or, at integer p,
+    when one exact rank mod a prime of an integer placement meets that
+    bound, which proves the rank.
     A step that fails to apply aborts the replay and fails both regimes.
     With numeric=True a negative seed or fewer than one trial is refused
     before anything is replayed, whether or not the sequence splits.

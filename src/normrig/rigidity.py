@@ -49,10 +49,21 @@ G/uv: by Sylvester's inequality its rank is at most G/uv's + 2.  So
 generic_ranks with settle runs trial 0 of all its graphs, then trials 1
 to T - 1 only of those below the cap, a free test, and below the bound,
 counted only then: a report's verdict fields equal the full report's,
-and a rerun report equals it.  The bound never enters a report.  The
-sweeps, certify-global --numeric and the rank commands settle, except
-where they print per-trial data: --json, and the --verbose of rank and
-uv-rank, run every trial.
+and a rerun report equals it.  The sweeps, certify-global --numeric and
+the rank commands settle, except where they print per-trial data:
+--json, and the --verbose of rank and uv-rank, run every trial.
+
+At integer p the bound can also be met from below.  Scaled by
+||z||^(p - 2), which changes no rank, the row of edge vector z is
+sgn(z)|z|^(p - 1), an integer vector at an integer placement, and rank
+mod P <= rational rank <= generic rank <= bound, P the prime 2147483629:
+a nonzero minor mod P is a nonzero integer minor, and no placement
+exceeds the generic rank.  So a graph whose float trials so far fall
+short of the cap and the bound, settled or not, gets one elimination
+mod P of trial 1's draw rounded to the grid [-2^20, 2^20]^2, before any
+rerun.  Where it meets the bound, that is the report's rank, proved,
+with a note, and no rerun follows; elsewhere, and where an edge has
+zero length on the grid, the float trials decide.
 """
 
 from __future__ import annotations
@@ -80,6 +91,11 @@ _BOX_RADIUS = 1.0
 # batches run in chunks, so memory grows neither with --trials nor with
 # the number of graphs.
 _BATCH_ENTRIES = 1 << 16
+
+# The prime of the exact rank (below 2^31, so a product of two residues
+# fits in int64) and the half-width of its integer grid.
+_PRIME = 2147483629
+_GRID = 1 << 20
 
 class RigidityError(InputError):
     """Degenerate placement or inconsistent framework data."""
@@ -267,6 +283,48 @@ def _ranks(sigmas: np.ndarray, tol: float, rows, cols):
     return rank, tau, (rank > 0) & (kept < 10.0 * tau)
 
 
+def _exact_rank(p: int, prep, draw, stop: int) -> int | None:
+    """The rank mod _PRIME, counted up to stop, of the integer rigidity
+    matrix of prep's graph (a _prepared record) at draw, its 2n coordinates
+    in [-r, r] scaled to the grid [-2^20, 2^20] and rounded; None where an
+    edge has zero length on the grid.
+
+    Row xy is sgn(z)|z|^(p - 1), z = p_x - p_y, in x's column pair and its
+    negation in y's.  The powers are taken by squaring and multiplying mod
+    _PRIME, so int64 stays exact at any integer p.  Columns are eliminated
+    one at a time, each pivot clearing its column in the rows below it in
+    one vectorised step.
+    """
+    work, _, edges, ends, at = prep
+    m = len(edges)
+    ends, at = (np.array(x, np.intp).reshape(-1, 2) for x in (ends, at))
+    pts = np.rint(draw.reshape(-1, 2) * (_GRID / _BOX_RADIUS)).astype(np.int64)
+    z = pts[at[:, 0]] - pts[at[:, 1]]
+    if not z.any(axis=1).all():
+        return None
+    base, entry, k = np.abs(z), np.sign(z), p - 1
+    while k:
+        entry = entry * base % _PRIME if k & 1 else entry
+        base, k = base * base % _PRIME, k >> 1
+    a = np.zeros((m, work.n, 2), np.int64)
+    a[np.arange(m), ends[:, 0]] = entry
+    a[np.arange(m), ends[:, 1]] = -entry
+    a = a.reshape(m, 2 * work.n) % _PRIME
+    rank = 0
+    for c in range(a.shape[1]):
+        if rank >= stop:
+            break
+        nz = rank + np.flatnonzero(a[rank:, c])
+        if nz.size == 0:
+            continue
+        a[[rank, nz[0]]] = a[[nz[0], rank]]
+        below = nz[1:]
+        f = a[below, c] * pow(int(a[rank, c]), -1, _PRIME) % _PRIME
+        a[below, c:] = (a[below, c:] - f[:, None] * a[rank, c:]) % _PRIME
+        rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # randomized generic rank
 # ---------------------------------------------------------------------------
@@ -296,8 +354,8 @@ class RankReport:
     box_radius: float
     tol_rel: float
     norm_spec: str
-    near_threshold: bool
-    notes: tuple[str, ...] = field(default=())
+    near_threshold: bool  # some float trial kept a value within 10x of its threshold
+    notes: tuple[str, ...] = field(default=())  # those trials', then an exact proof's
 
 
 def _prepared(g: Graph, coincident: bool):
@@ -373,6 +431,13 @@ def generic_ranks(
     pebble_rank or uv_rank_comb; a report holds the trials it ran, in
     order.  No trial passes the bound: a cover's part Y spans at most
     2|Y| - 2, and by Sylvester a coincident rank is at most G/uv's + 2.
+
+    At integer p, a graph whose float trials so far (trial 0 with settle,
+    all of them without) fall short of the cap and the bound gets one
+    exact rank mod P = 2147483629 of an integer placement before any
+    rerun.  rank mod P <= rational rank <= generic rank <= bound, so where
+    it meets the bound it is the report's rank, with a note, and no rerun
+    follows.  near_threshold flags the float trials only.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if not (np.isfinite(tol) and tol >= 0):
@@ -405,15 +470,25 @@ def generic_ranks(
 
     first = 1 if settle else trials
     run([(i, t) for i in order for t in range(first)])
-    if first < trials:
+    exact = plane.exponent.is_integer()
+    short, proved = [], {}  # graphs below the cap and the bound; proved ranks
+    if settle or exact:
         bound = uv_rank_comb if coincident else pebble_rank
-        run([(i, t) for i in order
-             if ranks[i][0] < _rank_cap(*shapes[i])
-             and ranks[i][0] < bound(graphs[i])
-             for t in range(first, trials)])
+        short = [(i, b) for i in order if max(ranks[i]) < _rank_cap(*shapes[i])
+                 and max(ranks[i]) < (b := bound(graphs[i]))]
+    if exact and short:
+        counts = [2 * shapes[i][0] for i, _ in short]
+        draws = uniform_streams([(seeds[i], 1) for i, _ in short], counts)
+        for (i, b), draw in zip(short, np.split(draws, np.cumsum(counts)[:-1])):
+            if _exact_rank(int(plane.exponent), works[i], draw, b) == b:
+                proved[i] = b
+    run([(i, t) for i, _ in short if i not in proved for t in range(first, trials)])
     reports = []
-    for g, (work, had_pair_edge, *_), seed, tried, noted in zip(graphs, works, seeds, ranks, notes):
-        best = max(tried)
+    for i, (g, (work, had_pair_edge, *_), seed, tried, noted) in enumerate(
+            zip(graphs, works, seeds, ranks, notes)):
+        best = proved.get(i, max(tried))
+        proof = (f"rank {best} proved: rank mod {_PRIME} of an integer placement"
+                 " meets the counting bound",) if i in proved else ()
         reports.append(RankReport(
             kind="coincident" if coincident else "plain",
             n_vertices=g.n,
@@ -432,7 +507,7 @@ def generic_ranks(
             tol_rel=tol,
             norm_spec=plane.spec_string(),
             near_threshold=bool(noted),
-            notes=tuple(noted),
+            notes=tuple(noted) + proof,
         ))
     return reports
 

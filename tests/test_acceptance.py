@@ -221,16 +221,19 @@ def pair_class_oracles(n: int) -> int:
     numerical uv-independence, every per-trial rank against the counting
     uv-rank, which bounds it, and one settled generic_ranks batch over
     those classes against those reports, in every field where trial 0
-    falls short of both the rank cap and that bound (the batch reruns
-    them), and elsewhere in the verdict fields and trial 0, its only
-    trial.  Each class's ten placement streams, as a
+    falls short of both the rank cap and that bound and the exact rank
+    below does not meet it (the batch reruns them), and elsewhere in the
+    verdict fields and trial 0, its only trial.  Before the batch, each
+    class's exact rank mod the prime of its integer placement at lp:4 is
+    read against that bound, which it may meet but never pass.  Each
+    class's ten placement streams, as a
     one-graph call draws them, are then checked bit for bit against
     numpy's own generator, the oracle of the SeedSequence port.  Last,
     the counting uv-rank against greedy insertion under the brute-force
     checker on every pair class on n - 1 and n vertices.  Each step
     prints its counts and time.
     """
-    from test_rigidity import VERDICT_FIELDS
+    from test_rigidity import VERDICT_FIELDS, exact_rank
     from test_sparsity import _greedy_uv_rank
 
     from normrig.rigidity import _BOX_RADIUS, derive_seeds, generic_ranks, uniform_streams
@@ -254,9 +257,15 @@ def pair_class_oracles(n: int) -> int:
     print(f"per-trial ranks vs counting uv-rank: graphs {len(classes)} over the bound {over} "
           f"time {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
+    exact = [exact_rank(g, True, 4, s) for g, s in zip(classes, seeds)]
+    exact_over = sum(e is not None and e > b for e, b in zip(exact, bounds))
+    print(f"exact rank mod the prime vs counting uv-rank at lp:4: graphs {len(classes)} "
+          f"over the bound {exact_over} below it {sum(e != b for e, b in zip(exact, bounds))} "
+          f"time {time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
     batch = generic_ranks(classes, seeds, coincident=True, settle=True)
-    short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2, b)
-             for rep, b in zip(full, bounds)]
+    short = [rep.per_trial_ranks[0] < min(rep.rows, 2 * rep.n_vertices - 2, b) and e != b
+             for rep, b, e in zip(full, bounds, exact)]
     batch_bad = sum(
         got != rep if rerun else (
             got.per_trial_ranks != rep.per_trial_ranks[:1]
@@ -281,7 +290,7 @@ def pair_class_oracles(n: int) -> int:
     rank_bad = sum(uv_rank_comb(g) != _greedy_uv_rank(g) for g in greedy_classes)
     print(f"counting uv-rank vs greedy: graphs {len(greedy_classes)} mismatches {rank_bad} "
           f"time {time.perf_counter() - t0:.1f} s")
-    return brute_bad + bad + over + batch_bad + stream_bad + rank_bad
+    return brute_bad + bad + over + exact_over + batch_bad + stream_bad + rank_bad
 
 
 def test_pair_class_oracles_at_five_vertices():

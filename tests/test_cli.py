@@ -16,7 +16,7 @@ import normrig
 from normrig import __version__, cli, globalrig, norms, rigidity
 from normrig.cli import main
 from normrig.experiments import SWEEPS, format_report
-from normrig.graph import GraphError, GraphFormatError, InputError, format_graph, parse_graph
+from normrig.graph import Graph, GraphError, GraphFormatError, InputError, format_graph, parse_graph
 from normrig.norms import parse_norm
 from normrig.rigidity import DEFAULT_TOL, generic_ranks
 from normrig.sparsity import SparsityError, pebble_rank
@@ -83,10 +83,11 @@ def test_check_uv_sparse_bruteforce_size_limit(tmp_path, capsys):
     assert err == "error: brute force limited to 7 vertices\n"
 
 
-def _zero_extended_text(n, extra=()):
+def _zero_extended_text(n, extra=(), shape=3):
     """K4 on {0, 2, 3, 4} with 1 joined to 2 and 3, grown by 0-extensions
-    on seeded random pairs other than {0, 1}: uv-tight, with pair (0, 1)."""
-    rng = np.random.default_rng(3)
+    on random pairs other than {0, 1}, seeded by shape: uv-tight, with
+    pair (0, 1)."""
+    rng = np.random.default_rng(shape)
     edges = {(0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4), (1, 2), (1, 3)}
     for z in range(5, n):
         while True:
@@ -259,8 +260,41 @@ def test_bad_tolerance_wins_over_bad_seed(files, capsys):
 
 
 def test_tol_changes_the_rank(files, capsys):
-    rc, out, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--tol", "0.5")
+    # at non-integer p the tolerance decides the rank; at integer p a rank
+    # proved mod a prime to meet the counting bound does not depend on it
+    rc, out, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--tol", "0.5", "--norm", "lp:1.5")
     assert rc == 0 and out.splitlines()[0] == "rank: 0"
+    rc, out, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--tol", "0.5", "--norm", "lp:4")
+    assert rc == 0 and out.splitlines()[0] == "rank: 12"
+    rc, out, _ = run(capsys, "uv-rank", files["two_k4.graph"], "--tol", "0.5", "--json")
+    rep = json.loads(out)["result"]
+    assert rc == 0 and rep["rank"] == 12 and max(rep["per_trial_ranks"]) == 0
+    assert rep["notes"][-1].startswith("rank 12 proved: ")
+
+
+def test_rigid_on_the_pebble_basis_of_a_200_vertex_graph(tmp_path, capsys):
+    # 200 vertices, 398 edges, (2,2)-tight: at lp:4 every float trial falls
+    # short of 398 (ranks 392-397 under seeds 7 and 1729), and the exact
+    # rank mod a prime of an integer placement proves 398
+    g, _, _ = globalrig.random_certified_graph(200, seed=7)
+    basis = Graph.from_edges(g.vertices, globalrig.PebbleState(g).accepted)
+    assert basis.m == 2 * basis.n - 2 == 398
+    path = tmp_path / "b200.graph"
+    path.write_text(format_graph(basis))
+    for norm in ("lp:3", "lp:4"):
+        for seed in ("7", "1729"):
+            rc, out, _ = run(capsys, "rigid", str(path), "--norm", norm, "--seed", seed)
+            assert rc == 0 and out == "rigid: yes\nrank: 398\ntarget: 398\n", (norm, seed)
+
+
+def test_uv_rigid_on_a_100_vertex_zero_extension_chain(tmp_path, capsys):
+    # uv-tight; under seed 7 every float trial falls short of 198, and the
+    # exact rank mod a prime of an integer placement proves 198
+    path = tmp_path / "chain.graph"
+    path.write_text(_zero_extended_text(100, shape=0))
+    for seed in ("1", "7"):
+        rc, out, _ = run(capsys, "uv-rigid", str(path), "--seed", seed)
+        assert rc == 0 and out == "uv-rigid: yes\nrank: 198\ntarget: 198\n", seed
 
 
 @pytest.mark.parametrize("argv,where", [

@@ -520,6 +520,70 @@ def test_settled_rank_rejects_no_trials(monkeypatch, two_k4):
             generic_ranks(graphs, seeds, True, trials=0, settle=True)
 
 
+# ---------------------------------------------------------------------------
+# the exact rank at integer p: one elimination mod a prime proves a rank
+# that meets the counting bound
+# ---------------------------------------------------------------------------
+
+PROVED = "proved: rank mod 2147483629 of an integer placement meets the counting bound"
+
+
+def exact_rank(g, coincident, p, seed):
+    """The rank mod the prime of g's integer placement from trial 1's draw,
+    counted in full, or None where an edge has zero length on the grid."""
+    prep = rigidity._prepared(g, coincident)
+    draw = rigidity.uniform_streams([(seed, 1)], [2 * g.n])
+    return rigidity._exact_rank(p, prep, draw, prep[0].m)
+
+
+@pytest.mark.parametrize("p", [3, 4, 7])
+def test_exact_rank_meets_the_counting_bound(p, small_graphs):
+    # rank mod P <= rational rank <= generic rank <= bound on every plain
+    # graph and every pair class on at most 6 vertices, and equality is
+    # observed on each of them
+    cases = [(g, False) for g in small_graphs]
+    cases += [(g, True) for n in range(2, 7) for g in enumerate_graphs(n, pair=True)]
+    for seed, (g, coincident) in enumerate(cases):
+        assert exact_rank(g, coincident, p, seed) == counting_bound(g, coincident), g
+
+
+def test_zero_length_on_the_grid_falls_back_to_the_float_trials(monkeypatch, two_k4, plane4):
+    # under tolerance 0.5 every float trial of two K4s ranks 0, and the
+    # exact step proves 12 after trial 0.  With vertex 2 within 1e-9 of
+    # vertex 0 in every draw, edge 0-2 has zero length on the grid, so the
+    # float trials decide, settled or not, and a settled report is rerun
+    loose = 0.5
+    got = generic_ranks([two_k4], [3], True, plane4, 10, loose, settle=True)[0]
+    assert (got.rank, got.trials, got.per_trial_ranks) == (12, 1, (0,)) and got.rigid
+    assert got.notes == (f"rank 12 {PROVED}",) and not got.near_threshold
+    streams, exact, tried = rigidity.uniform_streams, rigidity._exact_rank, []
+
+    def near(jobs, counts):
+        draws = streams(jobs, counts).reshape(len(jobs), -1)  # one graph: equal counts
+        draws[:, 4:6] = draws[:, 0:2] + 1e-9
+        return draws.ravel()
+
+    monkeypatch.setattr(rigidity, "uniform_streams", near)
+    monkeypatch.setattr(rigidity, "_exact_rank", lambda *a: tried.append(exact(*a)) or tried[-1])
+    settled = generic_ranks([two_k4], [3], True, plane4, 10, loose, settle=True)[0]
+    full = generic_ranks([two_k4], [3], True, plane4, 10, loose)[0]
+    assert tried == [None, None]
+    assert settled.trials == 10 and settled == full
+    assert settled.rank == max(settled.per_trial_ranks) < 12 and not settled.notes
+
+
+def test_non_integer_p_never_calls_the_exact_step(monkeypatch):
+    def no_exact(*args):
+        raise AssertionError("exact step at non-integer p")
+
+    monkeypatch.setattr(rigidity, "_exact_rank", no_exact)
+    plane, tol, seeds = LpPlane(1.5), 3e-3, [3000 + i for i in range(len(PAIR_CLASSES))]
+    for settle in (False, True):
+        reps = generic_ranks(PAIR_CLASSES, seeds, True, plane, 10, tol, settle=settle)
+        # short of the bound after trial 0: at integer p these would get the step
+        assert any(rep.per_trial_ranks[0] < uv_rank_comb(g) for rep, g in zip(reps, PAIR_CLASSES))
+
+
 def _batch_cases():
     """Every plain graph on at most 5 vertices, every pair class on at most
     6, and the graphs on no and on one vertex, shuffled."""
